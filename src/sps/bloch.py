@@ -219,8 +219,8 @@ def driven_evolution(state0, rates, omega, phi_choice, t):
 
     <Sx> decays independently at gamma_x (or is locked when gamma_x = 0);
     the coupled (<Sy>, <Sz>) block is propagated with the exact 2x2 matrix
-    exponential about its fixed point.  Agrees with the numerical
-    propagation of the full master equation to integrator accuracy.
+    exponential about its fixed point.  Agrees with the exact propagation
+    of the full master equation to rounding accuracy.
     """
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")

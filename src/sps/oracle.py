@@ -1,10 +1,14 @@
-"""Brute-force ground truth for the two-level dot.
+"""Brute-force ground truth for the two-level dot, in numpy alone.
 
-Builds the full 4x4 Liouvillian superoperator, propagates the vectorized
-density matrix with a fixed-step classical RK4 scheme (Richardson
-step-halving verification), evaluates two-time dipole correlations through
-the quantum regression theorem, and transforms them into a spectrum by
-direct quadrature.  Nothing here reuses the closed forms of
+Builds the full 4x4 Liouvillian superoperator L and answers every question
+with exact linear algebra on it.  Propagation applies exp(L (t_k - t_0))
+at every sample (Pade-13 scaling and squaring, Higham 2005).  The
+t -> infinity state is P vec(rho_0), with P the spectral projector onto
+ker L built from SVD null vectors (not from an eigendecomposition: L is
+defective at a critically damped sideband pair).  The regression-theorem
+spectrum is the resolvent -(L - P + i delta)^-1 (1 - P) X_0, one batched
+solve over the frequency grid; the never-decaying kernel part P X_0 is
+the zero-width weight.  Nothing here reuses the closed forms of
 :mod:`sps.bloch` or :mod:`sps.spectrum`: this module is the independent
 check they are tested against.
 
@@ -16,7 +20,6 @@ rho_ge, rho_gg), so the superoperator of rho -> A rho B is kron(A, B.T).
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
@@ -32,10 +35,19 @@ SY = 0.5j * (SM - SP)
 SZ = np.array([[0.5, 0.0], [0.0, -0.5]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
 
-DEFAULT_TAU_POINTS = 4096
-DEFAULT_OMEGA_POINTS = 2048
-
 _KERNEL_TOL = 1e-10
+#: Relative bound on the projector identities, stationarity and solve residuals.
+_RESIDUAL_TOL = 1e-8
+#: Samples per batched matrix exponential (bounds the working memory).
+_CHUNK = 4096
+
+#: Pade-13 coefficients b_0..b_13 and the largest 1-norm theta_13 at which
+#: the unscaled approximant meets unit roundoff (Higham 2005, Table 2.3).
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+           960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
 
 
 class DegenerateSteadyStateError(ValueError):
@@ -43,7 +55,7 @@ class DegenerateSteadyStateError(ValueError):
 
 
 class PropagationError(RuntimeError):
-    """Numerical propagation failed (step underflow or broken invariants)."""
+    """A linear-algebra result failed its check (broken invariants or residuals)."""
 
 
 def vectorize(rho):
@@ -170,110 +182,132 @@ def build_qnd_liouvillian(gamma0, nbar, phi):
                    - sandwich(s_phi2, I2) - sandwich(I2, s_phi2))
 
 
-def steady_state(liouvillian, tol=_KERNEL_TOL):
-    """Unique null state of the Liouvillian via SVD.
+def kernel_projector(liouvillian, tol=_KERNEL_TOL):
+    """Spectral projector P onto ker L, and the dimension of the kernel.
 
-    Raises :class:`DegenerateSteadyStateError` when the kernel is
-    degenerate (e.g. coherence locking), in which case the stationary state
-    depends on the initial condition; use :func:`asymptotic_state`.
+    P = R (W^H R)^-1 W^H, where the columns of R and W are the right and
+    left null vectors of the SVD (singular values at most ``tol`` times the
+    largest).  P commutes with L and exp(L t) -> P as t -> infinity.
+    Raises :class:`PropagationError` unless P^2 = P and L P = 0 hold to
+    1e-8 relative to |P| and to the Liouvillian scale.
     """
-    _, sv, vh = np.linalg.svd(liouvillian)
+    u, sv, vh = np.linalg.svd(liouvillian)
     scale = max(sv[0], 1.0)
-    if sv[3] > tol * scale:
-        raise ValueError("Liouvillian has no null vector (not trace-preserving?)")
-    if sv[2] <= tol * scale:
-        raise DegenerateSteadyStateError(
-            f"steady-state manifold is degenerate: singular values {sv!r}")
-    rho = unvectorize(vh[3].conj())
-    rho = rho / np.trace(rho)
-    return 0.5 * (rho + rho.conj().T)
-
-
-def asymptotic_state(liouvillian, rho0, tol=_KERNEL_TOL):
-    """t -> infinity limit of exp(L t) rho0 via the kernel spectral projector.
-
-    Works for degenerate kernels (the projection of rho0 onto the null
-    space); the result is stationary by construction.
-    """
-    evals, evecs = np.linalg.eig(liouvillian)
-    scale = max(np.abs(evals).max(), 1.0)
-    zero = np.abs(evals) <= tol * scale
-    if not np.any(zero):
+    null = sv <= tol * scale
+    if not np.any(null):
         raise ValueError("Liouvillian has no stationary modes")
-    coeff = np.linalg.solve(evecs, vectorize(rho0))
-    vec_inf = evecs[:, zero] @ coeff[zero]
-    rho = unvectorize(vec_inf)
+    right = vh[null].conj().T
+    left_h = u[:, null].conj().T
+    try:
+        proj = right @ np.linalg.solve(left_h @ right, left_h)
+    except np.linalg.LinAlgError:
+        raise PropagationError(
+            "kernel of the Liouvillian is not semisimple (W^H R is singular)") from None
+    size = max(np.abs(proj).max(), 1.0)
+    idempotency = np.abs(proj @ proj - proj).max()
+    annihilation = np.abs(liouvillian @ proj).max()
+    # Written as "not <=" so that NaN fails the check.
+    if not (idempotency <= _RESIDUAL_TOL * size
+            and annihilation <= _RESIDUAL_TOL * scale * size):
+        raise PropagationError(
+            f"kernel projector failed its checks: |P^2 - P| = {idempotency!r}, "
+            f"|L P| = {annihilation!r}")
+    return proj, int(np.count_nonzero(null))
+
+
+def _projected_state(liouvillian, proj, rho0):
+    """Density matrix P vec(rho0), checked to be stationary."""
+    rho = unvectorize(proj @ vectorize(rho0))
     rho = 0.5 * (rho + rho.conj().T)
     rho = rho / np.trace(rho).real
+    scale = max(np.abs(liouvillian).max(), 1.0)
     residual = np.abs(liouvillian @ vectorize(rho)).max()
-    if residual > 1e-8 * scale:
+    if residual > _RESIDUAL_TOL * scale:
         raise PropagationError(
             f"asymptotic state is not stationary: |L rho| = {residual!r}")
     return rho
 
 
 def stationary_state(liouvillian, rho0=None, tol=_KERNEL_TOL):
-    """Steady state, falling back to the rho0-dependent limit when degenerate."""
-    try:
-        return steady_state(liouvillian, tol=tol)
-    except DegenerateSteadyStateError:
-        if rho0 is None:
-            raise
-        return asymptotic_state(liouvillian, rho0, tol=tol)
+    """t -> infinity limit of exp(L t) rho0: the kernel projection P vec(rho0).
+
+    ``rho0`` may be omitted when the kernel is one-dimensional, where the
+    limit is the unique steady state.  A degenerate kernel (e.g. coherence
+    locking) makes the limit depend on rho0, and omitting it then raises
+    :class:`DegenerateSteadyStateError`.
+    """
+    proj, kernel_dim = kernel_projector(liouvillian, tol=tol)
+    if rho0 is None:
+        if kernel_dim > 1:
+            raise DegenerateSteadyStateError(
+                f"steady-state manifold is {kernel_dim}-dimensional: "
+                f"the limit depends on rho0")
+        rho0 = 0.5 * I2
+    return _projected_state(liouvillian, proj, rho0)
 
 
-def _rk4_run(y0, liouvillian, t_grid, h_target):
-    """Fixed-step classical RK4 over ``t_grid`` with substep size <= h_target."""
-    lv = liouvillian
-    y = y0.astype(complex)
+def steady_state(liouvillian, tol=_KERNEL_TOL):
+    """Unique steady state; raises :class:`DegenerateSteadyStateError` if
+    the kernel is degenerate (use :func:`asymptotic_state` then)."""
+    return stationary_state(liouvillian, tol=tol)
+
+
+def asymptotic_state(liouvillian, rho0, tol=_KERNEL_TOL):
+    """t -> infinity limit of exp(L t) rho0, for any kernel dimension."""
+    return stationary_state(liouvillian, rho0, tol=tol)
+
+
+def _expm(stack):
+    """exp of each matrix in a (n, d, d) stack: Pade-13 scaling and squaring.
+
+    Each matrix is scaled by 2^-s so that its 1-norm is at most theta_13,
+    the [13/13] Pade approximant is evaluated, and the result is squared s
+    times (Higham 2005).
+    """
+    a = np.asarray(stack, dtype=complex)
+    norm = np.abs(a).sum(axis=-2).max(axis=-1)
+    with np.errstate(divide="ignore"):
+        squarings = np.maximum(np.ceil(np.log2(norm / _THETA13)), 0.0)
+    a = a / np.exp2(squarings)[:, None, None]
+    b = _PADE13
+    ident = np.eye(a.shape[-1])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    result = np.linalg.solve(v - u, v + u)
+    result[norm == 0.0] = ident  # exactly, so t = t_0 returns rho_0 unchanged
+    for k in range(int(squarings.max(initial=0.0))):
+        more = squarings > k
+        result[more] = result[more] @ result[more]
+    return result
+
+
+def _propagate_vec(y0, liouvillian, t_grid):
+    """exp(L (t_k - t_0)) y0 at every sample of a non-decreasing grid."""
+    t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.ndim != 1 or len(t_grid) < 1 or np.any(np.diff(t_grid) < 0):
+        raise ValueError("t_grid must be non-decreasing")
+    lv = np.asarray(liouvillian, dtype=complex)
     out = np.empty((len(t_grid), 4), dtype=complex)
-    out[0] = y
-    for k in range(len(t_grid) - 1):
-        dt = t_grid[k + 1] - t_grid[k]
-        if dt == 0.0:
-            out[k + 1] = y
-            continue
-        n_sub = max(1, math.ceil(dt / h_target)) if math.isfinite(h_target) else 1
-        h = dt / n_sub
-        for _ in range(n_sub):
-            k1 = lv @ y
-            k2 = lv @ (y + 0.5 * h * k1)
-            k3 = lv @ (y + 0.5 * h * k2)
-            k4 = lv @ (y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[k + 1] = y
+    for start in range(0, len(t_grid), _CHUNK):
+        elapsed = t_grid[start:start + _CHUNK] - t_grid[0]
+        out[start:start + _CHUNK] = _expm(lv * elapsed[:, None, None]) @ y0
     return out
 
 
-def _propagate_vec(y0, liouvillian, t_grid, rtol, max_halvings=16):
-    """RK4 with Richardson verification: halve the step until the full
-    trajectory changes by less than ``rtol`` (sup norm)."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    if len(t_grid) < 1 or np.any(np.diff(t_grid) < 0):
-        raise ValueError("t_grid must be non-decreasing")
-    norm = np.linalg.norm(liouvillian, 2)
-    h = 0.5 / norm if norm > 0 else math.inf
-    traj = _rk4_run(y0, liouvillian, t_grid, h)
-    for _ in range(max_halvings):
-        h *= 0.5
-        finer = _rk4_run(y0, liouvillian, t_grid, h)
-        if np.abs(finer - traj).max() < rtol:
-            return finer
-        traj = finer
-    raise PropagationError(
-        f"step halving did not converge to rtol={rtol!r} within "
-        f"{max_halvings} halvings (step underflow)")
-
-
-def propagate(rho0, liouvillian, t_grid, rtol=1e-10):
+def propagate(rho0, liouvillian, t_grid):
     """Propagate a density matrix along ``t_grid``; returns (len(t), 2, 2).
 
-    Classical fixed-step RK4 whose step is halved until the whole
-    trajectory is reproduced to ``rtol``; trace and Hermiticity are checked
-    to 1e-10 at every sample.
+    Each sample is exp(L (t_k - t_0)) applied to rho0, so no error
+    accumulates along the grid; trace and Hermiticity are checked to 1e-10
+    at every sample.
     """
     assert_density_matrix(rho0)
-    traj = _propagate_vec(vectorize(rho0), liouvillian, t_grid, rtol)
+    traj = _propagate_vec(vectorize(rho0), liouvillian, t_grid)
     rhos = traj.reshape(-1, 2, 2)
     traces = np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0)
     herm = np.abs(rhos - np.conj(np.swapaxes(rhos, 1, 2))).max()
@@ -284,126 +318,85 @@ def propagate(rho0, liouvillian, t_grid, rtol=1e-10):
     return rhos
 
 
-def two_time_correlation(liouvillian, rho_ss, tau_grid, rtol=1e-10):
-    """Fluctuation correlation <dS+(t) dS-(t+tau)>_ss on ``tau_grid``.
-
-    Quantum regression theorem: propagate X(tau) from
-    X(0) = rho_ss S+ - <S+>_ss rho_ss under the Liouvillian and read out
-    tr(S- X(tau)).  ``rho_ss`` must be stationary (residual |L rho| below
-    1e-10 relative to the Liouvillian scale).
-    """
-    rho_ss = np.asarray(rho_ss, dtype=complex)
+def _check_stationary(liouvillian, rho_ss):
     scale = max(np.abs(liouvillian).max(), 1.0)
     residual = np.abs(liouvillian @ vectorize(rho_ss)).max()
     if residual > 1e-10 * scale:
         raise ValueError(
             f"rho_ss is not stationary: |L rho| = {residual!r} "
             f"(tolerance {1e-10 * scale!r})")
-    sp_avg = expect(SP, rho_ss)
-    x0 = rho_ss @ SP - sp_avg * rho_ss
-    traj = _propagate_vec(vectorize(x0), liouvillian, tau_grid, rtol)
+
+
+def _fluctuation_operator(rho_ss):
+    """vec of X(0) = rho_ss S+ - <S+>_ss rho_ss, the regression initial value."""
+    return vectorize(rho_ss @ SP - expect(SP, rho_ss) * rho_ss)
+
+
+def two_time_correlation(liouvillian, rho_ss, tau_grid):
+    """Fluctuation correlation <dS+(t) dS-(t+tau)>_ss on ``tau_grid``.
+
+    Quantum regression theorem: propagate X(tau) = exp(L tau) X(0) from
+    X(0) = rho_ss S+ - <S+>_ss rho_ss and read out tr(S- X(tau)).
+    ``rho_ss`` must be stationary (residual |L rho| below 1e-10 relative to
+    the Liouvillian scale).
+    """
+    rho_ss = np.asarray(rho_ss, dtype=complex)
+    _check_stationary(liouvillian, rho_ss)
+    traj = _propagate_vec(_fluctuation_operator(rho_ss), liouvillian, tau_grid)
     # tr(S- X) is the (e,g) element of X in the fixed vectorization order.
     return traj[:, 1].copy()
 
 
-def default_tau_grid(rate_scales, points=DEFAULT_TAU_POINTS):
-    """Grid [0, 20/min(nonzero rate)] resolving the slowest decay."""
-    nonzero = [r for r in rate_scales if r > 1e-12]
-    if not nonzero:
-        raise ValueError("no nonzero rate to set the correlation time window")
-    return np.linspace(0.0, 20.0 / min(nonzero), points)
-
-
-def default_wide_omega_grid(omega, gamma_bar, points=DEFAULT_OMEGA_POINTS):
-    """Grid [-(2*Omega+10*gamma_bar), +(2*Omega+10*gamma_bar)]."""
-    span = 2.0 * omega + 10.0 * gamma_bar
-    return np.linspace(-span, span, points)
-
-
-def numeric_spectrum(tau_grid, corr, omega_grid, coherent_weight=0.0,
-                     params=None, decay_rtol=1e-8):
-    """Incoherent spectrum 2*Re integral_0^inf e^{i delta tau} C(tau) dtau.
-
-    Trapezoid quadrature over the sampled correlation.  A non-decaying tail
-    (coherence locking) is estimated from the last 5% of samples, split off
-    as ``zero_width_weight``, and subtracted before transforming; if the
-    remainder has not decayed below ``decay_rtol`` * |C(0)| at tau_max a
-    truncation warning carrying the residual bound is emitted.
-    """
-    tau_grid = np.asarray(tau_grid, dtype=float)
-    corr = np.asarray(corr, dtype=complex)
-    omega_grid = np.asarray(omega_grid, dtype=float)
-    if tau_grid.shape != corr.shape:
-        raise ValueError("tau_grid and correlation series have different shapes")
-
-    scale = max(abs(corr[0]), 1e-300)
-    tail = corr[-max(1, len(corr) // 20):].mean()
-    zero_width = 0.0
-    if abs(tail) > decay_rtol * scale:
-        if abs(tail.imag) > 1e-6 * scale:
-            warnings.warn(
-                f"non-decaying correlation tail has imaginary part {tail.imag!r}; "
-                f"zero-width weight keeps the real part only", stacklevel=2)
-        zero_width = tail.real
-        corr = corr - tail
-    residual = abs(corr[-1])
-    if residual > decay_rtol * max(abs(corr[0]), 1e-300):
-        bound = residual * (tau_grid[-1] - tau_grid[0])
-        warnings.warn(
-            f"correlation not decayed at tau_max: |C(tau_max)| = {residual!r} "
-            f"(> {decay_rtol} * |C(0)|); spectrum truncation error bound "
-            f"~ {bound!r}", stacklevel=2)
-
-    weights = np.zeros_like(tau_grid)
-    dtau = np.diff(tau_grid)
-    weights[:-1] += 0.5 * dtau
-    weights[1:] += 0.5 * dtau
-    weighted = weights * corr
-
-    s_in = np.empty_like(omega_grid)
-    chunk = 256
-    for start in range(0, len(omega_grid), chunk):
-        block = omega_grid[start:start + chunk, None]
-        kernel = np.exp(1j * block * tau_grid[None, :])
-        s_in[start:start + chunk] = 2.0 * np.real(kernel @ weighted)
-
-    return SpectrumResult(
-        coherent_weight=coherent_weight,
-        omega_grid=omega_grid,
-        incoherent=s_in,
-        zero_width_weight=zero_width,
-        engine="numeric",
-        params=params or {})
-
-
-def regression_spectrum(rates, omega, sx0=0.0, sy0=0.0, sz0=0.0,
-                        omega_grid=None, tau_points=DEFAULT_TAU_POINTS,
-                        rtol=1e-10):
+def regression_spectrum(rates, omega, sx0=0.0, sy0=0.0, sz0=0.0, *,
+                        omega_grid):
     """End-to-end numeric spectrum of the driven dot.
 
-    Builds the full Liouvillian (squeezing phase taken from ``rates``),
-    finds the stationary state (the asymptotic state from the initial Bloch
-    vector when the kernel is degenerate), evaluates the regression-theorem
-    correlation on the default tau grid, and transforms it on
-    ``omega_grid``.
+    Builds the full Liouvillian (squeezing phase taken from ``rates``), and
+    takes the stationary state as P vec(rho0) for the initial Bloch vector
+    (the unique steady state when the kernel is one-dimensional).  The
+    regression correlation tr(S- exp(L tau) X0) splits into the
+    non-decaying kernel part tr(S- P X0), reported as
+    ``zero_width_weight``, and a decaying part whose transform is exact:
+
+        S_in(delta) = 2 Re tr[S- (-(L - P + i delta)^-1 (1 - P) X0)],
+
+    evaluated by one batched solve over ``omega_grid``.  Raises
+    :class:`PropagationError` if a solve residual exceeds 1e-8 relative,
+    and ValueError for an undamped dot.
     """
+    if rates.gamma_s + rates.gamma_n + rates.gamma_rad == 0.0:
+        # Then L is purely coherent: its modes at +-i*Omega never decay, and
+        # the transform of the correlation does not converge.
+        raise ValueError("undamped dot: the correlation never decays")
+    omega_grid = np.asarray(omega_grid, dtype=float)
     lv = build_liouvillian(rates, omega=omega, laser_on=True)
-    rho0 = bloch_to_rho(BlochVector(sx0, sy0, sz0))
-    rho_ss = stationary_state(lv, rho0=rho0)
+    proj, kernel_dim = kernel_projector(lv)
+    rho_ss = _projected_state(lv, proj, bloch_to_rho(BlochVector(sx0, sy0, sz0)))
+    _check_stationary(lv, rho_ss)
+    x0 = _fluctuation_operator(rho_ss)
+    # A one-dimensional kernel gives P = |rho_ss>><tr| and tr X0 = 0.
+    x0_kernel = proj @ x0 if kernel_dim > 1 else np.zeros(4, dtype=complex)
+    rhs = x0 - x0_kernel
 
-    # Decay scales of the driven system set the correlation window.
-    base = rates.gamma_s + rates.gamma_n + 0.5 * rates.gamma_rad
-    candidates = [base - 2.0 * rates.gamma_m,
-                  base + 2.0 * rates.gamma_m,
-                  2.0 * (rates.gamma_s + rates.gamma_n) + rates.gamma_rad]
-    tau_grid = default_tau_grid(candidates, points=tau_points)
-    corr = two_time_correlation(lv, rho_ss, tau_grid, rtol=rtol)
+    system = (lv - proj) + 1j * omega_grid[:, None, None] * np.eye(4)
+    resolved = np.linalg.solve(
+        system, np.broadcast_to(rhs[:, None], (len(omega_grid), 4, 1)))[..., 0]
+    residual = np.abs(np.einsum("nij,nj->ni", system, resolved) - rhs).max(axis=1)
+    bound = _RESIDUAL_TOL * (np.abs(system).max(axis=(1, 2))
+                             * np.abs(resolved).max(axis=1)
+                             + np.abs(rhs).max())
+    failed = ~(residual <= bound)  # NaN fails too
+    if np.any(failed):
+        worst = int(np.argmax(failed))
+        raise PropagationError(
+            f"resolvent solve residual {residual[worst]!r} exceeds "
+            f"{bound[worst]!r} at delta = {omega_grid[worst]!r}")
 
-    if omega_grid is None:
-        omega_grid = default_wide_omega_grid(omega, max(candidates))
-    sp_avg = expect(SP, rho_ss)
-    return numeric_spectrum(
-        tau_grid, corr, omega_grid,
-        coherent_weight=float(abs(sp_avg) ** 2),
+    return SpectrumResult(
+        coherent_weight=float(abs(expect(SP, rho_ss)) ** 2),
+        omega_grid=omega_grid,
+        incoherent=-2.0 * resolved[:, 1].real,
+        zero_width_weight=float(x0_kernel[1].real),
+        engine="numeric",
         params={"omega": omega, "phi": rates.phi, "sx0": sx0,
-                "tau_max": float(tau_grid[-1])})
+                "kernel_dim": kernel_dim})

@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 HBAR = 1.054571817e-34  # J s, CODATA 2018
 KB = 1.380649e-23       # J/K, exact
@@ -182,6 +181,9 @@ def displacement_factor(bath, rtol=QUAD_RTOL):
     """
     if bath.alpha == 0.0:
         return 1.0
+    # Imported here: scipy.integrate costs ~0.5 s, and nothing else needs it.
+    from scipy.integrate import quad
+
     upper = QUAD_CUTOFF * bath.omega_c
     integral, abserr = quad(_displacement_integrand(bath), 0.0, upper,
                             epsabs=0.0, epsrel=rtol, limit=200)

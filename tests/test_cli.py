@@ -3,11 +3,14 @@ determinism of the figure datasets."""
 
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sps
 from sps.cli import (
     ConfigError,
     format_value,
@@ -90,6 +93,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="missing required key"):
             parse_config("[rates]\ngamma1 = 1\n")
 
+    def test_tau_points_is_not_a_key(self):
+        # The oracle's spectrum is exact: it has no correlation-time grid.
+        with pytest.raises(ConfigError, match="line 10: unknown key 'tau_points'"):
+            parse_config(MINIMAL_DIRECT + "tau_points = 4096\n")
+
     def test_bad_engine(self):
         with pytest.raises(ConfigError, match="engine"):
             parse_config("[rates]\ngamma1 = 1\ngamma2 = 1\n[run]\nengine = fft\n")
@@ -165,7 +173,7 @@ class TestSubcommands:
         meta = dict(line.split("=", 1) for line in
                     (tmp_path / "spectrum_compare.meta").read_text().splitlines())
         assert meta["status"] == "pass"
-        assert float(meta["relative_deviation"]) < 1e-3
+        assert float(meta["relative_deviation"]) < 1e-8
         ana = dict(line.split("=", 1) for line in
                    (tmp_path / "spectrum_analytic.meta").read_text().splitlines())
         assert float(ana["coherent_weight"]) == pytest.approx(0.25)
@@ -231,3 +239,45 @@ class TestFigureDeterminism:
         lines = (tmp_path / "fig3.csv").read_text().splitlines()
         assert lines[0] == "nbar,ratio,value"
         assert len(lines) == 1 + 201 * 201
+
+
+#: Runs in a fresh interpreter; argv[1] is the config, argv[2] the output dir.
+IMPORT_PROBE = """
+import math
+import sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+import sps
+from sps.cli import main
+assert not scipy_modules(), scipy_modules()
+for sub in ("steady", "spectrum"):
+    status = main([sub, "--config", sys.argv[1], "--out", sys.argv[2]])
+    assert status == 0, (sub, status)
+assert not scipy_modules(), scipy_modules()
+
+bath = sps.PhononBathSpec(alpha=2.535e-7, omega_c=1500.0, temperature=0.0)
+closed = math.exp(-bath.alpha * bath.omega_c**2 / 4.0)
+assert abs(sps.displacement_factor(bath) - closed) < 1e-12
+assert "scipy.integrate" in sys.modules
+"""
+
+
+class TestImportCost:
+    def test_scipy_loaded_only_by_displacement_factor(self, tmp_path):
+        # Neither import sps nor the oracle commands may load scipy: only
+        # displacement_factor needs it, and imports it when called.
+        cfg = tmp_path / "cfg"
+        cfg.write_text(MINIMAL_DIRECT + "engine = both\nsx0 = 0.3\n")
+        src = str(Path(sps.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        proc = subprocess.run(
+            [sys.executable, "-c", IMPORT_PROBE, str(cfg), str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        for name in ("steady", "spectrum"):
+            meta = (tmp_path / f"{name}_compare.meta").read_text()
+            assert "status=pass" in meta

@@ -137,7 +137,7 @@ class TestExactSpectrum:
         numeric = oracle.regression_spectrum(LOCKED, OMEGA, sx0=0.5,
                                              omega_grid=grid)
         peak = np.abs(exact.incoherent).max()
-        assert np.abs(exact.incoherent - numeric.incoherent).max() / peak < 1e-3
+        assert np.abs(exact.incoherent - numeric.incoherent).max() / peak < 1e-9
 
     def test_equals_pole_decomposition_sum(self):
         # The sampled exact spectrum is the sum of its pole contributions.
