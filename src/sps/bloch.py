@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .reservoir import _scalar
+
 #: Tolerance on the Bloch-sphere containment check sx^2+sy^2+sz^2 <= 1/4.
 SPHERE_TOL = 1e-12
 
@@ -24,17 +26,18 @@ _HALF_PI = math.pi / 2.0
 
 @dataclass(frozen=True)
 class BlochVector:
-    """Expectation values (<Sx>, <Sy>, <Sz>) of a physical dot state."""
+    """Expectation values (<Sx>, <Sy>, <Sz>) of a physical dot state (or
+    arrays of them)."""
 
     sx: float
     sy: float
     sz: float
 
     def __post_init__(self):
-        norm2 = self.sx**2 + self.sy**2 + self.sz**2
-        if norm2 > 0.25 + SPHERE_TOL:
+        norm2 = self.sx * self.sx + self.sy * self.sy + self.sz * self.sz
+        if not np.all(norm2 <= 0.25 + SPHERE_TOL):
             raise ValueError(
-                f"unphysical Bloch vector: |s|^2 = {norm2!r} > 1/4")
+                f"unphysical Bloch vector: |s|^2 = {_scalar(np.max(norm2))!r} > 1/4")
 
     def as_array(self):
         return np.array([self.sx, self.sy, self.sz])
@@ -58,7 +61,8 @@ class DampingTriple:
     phi_choice: float
 
     def __post_init__(self):
-        if min(self.gamma_x, self.gamma_y, self.gamma_z) < 0:
+        if not np.all(np.minimum(np.minimum(self.gamma_x, self.gamma_y),
+                                 self.gamma_z) >= 0):
             raise ValueError("damping rates must be >= 0")
 
 
@@ -72,13 +76,17 @@ def quadrature(state, phi):
     return state.sx * s + state.sy * c, state.sx * c - state.sy * s
 
 
-def _quadrature_rates(rates):
-    """(gamma_phi, gamma_phi_perp): reduced and enhanced quadrature decay rates."""
-    base = 0.5 * rates.gamma_rad + rates.gamma_s + rates.gamma_n
-    reduced = base - 2.0 * rates.gamma_m
-    if rates.is_perfect and rates.gamma_rad == 0.0:
-        reduced = 0.0  # exact in the perfect regime; clears 1-ulp sqrt noise
-    return max(reduced, 0.0), base + 2.0 * rates.gamma_m
+def _decay_rates(rates):
+    """Decay rates (s_phi, s_phi_perp, <Sz>) of the undriven dot, elementwise.
+
+    Gamma/2 + gamma_s + gamma_n -+ 2*gamma_m and Gamma + 2*(gamma_s + gamma_n);
+    the first is exactly 0 in the perfect regime at Gamma = 0 (no sqrt noise).
+    """
+    base = 0.5 * rates.gamma_rad + (rates.gamma_s + rates.gamma_n)
+    reduced = np.where(rates.is_perfect & (rates.gamma_rad == 0.0), 0.0,
+                       base - 2.0 * rates.gamma_m)
+    return (np.maximum(reduced, 0.0), base + 2.0 * rates.gamma_m,
+            rates.gamma_rad + 2.0 * (rates.gamma_s + rates.gamma_n))
 
 
 def free_steady_inversion(rates):
@@ -105,7 +113,7 @@ def free_evolution(state0, rates, t):
         raise ValueError(f"t must be >= 0, got {t}")
     phi = rates.phi
     s_phi0, s_perp0 = quadrature(state0, phi)
-    g_phi, g_perp = _quadrature_rates(rates)
+    g_phi, g_perp, g_z = _decay_rates(rates)
     s_phi = s_phi0 * math.exp(-g_phi * t)
     s_perp = s_perp0 * math.exp(-g_perp * t)
     # The quadrature map is an involution: apply it again to rotate back.
@@ -114,17 +122,21 @@ def free_evolution(state0, rates, t):
     sy = s_phi * c - s_perp * s
 
     sz_ss = free_steady_inversion(rates)
-    decay = 2.0 * (0.5 * rates.gamma_rad + rates.gamma_s + rates.gamma_n)
-    sz = sz_ss + (state0.sz - sz_ss) * math.exp(-decay * t)
+    sz = sz_ss + (state0.sz - sz_ss) * math.exp(-g_z * t)
     return BlochVector(sx, sy, sz)
 
 
 def _check_phi_choice(phi_choice):
-    if not (math.isclose(phi_choice, 0.0, abs_tol=1e-12)
-            or math.isclose(phi_choice, _HALF_PI, rel_tol=1e-12)):
-        raise ValueError(
-            f"driven analysis supports phi in {{0, pi/2}} only, got {phi_choice}")
-    return math.isclose(phi_choice, 0.0, abs_tol=1e-12)
+    """phi_choice snapped elementwise to 0 (abs. tol. 1e-12) or pi/2 (rel.
+    tol. 1e-12); any other value raises ValueError."""
+    phi = np.asarray(phi_choice, dtype=float)
+    zero = np.abs(phi) <= 1e-12
+    ok = zero | (np.abs(phi - _HALF_PI)
+                 <= 1e-12 * np.maximum(np.abs(phi), _HALF_PI))
+    if not np.all(ok):
+        raise ValueError("driven analysis supports phi in {0, pi/2} only, "
+                         f"got {phi[~ok].flat[0]}")
+    return _scalar(np.where(zero, 0.0, _HALF_PI))
 
 
 def damping_triple(rates, phi_choice):
@@ -136,20 +148,16 @@ def damping_triple(rates, phi_choice):
     gamma_x, gamma_y and Gamma to gamma_z (extension beyond the Gamma = 0
     regime the closed forms were derived in).  The sign assignment is fixed
     by the perfect-regime limits: phi = 0 gives gamma_y = 0 and phi = pi/2
-    gives gamma_x = 0 when gamma_1 = gamma_2.
+    gives gamma_x = 0 when gamma_1 = gamma_2.  Array-valued rates or
+    phi_choice give array fields.
     """
-    phi_is_zero = _check_phi_choice(phi_choice)
-    half_rad = 0.5 * rates.gamma_rad
-    base = rates.gamma_s + rates.gamma_n
-    enhanced = half_rad + base + 2.0 * rates.gamma_m
-    reduced = half_rad + base - 2.0 * rates.gamma_m
-    if rates.is_perfect and rates.gamma_rad == 0.0:
-        reduced = 0.0
-    reduced = max(reduced, 0.0)
-    gamma_z = rates.gamma_rad + 2.0 * base
-    if phi_is_zero:
-        return DampingTriple(enhanced, reduced, gamma_z, 0.0)
-    return DampingTriple(reduced, enhanced, gamma_z, _HALF_PI)
+    phi = _check_phi_choice(phi_choice)
+    reduced, enhanced, gamma_z = _decay_rates(rates)
+    phi_is_zero = phi == 0.0
+    fields = np.broadcast_arrays(np.where(phi_is_zero, enhanced, reduced),
+                                 np.where(phi_is_zero, reduced, enhanced),
+                                 gamma_z, phi)
+    return DampingTriple(*map(_scalar, fields))
 
 
 def _drive_inhomogeneity(rates):
@@ -164,21 +172,24 @@ def driven_steady_state(rates, omega, phi_choice, sx0=0.0):
     <Sz>_s = -d*gamma_y/(gamma_y*gamma_z + Omega^2) with d = gamma_s - gamma_n
     (+Gamma/2 when radiative decay is kept).  <Sx>_s vanishes whenever
     gamma_x > 0; in the locked case (gamma_1 = gamma_2, phi = pi/2,
-    gamma_x = 0) it stays at the initial coherence ``sx0``.
+    gamma_x = 0) it stays at the initial coherence ``sx0``.  Every argument
+    may be an array; they broadcast elementwise and any invalid element
+    raises for the whole call.
     """
-    if omega < 0:
-        raise ValueError(f"omega must be >= 0, got {omega}")
+    omega = np.asarray(omega, dtype=float)
+    if not np.all(omega >= 0):
+        raise ValueError(f"omega must be >= 0, got {_scalar(np.min(omega))}")
     triple = damping_triple(rates, phi_choice)
-    denom = triple.gamma_y * triple.gamma_z + omega**2
-    if denom == 0.0:
+    denom = triple.gamma_y * triple.gamma_z + omega * omega
+    if np.any(denom == 0.0):
         raise ValueError(
             "steady state undefined: omega = 0 with gamma_y = 0 leaves <Sy> "
             "undamped (use free_evolution for the undriven dot)")
     d = _drive_inhomogeneity(rates)
     sy = d * omega / denom
     sz = -d * triple.gamma_y / denom
-    sx = sx0 if triple.gamma_x == 0.0 else 0.0
-    return BlochVector(sx, sy, sz)
+    sx = np.where(triple.gamma_x == 0.0, sx0, 0.0)
+    return BlochVector(*map(_scalar, np.broadcast_arrays(sx, sy, sz)))
 
 
 def _sinch(x):

@@ -15,17 +15,18 @@ repeated runs of the same config are byte-identical.
 from __future__ import annotations
 
 import argparse
+import ast
 import math
+import operator
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import oracle
-from .bloch import BlochVector, dressed_populations, driven_steady_state, \
-    free_evolution
+from .bloch import BlochVector, _check_phi_choice, _decay_rates, \
+    dressed_populations, driven_steady_state, free_evolution
 from .physparams import DriveConfig, PhononBathSpec, displacement_factor, \
     phonon_rate
 from .reservoir import figure3_dataset, figure4_dataset, map_to_squeezing, \
@@ -37,14 +38,14 @@ DECAY_TOL = 1e-8
 STEADY_TOL = 1e-8
 SPECTRUM_TOL = 1e-8  # relative sup norm against the analytic peak
 
-_HALF_PI = math.pi / 2.0
-
 SUBCOMMANDS = ("rates", "squeezing", "decay", "steady", "spectrum", "sweep",
                "figure")
 FIGURES = ("fig3", "fig4", "fig5")
 ENGINES = ("analytic", "numeric", "both")
 
-_NUMBER_CHARS = set("0123456789.eE+-*/() \t")
+#: The arithmetic a config number may use, besides literals and ``pi``.
+_OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+        ast.Div: operator.truediv, ast.UAdd: operator.pos, ast.USub: operator.neg}
 
 
 class ConfigError(ValueError):
@@ -139,18 +140,28 @@ class RunConfig:
                                gamma_rad=self.gamma_rad)
 
 
+def _evaluate(node):
+    """Value of a number expression: literals, ``pi``, + - * /, parentheses."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return node.value
+    if isinstance(node, ast.Name) and node.id == "pi":
+        return math.pi
+    if isinstance(node, ast.BinOp) and type(node.op) in _OPS:
+        return _OPS[type(node.op)](_evaluate(node.left), _evaluate(node.right))
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _OPS:
+        return _OPS[type(node.op)](_evaluate(node.operand))
+    raise ValueError("not a number expression")
+
+
 def _parse_number(text, line):
-    """Parse a float literal, allowing pi expressions like ``pi/2`` or ``0.3*pi``."""
-    stripped = text.replace("pi", "")
-    if not text or not set(stripped) <= _NUMBER_CHARS:
-        raise ConfigError(f"unparseable number {text!r}", line)
+    """Parse a finite number, allowing pi expressions like ``pi/2`` or ``0.3*pi``."""
     try:
-        value = eval(text, {"__builtins__": {}}, {"pi": math.pi})  # noqa: S307
-    except Exception:
+        value = float(_evaluate(ast.parse(text.strip(), mode="eval").body))
+    except (SyntaxError, ValueError, ArithmeticError, RecursionError):
         raise ConfigError(f"unparseable number {text!r}", line) from None
-    if not isinstance(value, (int, float)):
-        raise ConfigError(f"unparseable number {text!r}", line)
-    return float(value)
+    if not math.isfinite(value):
+        raise ConfigError(f"non-finite number {text!r}", line)
+    return value
 
 
 def _parse_value(kind, text, line):
@@ -276,6 +287,10 @@ def _build_config(sections):
         raise ConfigError(
             f"sweep_quantity must be one of {_SWEEP_QUANTITIES}, "
             f"got {cfg.sweep_quantity!r}")
+    if (cfg.sweep_param == "phi" and cfg.sweep_quantity == "steady"
+            and cfg.sweep_points >= 2):
+        _phi_choice(np.linspace(cfg.sweep_start, cfg.sweep_stop,
+                                cfg.sweep_points))
     return cfg
 
 
@@ -312,26 +327,19 @@ def write_meta(path, entries):
             handle.write(f"{key}={format_value(value)}\n")
 
 
-def _phi_choice(cfg):
-    if math.isclose(cfg.phi, 0.0, abs_tol=1e-12):
-        return 0.0
-    if math.isclose(cfg.phi, _HALF_PI, rel_tol=1e-12):
-        return _HALF_PI
-    raise ConfigError(
-        f"driven-system subcommands need phi in {{0, pi/2}}, got {cfg.phi}")
-
-
-def _decay_scales(rates):
-    base = rates.gamma_s + rates.gamma_n + 0.5 * rates.gamma_rad
-    return [base - 2.0 * rates.gamma_m, base + 2.0 * rates.gamma_m,
-            2.0 * (rates.gamma_s + rates.gamma_n) + rates.gamma_rad]
+def _phi_choice(phi):
+    """The driven-system phase 0 or pi/2 (elementwise), else ConfigError."""
+    try:
+        return _check_phi_choice(phi)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _time_grid(cfg, rates):
     if cfg.t_max > 0:
         t_max = cfg.t_max
     else:
-        nonzero = [r for r in _decay_scales(rates) if r > 1e-12]
+        nonzero = [r for r in _decay_rates(rates) if r > 1e-12]
         t_max = 10.0 / min(nonzero) if nonzero else 1.0
     return np.linspace(0.0, t_max, cfg.t_points)
 
@@ -415,7 +423,7 @@ def _cmd_decay(cfg, out_dir):
 
 def _cmd_steady(cfg, out_dir):
     rr = cfg.resolved_rates()
-    phi_choice = _phi_choice(cfg)
+    phi_choice = _phi_choice(cfg.phi)
     header = ["sx", "sy", "sz", "rho_plus", "rho_minus"]
     status = 0
 
@@ -454,7 +462,7 @@ def _spectrum_meta(result):
 
 def _cmd_spectrum(cfg, out_dir):
     rr = cfg.resolved_rates()
-    phi_choice = _phi_choice(cfg)
+    phi_choice = _phi_choice(cfg.phi)
     if cfg.laser_omega <= 0:
         raise ConfigError("spectrum needs a resonant drive: set Omega > 0")
     grid = _omega_grid(cfg)
@@ -492,16 +500,6 @@ def _cmd_spectrum(cfg, out_dir):
     return status
 
 
-def _sweep_workers():
-    env = os.environ.get("SPS_THREADS", "")
-    if env.strip():
-        workers = int(env)
-        if workers < 1:
-            raise ConfigError("SPS_THREADS must be >= 1")
-        return workers
-    return min(8, os.cpu_count() or 1)
-
-
 def _cmd_sweep(cfg, out_dir):
     if cfg.mode != "direct":
         raise ConfigError("sweep supports the direct-rate mode only")
@@ -510,36 +508,28 @@ def _cmd_sweep(cfg, out_dir):
     if cfg.sweep_points < 2:
         raise ConfigError("sweep_points must be >= 2")
     values = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_points)
-
-    def evaluate(item):
-        index, value = item
-        params = {"gamma1": cfg.gamma1, "gamma2": cfg.gamma2,
-                  "nbar": cfg.nbar, "phi": cfg.phi,
-                  "Omega": cfg.laser_omega, "sx0": cfg.sx0}
-        params[cfg.sweep_param] = value
-        rr = reservoir_rates(params["gamma1"], params["gamma2"], params["nbar"],
-                             phi1=params["phi"], phi2=params["phi"],
-                             gamma_rad=cfg.gamma_rad)
-        if cfg.sweep_quantity == "steady":
-            state = driven_steady_state(rr, params["Omega"], params["phi"],
-                                        sx0=params["sx0"])
-            return [index, value, state.sx, state.sy, state.sz]
-        desc = map_to_squeezing(rr)
-        return [index, value, desc.regime, desc.gamma_eff, desc.n_photons,
-                desc.m_abs, desc.n_squeezed, desc.n_background, desc.quantum]
-
+    params = {"gamma1": cfg.gamma1, "gamma2": cfg.gamma2, "nbar": cfg.nbar,
+              "phi": cfg.phi, "Omega": cfg.laser_omega, "sx0": cfg.sx0}
+    params[cfg.sweep_param] = values
+    rr = reservoir_rates(params["gamma1"], params["gamma2"], params["nbar"],
+                         phi1=params["phi"], phi2=params["phi"],
+                         gamma_rad=cfg.gamma_rad)
     if cfg.sweep_quantity == "steady":
-        if cfg.sweep_param != "phi":
-            _phi_choice(cfg)
+        state = driven_steady_state(rr, params["Omega"],
+                                    _phi_choice(params["phi"]),
+                                    sx0=params["sx0"])
         header = ["index", cfg.sweep_param, "sx", "sy", "sz"]
+        columns = [state.sx, state.sy, state.sz]
     else:
+        desc = map_to_squeezing(rr)
         header = ["index", cfg.sweep_param, "regime", "gamma_eff", "N",
                   "M_abs", "Ns", "Nb", "quantum"]
-
-    # Rows come back in input order regardless of completion order.
-    with ThreadPoolExecutor(max_workers=_sweep_workers()) as pool:
-        rows = list(pool.map(evaluate, enumerate(values)))
-    write_csv(os.path.join(out_dir, "sweep.csv"), header, rows)
+        columns = [desc.regime, desc.gamma_eff, desc.n_photons, desc.m_abs,
+                   desc.n_squeezed, desc.n_background, desc.quantum]
+    # A column the swept parameter does not reach is one repeated value.
+    columns = [np.broadcast_to(c, values.shape).tolist() for c in columns]
+    write_csv(os.path.join(out_dir, "sweep.csv"), header,
+              zip(range(len(values)), values.tolist(), *columns))
     return 0
 
 

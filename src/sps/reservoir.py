@@ -31,6 +31,11 @@ DEFAULT_RATIO_GRID = np.linspace(1.0, 10.0, 202)[1:]
 _IDENTITY_RTOL = 1e-12
 
 
+def _scalar(value):
+    """A 0-d result as a Python scalar; arrays pass through unchanged."""
+    return np.asarray(value).item() if np.ndim(value) == 0 else value
+
+
 @dataclass(frozen=True)
 class ReservoirRates:
     """Effective-reservoir triple plus provenance.
@@ -53,12 +58,15 @@ class ReservoirRates:
     def __post_init__(self):
         for name in ("gamma_s", "gamma_n", "gamma_m", "gamma_rad",
                      "gamma1", "gamma2", "nbar"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        lhs = self.gamma_s * self.gamma_n - self.gamma_m**2
-        rhs = self.nbar * (self.nbar + 1.0) * (self.gamma1 - self.gamma2) ** 2
-        scale = max(self.gamma_s * self.gamma_n, self.gamma_m**2, abs(rhs))
-        if abs(lhs - rhs) > max(_IDENTITY_RTOL * scale, 1e-300):
+            value = getattr(self, name)
+            if not np.all(value >= 0):  # written so that NaN fails too
+                raise ValueError(f"{name} must be >= 0, got {value}")
+        lhs = self.gamma_s * self.gamma_n - self.gamma_m * self.gamma_m
+        diff = self.gamma1 - self.gamma2
+        rhs = self.nbar * (self.nbar + 1.0) * (diff * diff)
+        scale = np.maximum(np.maximum(self.gamma_s * self.gamma_n,
+                                      self.gamma_m * self.gamma_m), np.abs(rhs))
+        if not np.all(np.abs(lhs - rhs) <= np.maximum(_IDENTITY_RTOL * scale, 1e-300)):
             raise ValueError(
                 f"inconsistent reservoir triple: gamma_s*gamma_n - gamma_m^2 = {lhs!r} "
                 f"but nbar(nbar+1)(gamma1-gamma2)^2 = {rhs!r}")
@@ -66,8 +74,8 @@ class ReservoirRates:
     @property
     def is_perfect(self):
         """True when gamma_1 = gamma_2 within the regime tolerance."""
-        return abs(self.gamma1 - self.gamma2) <= EQUAL_RATE_RTOL * max(
-            self.gamma1, self.gamma2)
+        return _scalar(np.abs(self.gamma1 - self.gamma2) <= EQUAL_RATE_RTOL
+                       * np.maximum(self.gamma1, self.gamma2))
 
 
 @dataclass(frozen=True)
@@ -97,20 +105,24 @@ def reservoir_rates(gamma1, gamma2, nbar, phi1=0.0, phi2=0.0, gamma_rad=0.0):
     gamma_n = gamma1*(nbar+1) + gamma2*nbar
     gamma_m = (2*nbar+1)*sqrt(gamma1*gamma2)
     phi     = (phi1 + phi2)/2, with 2*phi reduced to [0, 2*pi)
+
+    Array arguments broadcast together into array fields; scalar arguments
+    give Python floats.
     """
-    if gamma1 < 0 or gamma2 < 0:
-        raise ValueError("gamma1 and gamma2 must be >= 0")
-    if nbar < 0:
-        raise ValueError(f"nbar must be >= 0, got {nbar}")
-    if gamma_rad < 0:
-        raise ValueError(f"gamma_rad must be >= 0, got {gamma_rad}")
-    gamma_s = gamma1 * nbar + gamma2 * (nbar + 1.0)
-    gamma_n = gamma1 * (nbar + 1.0) + gamma2 * nbar
-    gamma_m = (2.0 * nbar + 1.0) * math.sqrt(gamma1 * gamma2)
-    phi = ((phi1 + phi2) % (2.0 * math.pi)) / 2.0
-    return ReservoirRates(gamma_s=gamma_s, gamma_n=gamma_n, gamma_m=gamma_m,
-                          phi=phi, gamma_rad=gamma_rad,
-                          gamma1=gamma1, gamma2=gamma2, nbar=nbar)
+    gamma1, gamma2, nbar, phi1, phi2, gamma_rad = np.broadcast_arrays(
+        *(np.asarray(x, dtype=float)
+          for x in (gamma1, gamma2, nbar, phi1, phi2, gamma_rad)))
+    inputs = {"gamma1": gamma1, "gamma2": gamma2, "nbar": nbar,
+              "gamma_rad": gamma_rad}
+    for name, value in inputs.items():
+        if not np.all(value >= 0):
+            raise ValueError(f"{name} must be >= 0, got {_scalar(value)}")
+    fields = dict(inputs,
+                  gamma_s=gamma1 * nbar + gamma2 * (nbar + 1.0),
+                  gamma_n=gamma1 * (nbar + 1.0) + gamma2 * nbar,
+                  gamma_m=(2.0 * nbar + 1.0) * np.sqrt(gamma1 * gamma2),
+                  phi=((phi1 + phi2) % (2.0 * math.pi)) / 2.0)
+    return ReservoirRates(**{k: _scalar(v) for k, v in fields.items()})
 
 
 def map_to_squeezing(rates):
@@ -121,37 +133,38 @@ def map_to_squeezing(rates):
     Inverted regime mirrors the mapping under gamma_s <-> gamma_n.  The
     perfect regime (gamma_1 = gamma_2) is the N -> inf limit of a maximally
     correlated field and is reported with inf sentinels (Nb -> 0 there).
+    gamma_s - gamma_n is evaluated as gamma_2 - gamma_1, its value without
+    cancellation.  Array-valued rates give array fields.
     """
-    if rates.is_perfect:
-        return SqueezingDescriptor(
-            regime=REGIME_PERFECT, gamma_eff=0.0,
-            n_photons=math.inf, m_abs=math.inf,
-            n_squeezed=math.inf, n_background=0.0,
-            quantum=True)
+    gamma1, gamma2, nbar, gamma_s, gamma_n, gamma_m = (
+        np.asarray(x, dtype=float) for x in (
+            rates.gamma1, rates.gamma2, rates.nbar,
+            rates.gamma_s, rates.gamma_n, rates.gamma_m))
+    perfect = rates.is_perfect
+    ordinary = gamma2 > gamma1
+    half_gamma = np.abs(gamma2 - gamma1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n_photons = np.where(ordinary, gamma_n, gamma_s) / half_gamma
+        gamma_eff = 2.0 * half_gamma
+        m_abs = gamma_m / half_gamma
+        # Split N into maximally squeezed and thermal background parts.
+        u = 2.0 * np.sqrt(gamma1 * gamma2) / gamma_eff
+        w = (gamma1 + gamma2) / gamma_eff
+        root = np.sqrt(4.0 * nbar * (nbar + 1.0) * (u * u) + w * w)
+        n_background = (2.0 * nbar + 1.0) * w - root
+        quantum = m_abs > n_photons
 
-    if rates.gamma2 > rates.gamma1:
-        regime = REGIME_ORDINARY
-        half_gamma = rates.gamma_s - rates.gamma_n
-        n_photons = rates.gamma_n / half_gamma
-    else:
-        regime = REGIME_INVERTED
-        half_gamma = rates.gamma_n - rates.gamma_s
-        n_photons = rates.gamma_s / half_gamma
-    gamma_eff = 2.0 * half_gamma
-    m_abs = rates.gamma_m / half_gamma
-
-    # Split N into maximally squeezed and thermal background parts.
-    u = 2.0 * math.sqrt(rates.gamma1 * rates.gamma2) / gamma_eff
-    w = (rates.gamma1 + rates.gamma2) / gamma_eff
-    root = math.sqrt(4.0 * rates.nbar * (rates.nbar + 1.0) * u**2 + w**2)
-    n_squeezed = root - 0.5
-    n_background = (2.0 * rates.nbar + 1.0) * w - root
-
-    return SqueezingDescriptor(
-        regime=regime, gamma_eff=gamma_eff,
-        n_photons=n_photons, m_abs=m_abs,
-        n_squeezed=n_squeezed, n_background=max(n_background, 0.0),
-        quantum=m_abs > n_photons)
+    fields = {
+        "regime": np.where(perfect, REGIME_PERFECT, np.where(
+            ordinary, REGIME_ORDINARY, REGIME_INVERTED)),
+        "gamma_eff": np.where(perfect, 0.0, gamma_eff),
+        "n_photons": np.where(perfect, math.inf, n_photons),
+        "m_abs": np.where(perfect, math.inf, m_abs),
+        "n_squeezed": np.where(perfect, math.inf, root - 0.5),
+        "n_background": np.where(perfect, 0.0, np.maximum(n_background, 0.0)),
+        "quantum": perfect | quantum,
+    }
+    return SqueezingDescriptor(**{k: _scalar(v) for k, v in fields.items()})
 
 
 def quantum_threshold(gamma1, gamma2):
@@ -171,18 +184,14 @@ def quantum_threshold(gamma1, gamma2):
     return r2 / (r1 - r2)
 
 
-def _ordinary_arrays(ratio, nbar):
-    """Vectorized (N, |M|, Ns, Nb) for gamma1 = 1, gamma2 = ratio > 1."""
-    half_gamma = ratio - 1.0                      # gamma_s - gamma_n
-    gamma_n = (nbar + 1.0) + ratio * nbar
-    n_photons = gamma_n / half_gamma
-    m_abs = (2.0 * nbar + 1.0) * np.sqrt(ratio) / half_gamma
-    u = np.sqrt(ratio) / half_gamma               # 2*sqrt(g1*g2)/gamma
-    w = (1.0 + ratio) / (2.0 * half_gamma)
-    root = np.sqrt(4.0 * nbar * (nbar + 1.0) * u**2 + w**2)
-    n_squeezed = root - 0.5
-    n_background = (2.0 * nbar + 1.0) * w - root
-    return n_photons, m_abs, n_squeezed, n_background
+def _ratio_grid_squeezing(nbar_grid, ratio_grid):
+    """(nbar, ratio) mesh, nbar-major, and its descriptor at gamma1 = 1."""
+    nbar_grid = DEFAULT_NBAR_GRID if nbar_grid is None else np.asarray(nbar_grid, float)
+    ratio_grid = DEFAULT_RATIO_GRID if ratio_grid is None else np.asarray(ratio_grid, float)
+    if np.any(ratio_grid <= 1.0):
+        raise ValueError("ratio grid must satisfy gamma2/gamma1 > 1")
+    nn, rr = np.meshgrid(nbar_grid, ratio_grid, indexing="ij")
+    return nn, rr, map_to_squeezing(reservoir_rates(1.0, rr, nn))
 
 
 def figure3_dataset(nbar_grid=None, ratio_grid=None):
@@ -191,13 +200,8 @@ def figure3_dataset(nbar_grid=None, ratio_grid=None):
     Returns an array of rows (nbar, ratio, |M|/N) with nbar as the outer
     loop.  The |M|/N = 1 contour coincides with ``quantum_threshold``.
     """
-    nbar_grid = DEFAULT_NBAR_GRID if nbar_grid is None else np.asarray(nbar_grid, float)
-    ratio_grid = DEFAULT_RATIO_GRID if ratio_grid is None else np.asarray(ratio_grid, float)
-    if np.any(ratio_grid <= 1.0):
-        raise ValueError("ratio grid must satisfy gamma2/gamma1 > 1")
-    nn, rr = np.meshgrid(nbar_grid, ratio_grid, indexing="ij")
-    n_photons, m_abs, _, _ = _ordinary_arrays(rr, nn)
-    value = m_abs / n_photons
+    nn, rr, desc = _ratio_grid_squeezing(nbar_grid, ratio_grid)
+    value = desc.m_abs / desc.n_photons
     return np.column_stack([nn.ravel(), rr.ravel(), value.ravel()])
 
 
@@ -208,13 +212,8 @@ def figure4_dataset(nbar_grid=None, ratio_grid=None):
     correlations, i.e. for nbar > 1/(sqrt(gamma2/gamma1) - 1).  Points where
     the denominator degenerates (|M| = Ns = 0) are emitted as NaN.
     """
-    nbar_grid = DEFAULT_NBAR_GRID if nbar_grid is None else np.asarray(nbar_grid, float)
-    ratio_grid = DEFAULT_RATIO_GRID if ratio_grid is None else np.asarray(ratio_grid, float)
-    if np.any(ratio_grid <= 1.0):
-        raise ValueError("ratio grid must satisfy gamma2/gamma1 > 1")
-    nn, rr = np.meshgrid(nbar_grid, ratio_grid, indexing="ij")
-    _, m_abs, n_squeezed, n_background = _ordinary_arrays(rr, nn)
-    denom = m_abs - n_squeezed
+    nn, rr, desc = _ratio_grid_squeezing(nbar_grid, ratio_grid)
+    denom = desc.m_abs - desc.n_squeezed
     with np.errstate(divide="ignore", invalid="ignore"):
-        value = np.where(denom > 0.0, n_background / denom, np.nan)
+        value = np.where(denom > 0.0, desc.n_background / denom, np.nan)
     return np.column_stack([nn.ravel(), rr.ravel(), value.ravel()])

@@ -20,11 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bloch import damping_triple, driven_steady_state
+from .bloch import _HALF_PI, damping_triple, driven_steady_state
+from .reservoir import reservoir_rates
 
 DEFAULT_OMEGA_POINTS = 2001
-
-_HALF_PI = math.pi / 2.0
 
 
 @dataclass(frozen=True)
@@ -91,6 +90,16 @@ def _fluctuation_moments(rates, omega, phi_choice, sx0):
     return triple, steady, cx0, cy0, cz0
 
 
+def _lambda_rational(z, triple, omega, cx0, cy0, cz0):
+    """Lambda(z) from the fluctuation moments, without the gamma_x = 0 pole."""
+    denom = z**2 + (triple.gamma_y + triple.gamma_z) * z + (
+        triple.gamma_y * triple.gamma_z + omega**2)
+    val = -1j * (cy0 * (z + triple.gamma_z) - omega * cz0) / denom
+    if triple.gamma_x > 0.0:
+        val = val + cx0 / (z + triple.gamma_x)
+    return val
+
+
 def lambda_laplace(z, rates, omega, phi_choice, sx0=0.0):
     """Laplace transform Lambda(z) of the steady-state fluctuation correlation.
 
@@ -103,12 +112,8 @@ def lambda_laplace(z, rates, omega, phi_choice, sx0=0.0):
     analytically (see ``exact_incoherent_spectrum``) and omitted here.
     """
     triple, _, cx0, cy0, cz0 = _fluctuation_moments(rates, omega, phi_choice, sx0)
-    z = np.asarray(z, dtype=complex)
-    denom = z**2 + (triple.gamma_y + triple.gamma_z) * z + (
-        triple.gamma_y * triple.gamma_z + omega**2)
-    val = -1j * (cy0 * (z + triple.gamma_z) - omega * cz0) / denom
-    if triple.gamma_x > 0.0:
-        val = val + cx0 / (z + triple.gamma_x)
+    val = _lambda_rational(np.asarray(z, dtype=complex), triple, omega,
+                           cx0, cy0, cz0)
     return complex(val) if val.ndim == 0 else val
 
 
@@ -127,15 +132,9 @@ def exact_incoherent_spectrum(rates, omega, phi_choice, sx0=0.0, omega_grid=None
     triple, steady, cx0, cy0, cz0 = _fluctuation_moments(
         rates, omega, phi_choice, sx0)
 
-    z = -1j * omega_grid
-    denom = z**2 + (triple.gamma_y + triple.gamma_z) * z + (
-        triple.gamma_y * triple.gamma_z + omega**2)
-    val = -1j * (cy0 * (z + triple.gamma_z) - omega * cz0) / denom
-    zero_width = 0.0
-    if triple.gamma_x > 0.0:
-        val = val + cx0 / (z + triple.gamma_x)
-    else:
-        zero_width = cx0.real  # cx0 is real here (sy_s = 0 in the locked regime)
+    val = _lambda_rational(-1j * omega_grid, triple, omega, cx0, cy0, cz0)
+    # cx0 is real when gamma_x = 0 (sy_s = 0 in the locked regime)
+    zero_width = 0.0 if triple.gamma_x > 0.0 else cx0.real
     s_in = 2.0 * np.real(val)
 
     return SpectrumResult(
@@ -240,8 +239,6 @@ def figure5_dataset(sx0_grid=None, gamma0=1.0, nbar=0.5, omega=20.0,
     drawn as a Lorentzian of width ``render_width`` (default gamma0), which
     keeps its integrated power.
     """
-    from .reservoir import reservoir_rates  # local import avoids cycle at module load
-
     if sx0_grid is None:
         sx0_grid = np.linspace(-0.5, 0.5, 41)
     sx0_grid = np.asarray(sx0_grid, dtype=float)

@@ -200,6 +200,82 @@ class TestDrivenSteadyState:
             assert np.abs(rhs).max() <= 1e-12 * scale
 
 
+def _text(value):
+    return "%.17g" % value
+
+
+#: One (gamma1, gamma2, nbar, Gamma, Omega, sx0, phi) point; gamma2 None
+#: means gamma2 = gamma1, the perfect regime.
+driven_points = st.tuples(
+    st.floats(1e-3, 10.0), st.one_of(st.none(), st.floats(1e-3, 10.0)),
+    st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+    st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+    st.one_of(st.just(0.0), st.floats(0.0, 30.0)),
+    st.floats(-0.5, 0.5), st.sampled_from((0.0, HALF_PI)))
+
+
+class TestArrayPath:
+    """Array calls equal the per-element scalar calls bit for bit, and an
+    element the scalar call rejects makes the whole array call raise."""
+
+    @staticmethod
+    def scalar_rows(points):
+        rows = []
+        for g1, g2, nbar, gamma_rad, omega, sx0, phi in points:
+            rates = reservoir_rates(g1, g2, nbar, phi1=phi, phi2=phi,
+                                    gamma_rad=gamma_rad)
+            triple = damping_triple(rates, phi)
+            s = driven_steady_state(rates, omega, phi, sx0=sx0)
+            rows.append([triple.gamma_x, triple.gamma_y, triple.gamma_z,
+                         triple.phi_choice, s.sx, s.sy, s.sz])
+        return rows
+
+    def assert_matches_scalar(self, points):
+        g1, g2, nbar, gamma_rad, omega, sx0, phi = (
+            np.array(c, dtype=float) for c in zip(*points))
+        rates = reservoir_rates(g1, g2, nbar, phi1=phi, phi2=phi,
+                                gamma_rad=gamma_rad)
+        try:
+            expected = self.scalar_rows(points)
+        except ValueError:
+            with pytest.raises(ValueError):
+                driven_steady_state(rates, omega, phi, sx0=sx0)
+            return
+        triple = damping_triple(rates, phi)
+        s = driven_steady_state(rates, omega, phi, sx0=sx0)
+        got = np.column_stack([triple.gamma_x, triple.gamma_y, triple.gamma_z,
+                               triple.phi_choice, s.sx, s.sy, s.sz])
+        assert [[_text(v) for v in row] for row in got] == \
+            [[_text(v) for v in row] for row in expected]
+
+    @given(points=st.lists(driven_points, min_size=1, max_size=16))
+    @settings(max_examples=300, deadline=None)
+    def test_steady_array_equals_scalar(self, points):
+        self.assert_matches_scalar([
+            (g1, g1 if g2 is None else g2, *rest) for g1, g2, *rest in points])
+
+    def test_sweep_across_equal_rates(self):
+        g2 = np.concatenate([np.linspace(0.5, 1.5, 101),
+                             [1.0, 1.0 + 1e-12, 1.0 - 1e-12, 1.0 + 1e-6]])
+        for phi in (0.0, HALF_PI):
+            self.assert_matches_scalar(
+                [(1.0, v, 0.5, 0.0, 20.0, 0.3, phi) for v in g2])
+        rates = reservoir_rates(1.0, g2, 0.5)
+        locked = driven_steady_state(rates, 20.0, HALF_PI, sx0=0.3).sx == 0.3
+        assert locked.tolist() == rates.is_perfect.tolist()
+        assert locked[-4:].tolist() == [True, True, True, False]
+
+    def test_undamped_element_fails_whole_call(self):
+        rates = reservoir_rates(1.0, 1.0, 0.5)  # gamma_y = 0 at phi = 0
+        with pytest.raises(ValueError, match="steady state undefined"):
+            driven_steady_state(rates, np.array([2.0, 1.0, 0.0]), 0.0)
+
+    def test_rejects_phase_outside_choices_in_array(self):
+        rates = reservoir_rates(1.0, 2.0, 0.0)
+        with pytest.raises(ValueError, match="got 0.3"):
+            damping_triple(rates, np.array([0.0, HALF_PI, 0.3]))
+
+
 class TestDrivenEvolution:
     RATES = reservoir_rates(2.0, 1.0, 0.3)
 

@@ -85,6 +85,47 @@ class TestParseConfig:
         text = "[rates]\ngamma1 = 1\ngamma2 = 2\nphi = 0.25*pi\n"
         assert parse_config(text).phi == pytest.approx(0.25 * math.pi)
 
+    def test_arithmetic_expressions(self):
+        text = "[rates]\ngamma1 = -(1 - 3) * +2 / 4\ngamma2 = 2\nphi = (pi)/2\n"
+        cfg = parse_config(text)
+        assert cfg.gamma1 == 1.0 and cfg.phi == math.pi / 2
+
+    @pytest.mark.parametrize("expr", ["2**100", "2 % 3", "abs(-1)",
+                                      "[1]", "True", "1j", "e", "'1'", ""])
+    def test_rejects_other_expressions(self, expr):
+        with pytest.raises(ConfigError, match="line 2: unparseable"):
+            parse_config(f"[rates]\ngamma1 = {expr}\ngamma2 = 1\n")
+
+    @pytest.mark.parametrize("expr", ["1e400", "-1e400", "0*1e400",
+                                      "1e308*10"])
+    def test_rejects_non_finite(self, expr):
+        with pytest.raises(ConfigError, match="line 3: non-finite number"):
+            parse_config(f"[rates]\ngamma1 = 1\ngamma2 = {expr}\n")
+
+    def test_phi_sweep_checked_at_config_time(self, tmp_path, capsys):
+        text = ("[rates]\ngamma1 = 1\ngamma2 = 1\nnbar = 0.5\n[run]\n"
+                "Omega = 20\nsweep_param = phi\nsweep_start = 0\n"
+                "sweep_stop = 1\nsweep_points = 3\nsweep_quantity = steady\n")
+        with pytest.raises(ConfigError, match="phi in {0, pi/2}.*got 0.5"):
+            parse_config(text)
+        (tmp_path / "cfg").write_text(text)
+        out = tmp_path / "out"
+        assert run_cli(["sweep", "--config", tmp_path / "cfg",
+                        "--out", out]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_phi_sweep_over_driven_phases(self, tmp_path):
+        (tmp_path / "cfg").write_text(
+            "[rates]\ngamma1 = 1\ngamma2 = 1\nnbar = 0.5\n[run]\n"
+            "Omega = 20\nsx0 = 0.3\nsweep_param = phi\nsweep_start = 0\n"
+            "sweep_stop = pi/2\nsweep_points = 2\nsweep_quantity = steady\n")
+        assert run_cli(["sweep", "--config", tmp_path / "cfg",
+                        "--out", tmp_path]) == 0
+        rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+        # Only phi = pi/2 locks the coherence at sx0.
+        assert [row.split(",")[2] for row in rows] == ["0", "0.29999999999999999"]
+
     def test_comments_and_blank_lines(self):
         text = "# header\n\n[rates]\ngamma1 = 1  # inline\ngamma2 = 2\n"
         assert parse_config(text).gamma1 == 1.0
@@ -184,12 +225,11 @@ class TestSubcommands:
                         "--out", tmp_path]) == 2
         assert "Omega" in capsys.readouterr().err
 
-    def test_sweep_row_order_under_threads(self, tmp_path, monkeypatch):
+    def test_sweep_row_order(self, tmp_path):
         (tmp_path / "cfg").write_text(
             "[rates]\ngamma1 = 1\ngamma2 = 4\nnbar = 0.5\n"
             "[run]\nsweep_param = nbar\nsweep_start = 0\nsweep_stop = 2\n"
             "sweep_points = 17\nsweep_quantity = squeezing\n")
-        monkeypatch.setenv("SPS_THREADS", "4")
         assert run_cli(["sweep", "--config", tmp_path / "cfg",
                         "--out", tmp_path]) == 0
         table = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
@@ -213,6 +253,18 @@ class TestSubcommands:
             expected = driven_steady_state(reservoir_rates(2.0, 1.0, 0.0),
                                            omega, 0.0)
             assert (sy, sz) == pytest.approx((expected.sy, expected.sz))
+
+    def test_undamped_omega_sweep_writes_nothing(self, tmp_path, capsys):
+        # Perfect regime at phi = 0 without Gamma has gamma_y = 0, so the
+        # Omega = 0 point has no steady state: the whole sweep fails.
+        (tmp_path / "cfg").write_text(
+            "[rates]\ngamma1 = 1\ngamma2 = 1\nnbar = 0.5\nphi = 0\n"
+            "[run]\nsweep_param = Omega\nsweep_start = 0\nsweep_stop = 2\n"
+            "sweep_points = 5\nsweep_quantity = steady\n")
+        assert run_cli(["sweep", "--config", tmp_path / "cfg",
+                        "--out", tmp_path]) == 1
+        assert "steady state undefined" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_unknown_figure_rejected(self, tmp_path):
         code = run_cli(["figure", "fig3", "--config", PRESETS / "fig5.cfg",

@@ -49,6 +49,30 @@ class TestReservoirRates:
         with pytest.raises(ValueError):
             reservoir_rates(1.0, 1.0, -0.5)
 
+    @pytest.mark.parametrize("name", ["gamma_s", "gamma_m", "nbar", "gamma_rad"])
+    def test_constructor_rejects_nan(self, name):
+        fields = dict(gamma_s=1.0, gamma_n=1.0, gamma_m=1.0, phi=0.0,
+                      gamma_rad=0.0, gamma1=1.0, gamma2=1.0, nbar=0.0)
+        fields[name] = math.nan
+        with pytest.raises(ValueError, match=f"{name} must be >= 0, got nan"):
+            ReservoirRates(**fields)
+
+    def test_rejects_nan_and_infinite_inputs(self):
+        with pytest.raises(ValueError, match="gamma1 must be >= 0"):
+            reservoir_rates(math.nan, 1.0, 0.0)
+        with pytest.raises(ValueError):
+            reservoir_rates(math.inf, 1.0, 0.5)
+        with pytest.raises(ValueError, match="nbar must be >= 0"):
+            reservoir_rates(np.array([1.0, 2.0]), 1.0, np.array([0.5, -0.5]))
+
+    def test_array_fields_broadcast(self):
+        r = reservoir_rates(1.0, np.array([2.0, 4.0]), 0.0)
+        assert isinstance(r.gamma_s, np.ndarray) and r.gamma1.shape == (2,)
+        assert r.gamma_n.tolist() == [1.0, 1.0]
+        assert r.is_perfect.tolist() == [False, False]
+        s = reservoir_rates(1.0, 4.0, 0.0)
+        assert type(s.gamma_s) is float and type(s.is_perfect) is bool
+
     def test_constructor_rejects_inconsistent_triple(self):
         with pytest.raises(ValueError, match="inconsistent"):
             ReservoirRates(gamma_s=1.0, gamma_n=1.0, gamma_m=0.9, phi=0.0,
@@ -136,6 +160,68 @@ class TestMapToSqueezing:
         closed = (math.sqrt(small) - nbar * (math.sqrt(big) - math.sqrt(small))) / (
             math.sqrt(g1) + math.sqrt(g2))
         assert d.m_abs - d.n_photons == pytest.approx(closed, abs=1e-10)
+
+
+def _text(value):
+    return "%.17g" % value
+
+
+#: One (gamma1, gamma2, nbar, Gamma) point; gamma2 None means gamma2 = gamma1.
+reservoir_points = st.tuples(
+    st.floats(1e-3, 20.0), st.one_of(st.none(), st.floats(1e-3, 20.0)),
+    st.one_of(st.just(0.0), st.floats(0.0, 4.0)),
+    st.one_of(st.just(0.0), st.floats(0.0, 2.0)))
+
+
+class TestArrayPath:
+    """Array calls of the closed forms equal the per-element scalar calls
+    bit for bit (compared as the CSV writes them, ``%.17g``)."""
+
+    FIELDS = ("gamma_eff", "n_photons", "m_abs", "n_squeezed", "n_background")
+
+    def assert_matches_scalar(self, g1, g2, nbar, gamma_rad):
+        rates = reservoir_rates(g1, g2, nbar, gamma_rad=gamma_rad)
+        desc = map_to_squeezing(rates)
+        for i in range(len(g1)):
+            r = reservoir_rates(float(g1[i]), float(g2[i]), float(nbar[i]),
+                                gamma_rad=float(gamma_rad[i]))
+            d = map_to_squeezing(r)
+            for name in ("gamma_s", "gamma_n", "gamma_m", "phi"):
+                assert _text(getattr(rates, name)[i]) == _text(getattr(r, name))
+            for name in self.FIELDS:
+                assert _text(getattr(desc, name)[i]) == _text(getattr(d, name))
+            assert desc.regime[i] == d.regime
+            assert desc.quantum[i] == d.quantum
+            assert rates.is_perfect[i] == r.is_perfect
+
+    @given(points=st.lists(reservoir_points, min_size=1, max_size=16))
+    @settings(max_examples=200, deadline=None)
+    def test_squeezing_array_equals_scalar(self, points):
+        points = [(g1, g1 if g2 is None else g2, n, gr)
+                  for g1, g2, n, gr in points]
+        self.assert_matches_scalar(*(np.array(c) for c in zip(*points)))
+
+    def test_sweep_across_equal_rates(self):
+        # Ordinary, perfect (exactly and within EQUAL_RATE_RTOL) and inverted.
+        g2 = np.concatenate([np.linspace(0.5, 1.5, 101),
+                             [1.0, 1.0 + 1e-12, 1.0 - 1e-12, 1.0 + 1e-6]])
+        ones = np.ones_like(g2)
+        self.assert_matches_scalar(ones, g2, 0.7 * ones, 0.0 * ones)
+        regimes = set(map_to_squeezing(reservoir_rates(1.0, g2, 0.7)).regime)
+        assert regimes == {REGIME_ORDINARY, REGIME_PERFECT, REGIME_INVERTED}
+
+    def test_figure_grids_equal_scalar_route(self):
+        nbar_grid, ratio_grid = np.linspace(0.0, 2.9, 8), np.linspace(1.1, 9.3, 7)
+        fig3 = figure3_dataset(nbar_grid, ratio_grid)
+        fig4 = figure4_dataset(nbar_grid, ratio_grid)
+        for row3, row4 in zip(fig3, fig4):
+            d = map_to_squeezing(reservoir_rates(1.0, row3[1], row3[0]))
+            assert row3[2] == d.m_abs / d.n_photons
+            denom = d.m_abs - d.n_squeezed
+            if denom > 0.0:
+                assert row4[2] == d.n_background / denom
+            else:
+                assert math.isnan(row4[2])
 
 
 class TestQuantumThreshold:
