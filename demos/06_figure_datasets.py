@@ -15,17 +15,17 @@ nbar_grid = np.linspace(0.0, 3.0, 201)
 ratio_grid = np.linspace(1.0, 10.0, 202)[1:]
 
 write_csv("fig3.csv", ["nbar", "ratio", "value"],
-          figure3_dataset(nbar_grid, ratio_grid))
+          figure3_dataset(nbar_grid, ratio_grid).T)
 print("fig3.csv: |M|/N over (nbar, gamma2/gamma1), 201x201")
 
 write_csv("fig4.csv", ["nbar", "ratio", "value"],
-          figure4_dataset(nbar_grid, ratio_grid))
+          figure4_dataset(nbar_grid, ratio_grid).T)
 print("fig4.csv: Nb/(|M|-Ns) over the same grid")
 
 surface = figure5_dataset(sx0_grid=np.linspace(-0.5, 0.5, 41),
                           gamma0=1.0, nbar=0.5, omega=20.0,
                           render_delta=True)
-write_csv("fig5.csv", ["sx0", "delta_omega", "S_in"], surface)
+write_csv("fig5.csv", ["sx0", "delta_omega", "S_in"], surface.T)
 print("fig5.csv: S_in over (sx0, omega-omega0) at Omega = 20 gamma0,")
 print("          zero-width central feature rendered as a width-gamma0")
 print("          Lorentzian so it is visible on the grid")

@@ -303,22 +303,60 @@ def parse_config_file(path):
 # Deterministic output helpers
 # ----------------------------------------------------------------------
 
+#: Rows that :func:`write_csv` formats with one ``%`` operation: enough to
+#: spread the per-operation cost, few enough that a chunk's cells and text
+#: stay far below a megabyte.
+CSV_CHUNK_ROWS = 4096
+
+
+def _column(values):
+    """``(conversion, array)`` for a CSV column: the ``%`` rule of its dtype.
+
+    Floats are written at full round-trip precision (``%.17g``), integers
+    with ``%d``, bools as ``true``/``false`` and anything else with ``%s``.
+    """
+    array = np.asarray(values)
+    kind = array.dtype.kind
+    if kind == "b":
+        return "%s", np.where(array, "true", "false")
+    if kind == "f":
+        return "%.17g", array
+    if kind in "iu":
+        return "%d", array
+    return "%s", array
+
+
 def format_value(value):
-    """Serialize one CSV cell: floats at full round-trip precision."""
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.17g}"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
+    """Serialize one value by the rule :func:`write_csv` applies to its column."""
+    conversion, array = _column(value)
+    return conversion % (array.tolist(),)
 
 
-def write_csv(path, header, rows):
+def write_csv(path, header, columns):
+    """Write equal-length ``columns`` (arrays or lists) as CSV under ``header``.
+
+    A column holds one kind of value and is formatted by the rule of its
+    dtype; rows are formatted ``CSV_CHUNK_ROWS`` at a time by one ``%``.
+    """
+    columns = [_column(values) for values in columns]
+    if len(columns) != len(header):
+        raise ValueError(f"{len(header)} CSV header names for "
+                         f"{len(columns)} columns")
+    shapes = [array.shape for _, array in columns]
+    if any(len(shape) != 1 for shape in shapes) or len(set(shapes)) > 1:
+        raise ValueError(f"CSV columns must be 1-D and of equal length, got "
+                         f"shapes {shapes}")
+    n_rows = columns[0][1].size if columns else 0
+    width = len(columns)
+    row = ",".join(conversion for conversion, _ in columns) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(format_value(cell) for cell in row) + "\n")
+        for start in range(0, n_rows, CSV_CHUNK_ROWS):
+            chunk = min(CSV_CHUNK_ROWS, n_rows - start)
+            cells = [None] * (chunk * width)
+            for j, (_, array) in enumerate(columns):
+                cells[j::width] = array[start:start + chunk].tolist()
+            handle.write(row * chunk % tuple(cells))
 
 
 def write_meta(path, entries):
@@ -360,8 +398,8 @@ def _cmd_rates(cfg, out_dir):
     write_csv(os.path.join(out_dir, "rates.csv"),
               ["gamma1", "gamma2", "nbar", "gamma_s", "gamma_n", "gamma_m",
                "phi", "Gamma"],
-              [[rr.gamma1, rr.gamma2, rr.nbar, rr.gamma_s, rr.gamma_n,
-                rr.gamma_m, rr.phi, rr.gamma_rad]])
+              [[rr.gamma1], [rr.gamma2], [rr.nbar], [rr.gamma_s],
+               [rr.gamma_n], [rr.gamma_m], [rr.phi], [rr.gamma_rad]])
     meta = {"mode": cfg.mode, "engine": cfg.engine}
     if cfg.mode == "physical":
         meta["displacement_factor"] = displacement_factor(cfg.bath)
@@ -381,13 +419,15 @@ def _cmd_squeezing(cfg, out_dir):
     write_csv(os.path.join(out_dir, "squeezing.csv"),
               ["regime", "gamma_eff", "N", "M_abs", "Ns", "Nb", "quantum",
                "nbar_threshold"],
-              [[desc.regime, desc.gamma_eff, desc.n_photons, desc.m_abs,
-                desc.n_squeezed, desc.n_background, desc.quantum, threshold]])
+              [[desc.regime], [desc.gamma_eff], [desc.n_photons],
+               [desc.m_abs], [desc.n_squeezed], [desc.n_background],
+               [desc.quantum], [threshold]])
     return 0
 
 
-def _bloch_rows(t_grid, states):
-    return [[t, s.sx, s.sy, s.sz] for t, s in zip(t_grid, states)]
+def _bloch_columns(t_grid, states):
+    return [t_grid, [s.sx for s in states], [s.sy for s in states],
+            [s.sz for s in states]]
 
 
 def _cmd_decay(cfg, out_dir):
@@ -402,14 +442,14 @@ def _cmd_decay(cfg, out_dir):
         analytic = [free_evolution(state0, rr, t) for t in t_grid]
         name = "decay_analytic.csv" if cfg.engine == "both" else "decay.csv"
         write_csv(os.path.join(out_dir, name), header,
-                  _bloch_rows(t_grid, analytic))
+                  _bloch_columns(t_grid, analytic))
     if cfg.engine in ("numeric", "both"):
         lv = oracle.build_liouvillian(rr)
         traj = oracle.propagate(oracle.bloch_to_rho(state0), lv, t_grid)
         numeric = [oracle.rho_to_bloch(rho) for rho in traj]
         name = "decay_numeric.csv" if cfg.engine == "both" else "decay.csv"
         write_csv(os.path.join(out_dir, name), header,
-                  _bloch_rows(t_grid, numeric))
+                  _bloch_columns(t_grid, numeric))
     if cfg.engine == "both":
         dev = max(np.abs(a.as_array() - n.as_array()).max()
                   for a, n in zip(analytic, numeric))
@@ -427,22 +467,22 @@ def _cmd_steady(cfg, out_dir):
     header = ["sx", "sy", "sz", "rho_plus", "rho_minus"]
     status = 0
 
-    def row(state):
+    def columns(state):
         plus, minus = dressed_populations(state)
-        return [state.sx, state.sy, state.sz, plus, minus]
+        return [[state.sx], [state.sy], [state.sz], [plus], [minus]]
 
     analytic = numeric = None
     if cfg.engine in ("analytic", "both"):
         analytic = driven_steady_state(rr, cfg.laser_omega, phi_choice,
                                        sx0=cfg.sx0)
         name = "steady_analytic.csv" if cfg.engine == "both" else "steady.csv"
-        write_csv(os.path.join(out_dir, name), header, [row(analytic)])
+        write_csv(os.path.join(out_dir, name), header, columns(analytic))
     if cfg.engine in ("numeric", "both"):
         lv = oracle.build_liouvillian(rr, omega=cfg.laser_omega, laser_on=True)
         rho0 = oracle.bloch_to_rho(BlochVector(cfg.sx0, cfg.sy0, cfg.sz0))
         numeric = oracle.rho_to_bloch(oracle.stationary_state(lv, rho0=rho0))
         name = "steady_numeric.csv" if cfg.engine == "both" else "steady.csv"
-        write_csv(os.path.join(out_dir, name), header, [row(numeric)])
+        write_csv(os.path.join(out_dir, name), header, columns(numeric))
     if cfg.engine == "both":
         dev = np.abs(analytic.as_array() - numeric.as_array()).max()
         ok = dev <= STEADY_TOL
@@ -475,7 +515,7 @@ def _cmd_spectrum(cfg, out_dir):
                                              sx0=cfg.sx0, omega_grid=grid)
         name = "spectrum_analytic" if cfg.engine == "both" else "spectrum"
         write_csv(os.path.join(out_dir, name + ".csv"), header,
-                  zip(grid, analytic.incoherent))
+                  [grid, analytic.incoherent])
         write_meta(os.path.join(out_dir, name + ".meta"),
                    _spectrum_meta(analytic))
     if cfg.engine in ("numeric", "both"):
@@ -484,7 +524,7 @@ def _cmd_spectrum(cfg, out_dir):
             omega_grid=grid)
         name = "spectrum_numeric" if cfg.engine == "both" else "spectrum"
         write_csv(os.path.join(out_dir, name + ".csv"), header,
-                  zip(grid, numeric.incoherent))
+                  [grid, numeric.incoherent])
         write_meta(os.path.join(out_dir, name + ".meta"),
                    _spectrum_meta(numeric))
     if cfg.engine == "both":
@@ -527,9 +567,9 @@ def _cmd_sweep(cfg, out_dir):
         columns = [desc.regime, desc.gamma_eff, desc.n_photons, desc.m_abs,
                    desc.n_squeezed, desc.n_background, desc.quantum]
     # A column the swept parameter does not reach is one repeated value.
-    columns = [np.broadcast_to(c, values.shape).tolist() for c in columns]
     write_csv(os.path.join(out_dir, "sweep.csv"), header,
-              zip(range(len(values)), values.tolist(), *columns))
+              [np.arange(values.size), values,
+               *(np.broadcast_to(c, values.shape) for c in columns)])
     return 0
 
 
@@ -540,12 +580,12 @@ def _cmd_figure(cfg, out_dir, fig):
         dataset = (figure3_dataset if fig == "fig3" else figure4_dataset)(
             nbar_grid, ratio_grid)
         write_csv(os.path.join(out_dir, fig + ".csv"),
-                  ["nbar", "ratio", "value"], dataset)
+                  ["nbar", "ratio", "value"], dataset.T)
         return 0
     if fig == "fig5":
         if cfg.mode != "direct":
             raise ConfigError("fig5 needs the direct-rate mode")
-        if not math.isclose(cfg.gamma1, cfg.gamma2, rel_tol=1e-9):
+        if not cfg.resolved_rates().is_perfect:
             raise ConfigError("fig5 needs the perfect regime (gamma1 = gamma2)")
         if cfg.laser_omega <= 0:
             raise ConfigError("fig5 needs Omega > 0")
@@ -556,7 +596,7 @@ def _cmd_figure(cfg, out_dir, fig):
             render_delta=cfg.render_delta,
             render_width=cfg.render_width if cfg.render_width > 0 else None)
         write_csv(os.path.join(out_dir, "fig5.csv"),
-                  ["sx0", "delta_omega", "S_in"], dataset)
+                  ["sx0", "delta_omega", "S_in"], dataset.T)
         return 0
     raise ConfigError(f"unknown figure {fig!r} (expected one of {FIGURES})")
 

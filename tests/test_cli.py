@@ -9,14 +9,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sps
 from sps.cli import (
+    CSV_CHUNK_ROWS,
     ConfigError,
     format_value,
     main,
     parse_config,
     run_subcommand,
+    write_csv,
 )
 
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
@@ -144,6 +148,17 @@ class TestParseConfig:
             parse_config("[rates]\ngamma1 = 1\ngamma2 = 1\n[run]\nengine = fft\n")
 
 
+def _cell_text(value):
+    """The per-type rule every CSV cell and meta value has always followed."""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (float, np.floating)):
+        return f"{float(value):.17g}"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return str(value)
+
+
 class TestFormatValue:
     def test_roundtrip_precision(self):
         x = 0.1 + 0.2
@@ -153,6 +168,85 @@ class TestFormatValue:
         assert format_value(True) == "true"
         assert format_value(np.bool_(False)) == "false"
         assert format_value(math.inf) == "inf"
+
+    @pytest.mark.parametrize("value", [
+        -0.0, math.nan, -math.inf, 5e-324, 1e308, np.float32(0.1), 7,
+        np.int64(-3), np.uint64(2**64 - 1), 10**30, "ordinary", None])
+    def test_per_type_rule(self, value):
+        assert format_value(value) == _cell_text(value)
+
+
+_SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
+                   -2.2250738585072014e-308 / 3, 1e308, -1e308]
+_INT64 = st.integers(-2**63, 2**63 - 1)
+
+
+@st.composite
+def _csv_column(draw, n_rows):
+    """One CSV column of ``n_rows`` cells, in one of the shapes callers pass."""
+    kind = draw(st.sampled_from(["float", "int", "bool", "str", "broadcast"]))
+    if kind == "float":
+        pool = draw(st.lists(st.one_of(st.floats(), st.sampled_from(_SPECIAL_FLOATS)),
+                             min_size=1, max_size=12))
+        dtype = float
+    elif kind == "int":
+        pool = draw(st.lists(_INT64, min_size=1, max_size=12))
+        dtype = np.int64
+    elif kind == "bool":
+        pool = draw(st.lists(st.booleans(), min_size=1, max_size=2))
+        dtype = bool
+    elif kind == "str":
+        # NUL is left out: a numpy string array drops trailing NULs.
+        text = st.text(st.characters(blacklist_categories=("Cs",),
+                                     blacklist_characters="\x00"), max_size=6)
+        pool = draw(st.lists(text, min_size=1, max_size=6))
+        dtype = str
+    else:
+        scalar = draw(st.one_of(st.floats(), _INT64, st.booleans()))
+        return np.broadcast_to(np.asarray(scalar), (n_rows,))
+    seed = draw(st.integers(0, 2**32 - 1))
+    picks = np.random.default_rng(seed).integers(len(pool), size=n_rows)
+    array = np.array(pool, dtype=dtype)[picks]
+    form = draw(st.sampled_from(["array", "list", "numpy scalars"]))
+    if form == "array":
+        return array
+    if form == "list":
+        return array.tolist()
+    return list(array)
+
+
+@st.composite
+def _table(draw):
+    chunk = CSV_CHUNK_ROWS
+    n_rows = draw(st.sampled_from([0, 1, chunk - 1, chunk, chunk + 1,
+                                   3 * chunk + 1]))
+    width = draw(st.integers(1, 4))
+    return [draw(_csv_column(n_rows)) for _ in range(width)]
+
+
+class TestWriteCsv:
+    @settings(max_examples=40, deadline=None)
+    @given(columns=_table())
+    def test_bytes_equal_per_row_reference(self, tmp_path_factory, columns):
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        header = [f"c{j}" for j in range(len(columns))]
+        write_csv(path, header, columns)
+        expected = ",".join(header) + "\n" + "".join(
+            ",".join(format_value(cell) for cell in row) + "\n"
+            for row in zip(*columns))
+        assert path.read_bytes() == expected.encode("utf-8")
+        for column in columns:
+            for cell in list(column[:3]) + list(column[-3:]):
+                assert format_value(cell) == _cell_text(cell)
+
+    def test_unequal_lengths_rejected(self, tmp_path):
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError, match="equal length"):
+            write_csv(path, ["delta_omega", "S_in"],
+                      [np.linspace(-1.0, 1.0, 5), np.zeros(4)])
+        with pytest.raises(ValueError, match="2 CSV header names for 3"):
+            write_csv(path, ["delta_omega", "S_in"], [[0.0], [1.0], [2.0]])
+        assert not path.exists()
 
 
 def run_cli(args):
@@ -265,6 +359,21 @@ class TestSubcommands:
                         "--out", tmp_path]) == 1
         assert "steady state undefined" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("gamma2,code", [
+        ("1.0000000005", 0), ("1.000000002", 2)])
+    def test_fig5_perfect_regime_tolerance(self, tmp_path, capsys, gamma2, code):
+        # fig5 accepts what ReservoirRates.is_perfect calls perfect.
+        text = (f"[rates]\ngamma1 = 1\ngamma2 = {gamma2}\nnbar = 0.5\n"
+                "phi = pi/2\n[run]\nOmega = 20\nsx0_points = 3\n"
+                "omega_points = 5\n")
+        assert parse_config(text).resolved_rates().is_perfect == (code == 0)
+        (tmp_path / "cfg").write_text(text)
+        assert run_cli(["figure", "fig5", "--config", tmp_path / "cfg",
+                        "--out", tmp_path]) == code
+        if code:
+            assert "config error" in capsys.readouterr().err
+            assert not (tmp_path / "fig5.csv").exists()
 
     def test_unknown_figure_rejected(self, tmp_path):
         code = run_cli(["figure", "fig3", "--config", PRESETS / "fig5.cfg",
