@@ -314,9 +314,16 @@ def _column(values):
 
     Floats are written at full round-trip precision (``%.17g``), integers
     with ``%d``, bools as ``true``/``false`` and anything else with ``%s``.
+    Strings not already in an array stay Python objects, since a numpy
+    string drops trailing NULs; a list that numpy would turn into strings
+    must hold only ``str``, or it is a ValueError.
     """
     array = np.asarray(values)
     kind = array.dtype.kind
+    if kind in "SU" and not isinstance(values, np.ndarray):
+        array = np.asarray(values, dtype=object)
+        if not all(isinstance(item, str) for item in array.flat):
+            raise ValueError(f"a text column holds non-str values: {values!r:.80}")
     if kind == "b":
         return "%s", np.where(array, "true", "false")
     if kind == "f":

@@ -3,7 +3,9 @@
 Maps laboratory-scale bath and drive specifications (GHz, Kelvin) to the
 quantities that feed the effective-reservoir model: thermal occupation
 n(omega, T), super-Ohmic spectral density J(omega), the polaron displacement
-factor <B>, and the drive-induced damping rates gamma_1, gamma_2.
+factor <B>, and the drive-induced damping rates gamma_1, gamma_2.  Like the
+rest of the package it needs numpy only: <B> is a closed form plus, at
+T > 0, a fixed Gauss-Legendre rule.
 
 Units: every rate and frequency in this package is an angular frequency in
 GHz (hbar = 1), temperatures are in Kelvin.  The only dimensional constant
@@ -28,10 +30,17 @@ HBAR_OVER_KB = HBAR * 1e9 / KB
 #: The Gaussian cutoff makes the tail beyond 8*omega_c negligible at 1e-10 accuracy.
 QUAD_CUTOFF = 8.0
 QUAD_RTOL = 1e-10
+#: Cutoff of the thermal part in units of kB*T/hbar: the Bose factor beyond it
+#: is below exp(-60), far under double precision of the exponent.
+THERMAL_CUTOFF = 60.0
+#: Composite Gauss-Legendre rule of the thermal part: equal panels, and two
+#: orders whose difference is the error estimate (the higher one is returned).
+QUAD_PANELS = 8
+QUAD_ORDERS = (16, 24)
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+    """The displacement-factor quadrature missed the requested tolerance."""
 
 
 @dataclass(frozen=True)
@@ -143,55 +152,53 @@ def spectral_density(omega, bath):
     return result if result.ndim else float(result)
 
 
-def _displacement_integrand(bath):
-    """Integrand alpha*omega*exp(-(omega/omega_c)^2)*(2 n(omega)+1) of the
-    displacement exponent, with the omega -> 0 limit handled analytically."""
-    alpha, wc = bath.alpha, bath.omega_c
+def _thermal_excess(bath, order):
+    """2*alpha * integral omega*n(omega)*exp(-(omega/omega_c)^2) d omega, by
+    ``QUAD_PANELS`` equal Gauss-Legendre panels of ``order`` nodes on
+    [0, min(8*omega_c, 60*kB*T/hbar)]: the panels follow the thermal scale."""
+    scale = bath.temperature / HBAR_OVER_KB  # kB*T/hbar in GHz
+    upper = min(QUAD_CUTOFF * bath.omega_c, THERMAL_CUTOFF * scale)
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    half = 0.5 * upper / QUAD_PANELS
+    w = half * (2.0 * np.arange(QUAD_PANELS)[:, None] + 1.0 + nodes)
+    f = w / np.expm1(w / scale) * np.exp(-((w / bath.omega_c) ** 2))
+    return 2.0 * bath.alpha * half * float(np.sum(f @ weights))
 
+
+def _displacement_exponent(bath, rtol=QUAD_RTOL):
+    """integral_0^(8 omega_c) J(omega)/omega^2 * (2 n(omega)+1), so <B> = exp(-it/2).
+
+    The zero-point part alpha*omega_c**2/2*(1 - e**-64) is closed; with
+    ``nbar_override`` it carries the factor 2*nbar+1 and is the whole answer.
+    At T > 0 the thermal excess comes from :func:`_thermal_excess`, and two
+    rule orders that differ by more than ``rtol`` of the exponent (or a
+    non-finite one) raise :class:`QuadratureError`.
+    """
+    exponent = 0.5 * bath.alpha * bath.omega_c**2 * -math.expm1(-QUAD_CUTOFF**2)
     if bath.nbar_override is not None:
-        factor = 2.0 * bath.nbar_override + 1.0
-
-        def f(w):
-            return alpha * w * math.exp(-((w / wc) ** 2)) * factor
-
-        return f
-
-    temp = bath.temperature
-
-    def f(w):
-        gauss = alpha * math.exp(-((w / wc) ** 2))
-        if temp == 0.0:
-            return gauss * w
-        x = HBAR_OVER_KB * w / temp
-        if x < 1e-12:  # w*(2 n + 1) -> 2*T/(hbar/kB)
-            return gauss * 2.0 * temp / HBAR_OVER_KB
-        if x > 700.0:
-            return gauss * w
-        return gauss * w * (2.0 / math.expm1(x) + 1.0)
-
-    return f
+        return exponent * (2.0 * bath.nbar_override + 1.0)
+    if bath.temperature == 0.0:
+        return exponent
+    coarse, fine = (_thermal_excess(bath, order) for order in QUAD_ORDERS)
+    if not abs(fine - coarse) <= rtol * (exponent + fine):
+        raise QuadratureError(
+            f"displacement-factor quadrature did not converge: thermal "
+            f"excess {fine!r} (order {QUAD_ORDERS[1]}) vs {coarse!r} (order "
+            f"{QUAD_ORDERS[0]}), zero-point part {exponent!r}, requested "
+            f"rtol={rtol!r}")
+    return exponent + fine
 
 
 def displacement_factor(bath, rtol=QUAD_RTOL):
     """Polaron displacement factor <B> in (0, 1].
 
-    Continuum form exp[-1/2 * integral_0^inf J(omega)/omega^2 * (2 n(omega)+1)]
-    evaluated by adaptive quadrature on [0, 8*omega_c]; at T = 0 the integral
-    is alpha*omega_c**2/2 exactly, which the tests use as an oracle.
+    Continuum form exp[-1/2 * integral_0^(8 omega_c) J(omega)/omega^2 *
+    (2 n(omega)+1)]: the zero-point part in closed form, the thermal excess
+    by a fixed composite Gauss-Legendre rule whose panels follow kB*T/hbar
+    (see :func:`_displacement_exponent`).  At T = 0 the exponent is
+    alpha*omega_c**2/2, which the tests use as an oracle.
     """
-    if bath.alpha == 0.0:
-        return 1.0
-    # Imported here: scipy.integrate costs ~0.5 s, and nothing else needs it.
-    from scipy.integrate import quad
-
-    upper = QUAD_CUTOFF * bath.omega_c
-    integral, abserr = quad(_displacement_integrand(bath), 0.0, upper,
-                            epsabs=0.0, epsrel=rtol, limit=200)
-    if abserr > 10.0 * rtol * abs(integral):
-        raise QuadratureError(
-            f"displacement-factor quadrature did not converge: "
-            f"integral={integral!r}, abserr={abserr!r}, requested rtol={rtol!r}")
-    return math.exp(-0.5 * integral)
+    return math.exp(-0.5 * _displacement_exponent(bath, rtol))
 
 
 def phonon_rate(i, drive, bath, include_b=False):

@@ -196,9 +196,8 @@ def _csv_column(draw, n_rows):
         pool = draw(st.lists(st.booleans(), min_size=1, max_size=2))
         dtype = bool
     elif kind == "str":
-        # NUL is left out: a numpy string array drops trailing NULs.
-        text = st.text(st.characters(blacklist_categories=("Cs",),
-                                     blacklist_characters="\x00"), max_size=6)
+        # A numpy string array drops trailing NULs; the list form keeps them.
+        text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
         pool = draw(st.lists(text, min_size=1, max_size=6))
         dtype = str
     else:
@@ -211,7 +210,7 @@ def _csv_column(draw, n_rows):
     if form == "array":
         return array
     if form == "list":
-        return array.tolist()
+        return [pool[i] for i in picks]
     return list(array)
 
 
@@ -238,6 +237,21 @@ class TestWriteCsv:
         for column in columns:
             for cell in list(column[:3]) + list(column[-3:]):
                 assert format_value(cell) == _cell_text(cell)
+
+    def test_text_keeps_trailing_nul(self, tmp_path):
+        assert format_value("a\x00") == "a\x00"
+        path = tmp_path / "t.csv"
+        write_csv(path, ["name", "x"], [["a\x00", "b"], [1, 2]])
+        assert path.read_bytes() == b"name,x\na\x00,1\nb,2\n"
+
+    @pytest.mark.parametrize("column", [
+        [0.1, "a"], ["a", 1], ["a", b"b"], [True, "x"]])
+    def test_mixed_text_column_rejected(self, tmp_path, column):
+        # numpy would make these strings, e.g. 0.1 as "0.1", not %.17g.
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError, match="non-str"):
+            write_csv(path, ["c"], [column])
+        assert not path.exists()
 
     def test_unequal_lengths_rejected(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -402,7 +416,8 @@ class TestFigureDeterminism:
         assert len(lines) == 1 + 201 * 201
 
 
-#: Runs in a fresh interpreter; argv[1] is the config, argv[2] the output dir.
+#: Runs in a fresh interpreter; argv[1] is a direct-mode config, argv[2] a
+#: physical-mode one and argv[3] the output dir.
 IMPORT_PROBE = """
 import math
 import sys
@@ -414,31 +429,52 @@ import sps
 from sps.cli import main
 assert not scipy_modules(), scipy_modules()
 for sub in ("steady", "spectrum"):
-    status = main([sub, "--config", sys.argv[1], "--out", sys.argv[2]])
+    status = main([sub, "--config", sys.argv[1], "--out", sys.argv[3]])
     assert status == 0, (sub, status)
-assert not scipy_modules(), scipy_modules()
+for sub in ("rates", "squeezing", "decay"):
+    status = main([sub, "--config", sys.argv[2], "--out", sys.argv[3]])
+    assert status == 0, (sub, status)
 
 bath = sps.PhononBathSpec(alpha=2.535e-7, omega_c=1500.0, temperature=0.0)
 closed = math.exp(-bath.alpha * bath.omega_c**2 / 4.0)
 assert abs(sps.displacement_factor(bath) - closed) < 1e-12
-assert "scipy.integrate" in sys.modules
+assert not scipy_modules(), scipy_modules()
+"""
+
+#: Physical mode with a thermal bath and the polaron-dressed Rabi frequencies,
+#: so that every command computes <B> with a thermal part.
+PHYSICAL_THERMAL = """
+[bath]
+alpha = 2.535e-7
+omega_c = 1500
+temperature = 2.35
+
+[drive]
+omega1 = 70
+omega2 = 70
+detuning = 490
+include_B = true
 """
 
 
 class TestImportCost:
-    def test_scipy_loaded_only_by_displacement_factor(self, tmp_path):
-        # Neither import sps nor the oracle commands may load scipy: only
-        # displacement_factor needs it, and imports it when called.
-        cfg = tmp_path / "cfg"
-        cfg.write_text(MINIMAL_DIRECT + "engine = both\nsx0 = 0.3\n")
+    def test_no_scipy_loaded_at_runtime(self, tmp_path):
+        # Neither import sps nor any command in either input mode may load
+        # scipy: <B> and the oracle are numpy only.
+        direct, physical = tmp_path / "direct.cfg", tmp_path / "physical.cfg"
+        direct.write_text(MINIMAL_DIRECT + "engine = both\nsx0 = 0.3\n")
+        physical.write_text(PHYSICAL_THERMAL)
         src = str(Path(sps.__file__).resolve().parent.parent)
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [src] + [p for p in [env.get("PYTHONPATH")] if p])
         proc = subprocess.run(
-            [sys.executable, "-c", IMPORT_PROBE, str(cfg), str(tmp_path)],
+            [sys.executable, "-c", IMPORT_PROBE, str(direct), str(physical),
+             str(tmp_path)],
             env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         for name in ("steady", "spectrum"):
             meta = (tmp_path / f"{name}_compare.meta").read_text()
             assert "status=pass" in meta
+        meta = (tmp_path / "rates.meta").read_text()
+        assert "mode=physical" in meta and "include_B=true" in meta

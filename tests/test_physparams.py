@@ -8,10 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sps import physparams
 from sps.physparams import (
     HBAR_OVER_KB,
     DriveConfig,
     PhononBathSpec,
+    QuadratureError,
+    _displacement_exponent,
     displacement_factor,
     phonon_rate,
     spectral_density,
@@ -140,6 +143,66 @@ class TestDisplacementFactor:
         strong = PhononBathSpec(alpha=BATH_REF["alpha"] * scale,
                                 omega_c=BATH_REF["omega_c"], temperature=1.0)
         assert displacement_factor(strong) < displacement_factor(weak)
+
+
+def _reference_exponent(bath):
+    """The displacement exponent by scipy's adaptive quad, split at
+    kB*T/hbar * {1, 10, 100} so that no thermal feature hides between its
+    first samples; independent of the closed form and of Gauss-Legendre."""
+    from scipy.integrate import quad
+
+    alpha, wc, upper = bath.alpha, bath.omega_c, 8.0 * bath.omega_c
+    pinned = 2.0 * (bath.nbar_override or 0.0) + 1.0
+    scale = (bath.temperature or 0.0) / HBAR_OVER_KB  # 0 when pinned or T = 0
+    points = [p * scale for p in (1.0, 10.0, 100.0) if 0.0 < p * scale < upper]
+
+    def integrand(w):  # quad samples only interior points, never w = 0
+        x = w / scale if scale else math.inf
+        occupation = 0.0 if x > 700.0 else 1.0 / math.expm1(x)
+        return alpha * w * math.exp(-((w / wc) ** 2)) * (2.0 * occupation + pinned)
+
+    integral, _ = quad(integrand, 0.0, upper, points=points or None,
+                       epsabs=0.0, epsrel=1e-13, limit=400)
+    return integral
+
+
+LOG_TEMPERATURE = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
+
+
+class TestDisplacementExponent:
+    def test_low_temperature_thermal_part(self):
+        # Sommerfeld limit: kB*T/hbar = 0.131 GHz << omega_c, so the thermal
+        # excess is alpha*(pi^2/3)*(kB*T/hbar)^2, 5e-8 of the exponent.  An
+        # adaptive quad on [0, 8*omega_c] never samples it.
+        bath = PhononBathSpec(**BATH_REF, temperature=1e-3)
+        scale = bath.temperature / HBAR_OVER_KB
+        expected = (bath.alpha * bath.omega_c**2 / 2.0
+                    + bath.alpha * math.pi**2 / 3.0 * scale**2)
+        assert -2.0 * math.log(displacement_factor(bath)) == pytest.approx(
+            expected, rel=1e-12, abs=0.0)
+
+    @given(alpha=st.one_of(st.just(0.0), st.floats(1e-9, 1e-3)),
+           omega_c=st.floats(1.0, 4.0).map(lambda e: 10.0**e),
+           occupation=st.one_of(
+               st.builds(lambda t: {"temperature": t},
+                         st.one_of(st.just(0.0), LOG_TEMPERATURE)),
+               st.builds(lambda n: {"nbar_override": n}, st.floats(0.0, 10.0))))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_split_adaptive_quad(self, alpha, omega_c, occupation):
+        bath = PhononBathSpec(alpha=alpha, omega_c=omega_c, **occupation)
+        reference = _reference_exponent(bath)
+        assert _displacement_exponent(bath) == pytest.approx(
+            reference, rel=1e-12, abs=0.0)
+
+    def test_disagreeing_orders_raise(self, monkeypatch):
+        # One 2- and one 3-node panel cannot resolve the Bose factor.
+        monkeypatch.setattr(physparams, "QUAD_PANELS", 1)
+        monkeypatch.setattr(physparams, "QUAD_ORDERS", (2, 3))
+        bath = PhononBathSpec(**BATH_REF, temperature=300.0)
+        with pytest.raises(QuadratureError, match="did not converge"):
+            displacement_factor(bath)
+        # The same rule passes a loose enough tolerance.
+        assert 0.0 < displacement_factor(bath, rtol=1.0) < 1.0
 
 
 class TestBathSpecValidation:
