@@ -14,6 +14,7 @@ is hbar/kB, fixed to the CODATA values below.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -152,13 +153,22 @@ def spectral_density(omega, bath):
     return result if result.ndim else float(result)
 
 
+@functools.cache
+def _legendre_rule(order):
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], computed once
+    per order: ``leggauss`` costs far more than the rule it feeds."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def _thermal_excess(bath, order):
     """2*alpha * integral omega*n(omega)*exp(-(omega/omega_c)^2) d omega, by
     ``QUAD_PANELS`` equal Gauss-Legendre panels of ``order`` nodes on
     [0, min(8*omega_c, 60*kB*T/hbar)]: the panels follow the thermal scale."""
     scale = bath.temperature / HBAR_OVER_KB  # kB*T/hbar in GHz
     upper = min(QUAD_CUTOFF * bath.omega_c, THERMAL_CUTOFF * scale)
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = _legendre_rule(order)
     half = 0.5 * upper / QUAD_PANELS
     w = half * (2.0 * np.arange(QUAD_PANELS)[:, None] + 1.0 + nodes)
     f = w / np.expm1(w / scale) * np.exp(-((w / bath.omega_c) ** 2))
