@@ -172,8 +172,8 @@ LOG_TEMPERATURE = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
 class TestDisplacementExponent:
     def test_low_temperature_thermal_part(self):
         # Sommerfeld limit: kB*T/hbar = 0.131 GHz << omega_c, so the thermal
-        # excess is alpha*(pi^2/3)*(kB*T/hbar)^2, 5e-8 of the exponent.  An
-        # adaptive quad on [0, 8*omega_c] never samples it.
+        # excess is alpha*(pi^2/3)*(kB*T/hbar)^2, 5e-8 of the exponent; a rule
+        # whose samples do not follow kB*T/hbar misses it.
         bath = PhononBathSpec(**BATH_REF, temperature=1e-3)
         scale = bath.temperature / HBAR_OVER_KB
         expected = (bath.alpha * bath.omega_c**2 / 2.0
