@@ -57,7 +57,7 @@ for t in (0.0, 0.1, 0.3, 1.0, 3.0):
 
 print("\nbrute-force check of the locked steady state (kernel projection)")
 lv = oracle.build_liouvillian(locked, omega=20.0, laser_on=True)
-rho_inf = oracle.asymptotic_state(lv, oracle.bloch_to_rho(state0))
+rho_inf = oracle.stationary_state(lv, oracle.bloch_to_rho(state0))
 print(f"  asymptotic (sx, sy, sz) = "
       f"{np.round(oracle.rho_to_bloch(rho_inf).as_array(), 10)}")
 print("  the Liouvillian kernel is two-dimensional here: the stationary")

@@ -85,6 +85,12 @@ _SCHEMA = {
     },
 }
 
+#: Smallest value of a [run] key: a grid needs a point, and a length or
+#: width is not negative (0 selects the automatic value).
+_RUN_MINIMUM = {"t_points": 1, "omega_points": 1, "nbar_points": 1,
+                "ratio_points": 1, "sx0_points": 1,
+                "t_max": 0, "omega_span": 0, "render_width": 0}
+
 _SWEEP_PARAMS = ("gamma1", "gamma2", "nbar", "phi", "Omega", "sx0")
 _SWEEP_QUANTITIES = ("steady", "squeezing")
 
@@ -209,7 +215,11 @@ def parse_config(text):
             raise ConfigError(f"unknown key {key!r} in section [{current}]", lineno)
         if key in sections[current]:
             raise ConfigError(f"duplicate key {key!r} in section [{current}]", lineno)
-        sections[current][key] = _parse_value(_SCHEMA[current][key], value, lineno)
+        parsed = _parse_value(_SCHEMA[current][key], value, lineno)
+        minimum = _RUN_MINIMUM.get(key) if current == "run" else None
+        if minimum is not None and parsed < minimum:
+            raise ConfigError(f"{key} must be >= {minimum}, got {value!r}", lineno)
+        sections[current][key] = parsed
 
     return _build_config(sections)
 
@@ -304,9 +314,9 @@ def parse_config_file(path):
 # ----------------------------------------------------------------------
 
 #: Rows that :func:`write_csv` formats with one ``%`` operation: enough to
-#: spread the per-operation cost, few enough that a chunk's cells and text
-#: stay far below a megabyte.
-CSV_CHUNK_ROWS = 4096
+#: spread the per-operation cost, which is flat per cell from 256 rows up,
+#: few enough that a chunk's cells and text stay near a megabyte or below.
+CSV_CHUNK_ROWS = 1024
 
 
 def _column(values):

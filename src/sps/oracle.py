@@ -246,17 +246,6 @@ def stationary_state(liouvillian, rho0=None, tol=_KERNEL_TOL):
     return _projected_state(liouvillian, proj, rho0)
 
 
-def steady_state(liouvillian, tol=_KERNEL_TOL):
-    """Unique steady state; raises :class:`DegenerateSteadyStateError` if
-    the kernel is degenerate (use :func:`asymptotic_state` then)."""
-    return stationary_state(liouvillian, tol=tol)
-
-
-def asymptotic_state(liouvillian, rho0, tol=_KERNEL_TOL):
-    """t -> infinity limit of exp(L t) rho0, for any kernel dimension."""
-    return stationary_state(liouvillian, rho0, tol=tol)
-
-
 def _expm(stack):
     """exp of each matrix in a (n, d, d) stack: Pade-13 scaling and squaring.
 

@@ -184,14 +184,46 @@ def quantum_threshold(gamma1, gamma2):
     return r2 / (r1 - r2)
 
 
-def _ratio_grid_squeezing(nbar_grid, ratio_grid):
-    """(nbar, ratio) mesh, nbar-major, and its descriptor at gamma1 = 1."""
-    nbar_grid = DEFAULT_NBAR_GRID if nbar_grid is None else np.asarray(nbar_grid, float)
-    ratio_grid = DEFAULT_RATIO_GRID if ratio_grid is None else np.asarray(ratio_grid, float)
+#: Mesh points evaluated per block by the ratio-grid datasets: the
+#: temporaries of ``map_to_squeezing`` stay below a megabyte however many
+#: points the grid has, and the table is the only allocation that grows.
+GRID_BLOCK_POINTS = 4096
+
+
+def _ratio_grid_table(value, nbar_grid, ratio_grid):
+    """Rows (nbar, ratio, value(descriptor at gamma1 = 1)), nbar-major.
+
+    The table is allocated once and its value column is filled
+    ``GRID_BLOCK_POINTS`` points at a time; every operation is elementwise,
+    so each cell equals that of one call over the whole mesh.
+    """
+    if nbar_grid is None:
+        nbar_grid = DEFAULT_NBAR_GRID
+    if ratio_grid is None:
+        ratio_grid = DEFAULT_RATIO_GRID
+    nbar_grid = np.asarray(nbar_grid, float).ravel()
+    ratio_grid = np.asarray(ratio_grid, float).ravel()
     if np.any(ratio_grid <= 1.0):
         raise ValueError("ratio grid must satisfy gamma2/gamma1 > 1")
-    nn, rr = np.meshgrid(nbar_grid, ratio_grid, indexing="ij")
-    return nn, rr, map_to_squeezing(reservoir_rates(1.0, rr, nn))
+    table = np.empty((nbar_grid.size * ratio_grid.size, 3))
+    mesh = table.reshape(nbar_grid.size, ratio_grid.size, 3)
+    mesh[:, :, 0] = nbar_grid[:, None]
+    mesh[:, :, 1] = ratio_grid
+    for start in range(0, len(table), GRID_BLOCK_POINTS):
+        rows = table[start:start + GRID_BLOCK_POINTS]
+        rows[:, 2] = value(map_to_squeezing(
+            reservoir_rates(1.0, rows[:, 1], rows[:, 0])))
+    return table
+
+
+def _quantum_ratio(desc):
+    return desc.m_abs / desc.n_photons
+
+
+def _background_ratio(desc):
+    denom = desc.m_abs - desc.n_squeezed
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(denom > 0.0, desc.n_background / denom, np.nan)
 
 
 def figure3_dataset(nbar_grid=None, ratio_grid=None):
@@ -200,9 +232,7 @@ def figure3_dataset(nbar_grid=None, ratio_grid=None):
     Returns an array of rows (nbar, ratio, |M|/N) with nbar as the outer
     loop.  The |M|/N = 1 contour coincides with ``quantum_threshold``.
     """
-    nn, rr, desc = _ratio_grid_squeezing(nbar_grid, ratio_grid)
-    value = desc.m_abs / desc.n_photons
-    return np.column_stack([nn.ravel(), rr.ravel(), value.ravel()])
+    return _ratio_grid_table(_quantum_ratio, nbar_grid, ratio_grid)
 
 
 def figure4_dataset(nbar_grid=None, ratio_grid=None):
@@ -212,8 +242,4 @@ def figure4_dataset(nbar_grid=None, ratio_grid=None):
     correlations, i.e. for nbar > 1/(sqrt(gamma2/gamma1) - 1).  Points where
     the denominator degenerates (|M| = Ns = 0) are emitted as NaN.
     """
-    nn, rr, desc = _ratio_grid_squeezing(nbar_grid, ratio_grid)
-    denom = desc.m_abs - desc.n_squeezed
-    with np.errstate(divide="ignore", invalid="ignore"):
-        value = np.where(denom > 0.0, desc.n_background / denom, np.nan)
-    return np.column_stack([nn.ravel(), rr.ravel(), value.ravel()])
+    return _ratio_grid_table(_background_ratio, nbar_grid, ratio_grid)

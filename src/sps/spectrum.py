@@ -237,7 +237,8 @@ def figure5_dataset(sx0_grid=None, gamma0=1.0, nbar=0.5, omega=20.0,
     resonant drive Omega; rows are (sx0, delta_omega, S_in) with sx0 as the
     outer loop.  With ``render_delta`` the zero-width central feature is
     drawn as a Lorentzian of width ``render_width`` (default gamma0), which
-    keeps its integrated power.
+    keeps its integrated power.  Each sx0 slice is written straight into the
+    table, so the memory beyond it is that of one spectrum.
     """
     if sx0_grid is None:
         sx0_grid = np.linspace(-0.5, 0.5, 41)
@@ -248,11 +249,13 @@ def figure5_dataset(sx0_grid=None, gamma0=1.0, nbar=0.5, omega=20.0,
     rates = reservoir_rates(gamma0, gamma0, nbar, phi1=_HALF_PI, phi2=_HALF_PI)
 
     width = gamma0 if render_width is None else render_width
-    blocks = []
-    for sx0 in sx0_grid:
+    table = np.empty((sx0_grid.size * omega_grid.size, 3))
+    surface = table.reshape(sx0_grid.size, omega_grid.size, 3)
+    surface[:, :, 0] = sx0_grid[:, None]
+    surface[:, :, 1] = omega_grid
+    for sx0, cells in zip(sx0_grid, surface):
         result = exact_incoherent_spectrum(rates, omega, _HALF_PI, sx0=sx0,
                                            omega_grid=omega_grid)
-        values = rendered_incoherent(result, width) if render_delta else result.incoherent
-        blocks.append(np.column_stack([
-            np.full_like(omega_grid, sx0), omega_grid, values]))
-    return np.concatenate(blocks, axis=0)
+        cells[:, 2] = (rendered_incoherent(result, width) if render_delta
+                       else result.incoherent)
+    return table

@@ -203,7 +203,7 @@ def test_criterion_06_population_inversion():
     rates = reservoir_rates(4.0, 1.0, 0.5)
     analytic = free_steady_inversion(rates)
     numeric = oracle.rho_to_bloch(
-        oracle.steady_state(build_liouvillian(rates))).sz
+        oracle.stationary_state(build_liouvillian(rates))).sz
     ok = abs(analytic - 0.15) <= 1e-10 and abs(numeric - 0.15) <= 1e-10
     report(6, f"population inversion analytic {analytic:.12f}, "
               f"null-space {numeric:.12f}", ok)
@@ -214,7 +214,7 @@ def test_criterion_07_driven_steady_state():
     rates = reservoir_rates(2.0, 1.0, 0.0)
     analytic = driven_steady_state(rates, 2.0, 0.0)
     lv = build_liouvillian(rates, omega=2.0, laser_on=True)
-    numeric = oracle.rho_to_bloch(oracle.steady_state(lv))
+    numeric = oracle.rho_to_bloch(oracle.stationary_state(lv))
     # frozen values agree with the 5-decimal quotations -0.39766 / +0.03412
     # to 1e-5 (the sz quotation is rounded one ulp high; exact value is
     # (3 - 2 sqrt 2)/(22 - 12 sqrt 2) = 0.03411373...)
@@ -237,7 +237,7 @@ def test_criterion_08_coherence_locking_and_polarization():
         lv = build_liouvillian(LOCKED, omega=OMEGA_REF, laser_on=True)
         sy0, sz0 = (0.0, 0.0) if abs(sx0) == 0.5 else (0.1, -0.2)
         rho0 = oracle.bloch_to_rho(BlochVector(sx0, sy0, sz0))
-        numeric = oracle.rho_to_bloch(oracle.asymptotic_state(lv, rho0))
+        numeric = oracle.rho_to_bloch(oracle.stationary_state(lv, rho0))
         plus, minus = dressed_populations(analytic)
         ok = ok and abs(analytic.sx - sx0) <= 1e-10 \
             and abs(numeric.sx - sx0) <= 1e-10 \
@@ -323,7 +323,7 @@ def test_criterion_10_sum_rule():
     rates = reservoir_rates(0.5, 1.0, 0.2)
     omega = 20.0
     lv = build_liouvillian(rates, omega=omega, laser_on=True)
-    rho_ss = oracle.steady_state(lv)
+    rho_ss = oracle.stationary_state(lv)
     state = oracle.rho_to_bloch(rho_ss)
     c0_algebra = (0.5 + state.sz) - (state.sx**2 + state.sy**2)
     corr0 = oracle.two_time_correlation(lv, rho_ss, np.linspace(0.0, 0.5, 3))[0]

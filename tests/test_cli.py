@@ -143,6 +143,35 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="line 10: unknown key 'tau_points'"):
             parse_config(MINIMAL_DIRECT + "tau_points = 4096\n")
 
+    @pytest.mark.parametrize("key,value,command", [
+        ("t_points", "0", ["decay"]),
+        ("t_points", "-3", ["decay"]),
+        ("omega_points", "0", ["spectrum"]),
+        ("nbar_points", "0", ["figure", "fig3"]),
+        ("ratio_points", "0", ["figure", "fig4"]),
+        ("sx0_points", "0", ["figure", "fig5"]),
+        ("t_max", "-1", ["decay"]),
+        ("omega_span", "-2", ["spectrum"]),
+        ("render_width", "-0.5", ["figure", "fig5"]),
+    ])
+    def test_out_of_range_run_key_reports_line(self, tmp_path, capsys,
+                                               key, value, command):
+        (tmp_path / "cfg").write_text(MINIMAL_DIRECT + f"{key} = {value}\n")
+        out = tmp_path / "out"
+        assert run_cli([*command, "--config", tmp_path / "cfg",
+                        "--out", out]) == 2
+        assert f"line 10: {key} must be >= " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_run_keys_at_their_minimum(self):
+        cfg = parse_config(MINIMAL_DIRECT + "t_points = 1\nomega_points = 1\n"
+                           "nbar_points = 1\nratio_points = 1\nsx0_points = 1\n"
+                           "t_max = 0\nomega_span = 0\nrender_width = 0\n"
+                           "sweep_points = 0\n")
+        assert (cfg.t_points, cfg.omega_points, cfg.nbar_points,
+                cfg.ratio_points, cfg.sx0_points) == (1, 1, 1, 1, 1)
+        assert cfg.t_max == cfg.omega_span == cfg.render_width == 0.0
+
     def test_bad_engine(self):
         with pytest.raises(ConfigError, match="engine"):
             parse_config("[rates]\ngamma1 = 1\ngamma2 = 1\n[run]\nengine = fft\n")

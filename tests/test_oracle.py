@@ -18,7 +18,6 @@ from sps.oracle import (
     SY,
     DegenerateSteadyStateError,
     PropagationError,
-    asymptotic_state,
     bloch_to_rho,
     build_liouvillian,
     build_liouvillian_decomposed,
@@ -30,7 +29,6 @@ from sps.oracle import (
     rho_to_bloch,
     sandwich,
     stationary_state,
-    steady_state,
     two_time_correlation,
     vectorize,
 )
@@ -89,7 +87,7 @@ class TestSuperoperatorStructure:
 class TestBuildLiouvillian:
     def test_pure_decay_steady_state(self):
         rates = reservoir_rates(0.0, 0.0, 0.0, gamma_rad=1.3)
-        rho = steady_state(build_liouvillian(rates))
+        rho = stationary_state(build_liouvillian(rates))
         assert np.allclose(rho, np.diag([0.0, 1.0]), atol=1e-12)
 
     def test_locked_kernel_is_two_dimensional(self):
@@ -98,11 +96,11 @@ class TestBuildLiouvillian:
         sv = np.linalg.svd(lv, compute_uv=False)
         assert sv[3] < 1e-10 and sv[2] < 1e-10 < sv[1]
         with pytest.raises(DegenerateSteadyStateError):
-            steady_state(lv)
+            stationary_state(lv)
 
     def test_inverted_null_vector_inversion(self):
         rates = reservoir_rates(4.0, 1.0, 0.5)
-        rho = steady_state(build_liouvillian(rates))
+        rho = stationary_state(build_liouvillian(rates))
         assert rho_to_bloch(rho).sz == pytest.approx(0.15, abs=1e-12)
 
     def test_drive_matches_bloch_equations(self):
@@ -160,8 +158,8 @@ class TestLiouvillianEquivalences:
             math.sqrt(desc.n_squeezed * (desc.n_squeezed + 1.0)), rel=1e-12)
 
         single_jump = desc.gamma_eff * oracle.dissipator(jump)
-        rho = steady_state(single_jump)
-        assert np.abs(rho - steady_state(reservoir_liouvillian(rates))).max() < 1e-12
+        rho = stationary_state(single_jump)
+        assert np.abs(rho - stationary_state(reservoir_liouvillian(rates))).max() < 1e-12
         state = rho_to_bloch(rho)
         n = desc.n_photons
         assert state.sz == pytest.approx(-1.0 / (2.0 * (2.0 * n + 1.0)), abs=1e-12)
@@ -248,7 +246,7 @@ class TestStationaryStates:
         rates = reservoir_rates(1.0, 1.0, 0.5, phi1=HALF_PI, phi2=HALF_PI)
         lv = build_liouvillian(rates, omega=20.0, laser_on=True)
         rho0 = bloch_to_rho(BlochVector(0.3, 0.1, -0.2))
-        rho_inf = asymptotic_state(lv, rho0)
+        rho_inf = stationary_state(lv, rho0)
         state = rho_to_bloch(rho_inf)
         assert state.sx == pytest.approx(0.3, abs=1e-12)
         assert state.sy == pytest.approx(0.0, abs=1e-12)
@@ -259,7 +257,7 @@ class TestStationaryStates:
         rates = reservoir_rates(1.0, 2.5, 0.4)
         lv = build_liouvillian(rates, omega=2.0, laser_on=True)
         rho0 = random_density_matrix(np.random.default_rng(13))
-        rho_inf = asymptotic_state(lv, rho0)
+        rho_inf = stationary_state(lv, rho0)
         late = propagate(rho0, lv, np.array([0.0, 100.0]))[-1]
         assert np.abs(late - rho_inf).max() < 1e-9
 
@@ -268,11 +266,11 @@ class TestStationaryStates:
         degenerate = build_liouvillian(
             reservoir_rates(1.0, 1.0, 0.5, phi1=HALF_PI, phi2=HALF_PI),
             omega=5.0, laser_on=True)
+        rho0 = bloch_to_rho(BlochVector(0.2, 0.0, 0.0))
         assert np.allclose(stationary_state(unique),
-                           steady_state(unique), atol=1e-12)
+                           stationary_state(unique, rho0=rho0), atol=1e-12)
         with pytest.raises(DegenerateSteadyStateError):
             stationary_state(degenerate)
-        rho0 = bloch_to_rho(BlochVector(0.2, 0.0, 0.0))
         assert rho_to_bloch(stationary_state(degenerate, rho0=rho0)).sx == \
             pytest.approx(0.2, abs=1e-12)
 
@@ -281,7 +279,7 @@ class TestTwoTimeCorrelation:
     def test_tau_zero_value(self):
         rates = reservoir_rates(1.0, 2.5, 0.4)
         lv = build_liouvillian(rates, omega=3.0, laser_on=True)
-        rho_ss = steady_state(lv)
+        rho_ss = stationary_state(lv)
         corr = two_time_correlation(lv, rho_ss, np.linspace(0.0, 1.0, 5))
         state = rho_to_bloch(rho_ss)
         expected = (0.5 + state.sz) - (state.sx**2 + state.sy**2)
@@ -290,7 +288,7 @@ class TestTwoTimeCorrelation:
     def test_decays_to_zero_for_unique_steady_state(self):
         rates = reservoir_rates(1.0, 2.5, 0.4)
         lv = build_liouvillian(rates, omega=3.0, laser_on=True)
-        rho_ss = steady_state(lv)
+        rho_ss = stationary_state(lv)
         corr = two_time_correlation(lv, rho_ss, np.linspace(0.0, 40.0, 801))
         assert abs(corr[-1]) < 1e-10 * abs(corr[0])
 
@@ -322,7 +320,7 @@ class TestNumericSpectrum:
         # C(tau) = w exp(-g tau) transforms to 2 w g/(g^2 + delta^2).
         lv = build_liouvillian(self.THERMAL)
         tau = np.linspace(0.0, 10.0, 11)
-        corr = two_time_correlation(lv, steady_state(lv), tau)
+        corr = two_time_correlation(lv, stationary_state(lv), tau)
         assert np.abs(corr - self.WEIGHT * np.exp(-self.G * tau)).max() < 1e-14
         grid = np.linspace(-12.0, 12.0, 401)
         result = regression_spectrum(self.THERMAL, 0.0, omega_grid=grid)
@@ -351,7 +349,7 @@ class TestNumericSpectrum:
             assert result.params["kernel_dim"] == 2
             assert result.zero_width_weight == pytest.approx(
                 0.25 * (1.0 - 4.0 * sx0**2), abs=1e-14)
-            rho_ss = asymptotic_state(lv, bloch_to_rho(BlochVector(sx0, 0.0, 0.0)))
+            rho_ss = stationary_state(lv, bloch_to_rho(BlochVector(sx0, 0.0, 0.0)))
             late = two_time_correlation(lv, rho_ss, np.array([0.0, 50.0]))[-1]
             assert late.real == pytest.approx(result.zero_width_weight, abs=1e-12)
         unlocked = regression_spectrum(reservoir_rates(1.0, 3.0, 0.5), 8.0,
@@ -477,7 +475,7 @@ class TestOracleAgainstClosedForms:
         expected = driven_steady_state(rates, omega, 0.0).as_array()
         lv = build_liouvillian(rates, omega=omega, laser_on=True)
         rho0 = bloch_to_rho(BlochVector(0.2, -0.1, 0.3))
-        for rho in (steady_state(lv), asymptotic_state(lv, rho0)):
+        for rho in (stationary_state(lv), stationary_state(lv, rho0)):
             assert np.abs(rho_to_bloch(rho).as_array() - expected).max() <= 1e-12
 
         ts = np.linspace(0.0, 2.0, 21)

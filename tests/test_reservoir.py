@@ -1,6 +1,7 @@
 """Reservoir triple, squeezing mapping, regime classification, ratio datasets."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sps.reservoir import (
+    GRID_BLOCK_POINTS,
     REGIME_INVERTED,
     REGIME_ORDINARY,
     REGIME_PERFECT,
@@ -324,3 +326,47 @@ class TestFigureDatasets:
     def test_rejects_ratio_at_or_below_one(self):
         with pytest.raises(ValueError):
             figure3_dataset(self.nbar_grid, np.array([0.5, 2.0]))
+
+
+def _whole_mesh_tables(nbar_grid, ratio_grid):
+    """fig3 and fig4 tables from one evaluation over the whole mesh."""
+    nn, rr = np.meshgrid(nbar_grid, ratio_grid, indexing="ij")
+    desc = map_to_squeezing(reservoir_rates(1.0, rr, nn))
+    denom = desc.m_abs - desc.n_squeezed
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fig4 = np.where(denom > 0.0, desc.n_background / denom, np.nan)
+    return [np.column_stack([nn.ravel(), rr.ravel(), value.ravel()])
+            for value in (desc.m_abs / desc.n_photons, fig4)]
+
+
+def _cli_grids(n_nbar, n_ratio):
+    """The grids ``sps figure fig3|fig4`` builds from its [run] keys."""
+    return (np.linspace(0.0, 3.0, n_nbar),
+            np.linspace(1.0, 10.0, n_ratio + 1)[1:])
+
+
+class TestBlockedFigureTables:
+    B = GRID_BLOCK_POINTS
+
+    @pytest.mark.parametrize("shape", [
+        (0, 5), (4, 0), (1, 1), (1, B - 1), (2, B // 2), (B + 1, 1),
+        (5, B - 3), (1, 2 * B + 7)])
+    def test_bytes_equal_whole_mesh(self, shape):
+        nbar_grid, ratio_grid = _cli_grids(*shape)
+        fig3, fig4 = _whole_mesh_tables(nbar_grid, ratio_grid)
+        for blocked, whole in ((figure3_dataset(nbar_grid, ratio_grid), fig3),
+                               (figure4_dataset(nbar_grid, ratio_grid), fig4)):
+            assert blocked.shape == whole.shape == (shape[0] * shape[1], 3)
+            assert blocked.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("dataset", [figure3_dataset, figure4_dataset])
+    @pytest.mark.parametrize("shape", [(400, 400), (1, 160000)])
+    def test_traced_peak_is_the_table_plus_two_megabytes(self, dataset, shape):
+        nbar_grid, ratio_grid = _cli_grids(*shape)
+        tracemalloc.start()
+        try:
+            table = dataset(nbar_grid, ratio_grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < table.nbytes + 2 * 2**20

@@ -2,6 +2,7 @@
 pole structure, sum rules, figure-5 surface."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -76,7 +77,7 @@ class TestLambdaLaplace:
         rates = reservoir_rates(1.0, 3.0, 0.4)
         omega = 8.0
         lv = oracle.build_liouvillian(rates, omega=omega, laser_on=True)
-        rho_ss = oracle.steady_state(lv)
+        rho_ss = oracle.stationary_state(lv)
         tau = np.linspace(0.0, 15.0, 40001)
         corr = oracle.two_time_correlation(lv, rho_ss, tau)
         for z in (0.5, 1.0 + 2.0j, 3.0 - 1.0j):
@@ -244,7 +245,7 @@ class TestSumRules:
         rates = reservoir_rates(1.0, 3.0, 0.4)
         omega = 20.0
         lv = oracle.build_liouvillian(rates, omega=omega, laser_on=True)
-        state = oracle.rho_to_bloch(oracle.steady_state(lv))
+        state = oracle.rho_to_bloch(oracle.stationary_state(lv))
         c0 = (0.5 + state.sz) - (state.sx**2 + state.sy**2)
         result = exact_incoherent_spectrum(rates, omega, 0.0,
                                            omega_grid=wide_grid(omega, 9.0))
@@ -297,6 +298,47 @@ class TestFigure5Dataset:
         surface = data[:, 2].reshape(21, 201)
         jumps = np.abs(np.diff(surface, axis=0)).max()
         assert jumps < 0.02  # rational in sx0, no slice-to-slice jumps
+
+
+def _concatenated_surface(sx0_grid, omega_grid, render_delta=False):
+    """figure5_dataset at its defaults, as one column_stack block per sx0."""
+    blocks = []
+    for sx0 in sx0_grid:
+        result = exact_incoherent_spectrum(LOCKED, OMEGA, HALF_PI, sx0=sx0,
+                                           omega_grid=omega_grid)
+        values = rendered_incoherent(result, 1.0) if render_delta else result.incoherent
+        blocks.append(np.column_stack([
+            np.full_like(omega_grid, sx0), omega_grid, values]))
+    return np.concatenate(blocks, axis=0)
+
+
+class TestFigure5Table:
+    @pytest.mark.parametrize("render_delta", [False, True])
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 101), (41, 201)])
+    def test_bytes_equal_concatenated_blocks(self, shape, render_delta):
+        sx0_grid = np.linspace(-0.5, 0.5, shape[0])
+        grid = np.linspace(-40.0, 40.0, shape[1])
+        table = figure5_dataset(sx0_grid=sx0_grid, omega_grid=grid,
+                                render_delta=render_delta)
+        expected = _concatenated_surface(sx0_grid, grid, render_delta)
+        assert table.shape == expected.shape
+        assert table.tobytes() == expected.tobytes()
+
+    def test_empty_sx0_grid_gives_empty_table(self):
+        table = figure5_dataset(sx0_grid=np.array([]),
+                                omega_grid=np.linspace(-40.0, 40.0, 11))
+        assert table.shape == (0, 3)
+
+    def test_traced_peak_is_the_table_plus_two_megabytes(self):
+        sx0_grid = np.linspace(-0.5, 0.5, 41)
+        grid = np.linspace(-40.0, 40.0, 4001)
+        tracemalloc.start()
+        try:
+            table = figure5_dataset(sx0_grid=sx0_grid, omega_grid=grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < table.nbytes + 2 * 2**20
 
 
 class TestRenderedIncoherent:
