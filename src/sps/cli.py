@@ -20,7 +20,7 @@ import math
 import operator
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,11 +85,17 @@ _SCHEMA = {
     },
 }
 
-#: Smallest value of a [run] key: a grid needs a point, and a length or
-#: width is not negative (0 selects the automatic value).
-_RUN_MINIMUM = {"t_points": 1, "omega_points": 1, "nbar_points": 1,
-                "ratio_points": 1, "sx0_points": 1,
-                "t_max": 0, "omega_span": 0, "render_width": 0}
+#: Range of a [run] key: a grid needs a point, a length or width is not
+#: negative (0 selects the automatic value), nor is n-bar, and the fig3/fig4
+#: ratios gamma2/gamma1 lie above 1.
+_RUN_RANGE = {"t_points": ">= 1", "omega_points": ">= 1",
+              "nbar_points": ">= 1", "ratio_points": ">= 1",
+              "sx0_points": ">= 1", "t_max": ">= 0", "omega_span": ">= 0",
+              "render_width": ">= 0", "nbar_max": ">= 0", "ratio_max": "> 1"}
+_RELATIONS = {">=": operator.ge, ">": operator.gt}
+
+#: RunConfig fields of the [run] keys not named alike.
+_RUN_FIELDS = {"Gamma": "gamma_rad", "Omega": "laser_omega"}
 
 _SWEEP_PARAMS = ("gamma1", "gamma2", "nbar", "phi", "Omega", "sx0")
 _SWEEP_QUANTITIES = ("steady", "squeezing")
@@ -130,7 +136,6 @@ class RunConfig:
     sweep_stop: float = 0.0
     sweep_points: int = 0
     sweep_quantity: str = "steady"
-    raw: dict = field(default_factory=dict)
 
     def resolved_rates(self):
         """Reservoir triple for this configuration (either input mode)."""
@@ -216,9 +221,11 @@ def parse_config(text):
         if key in sections[current]:
             raise ConfigError(f"duplicate key {key!r} in section [{current}]", lineno)
         parsed = _parse_value(_SCHEMA[current][key], value, lineno)
-        minimum = _RUN_MINIMUM.get(key) if current == "run" else None
-        if minimum is not None and parsed < minimum:
-            raise ConfigError(f"{key} must be >= {minimum}, got {value!r}", lineno)
+        rule = _RUN_RANGE.get(key) if current == "run" else None
+        if rule is not None:
+            relation, bound = rule.split()
+            if not _RELATIONS[relation](parsed, float(bound)):
+                raise ConfigError(f"{key} must be {rule}, got {value!r}", lineno)
         sections[current][key] = parsed
 
     return _build_config(sections)
@@ -240,7 +247,7 @@ def _build_config(sections):
             "(direct-rate mode) must be present")
 
     run = sections.get("run", {})
-    cfg = RunConfig(mode="physical" if has_bath else "direct", raw=sections)
+    cfg = RunConfig(mode="physical" if has_bath else "direct")
 
     if has_bath:
         if "drive" not in sections:
@@ -276,20 +283,10 @@ def _build_config(sections):
         cfg.nbar = sections["rates"].get("nbar", 0.0)
         cfg.phi = sections["rates"].get("phi", 0.0)
 
-    cfg.gamma_rad = run.get("Gamma", 0.0)
-    engine = run.get("engine", "analytic")
-    if engine not in ENGINES:
-        raise ConfigError(f"engine must be one of {ENGINES}, got {engine!r}")
-    cfg.engine = engine
-    cfg.out = run.get("out", ".")
-    cfg.laser_omega = run.get("Omega", 0.0)
-    for key in ("sx0", "sy0", "sz0", "t_max", "t_points", "omega_span",
-                "omega_points", "nbar_max", "nbar_points",
-                "ratio_max", "ratio_points", "sx0_points", "render_delta",
-                "render_width", "sweep_param", "sweep_start", "sweep_stop",
-                "sweep_points", "sweep_quantity"):
-        if key in run:
-            setattr(cfg, key, run[key])
+    for key, value in run.items():
+        setattr(cfg, _RUN_FIELDS.get(key, key), value)
+    if cfg.engine not in ENGINES:
+        raise ConfigError(f"engine must be one of {ENGINES}, got {cfg.engine!r}")
     if cfg.sweep_param and cfg.sweep_param not in _SWEEP_PARAMS:
         raise ConfigError(
             f"sweep_param must be one of {_SWEEP_PARAMS}, got {cfg.sweep_param!r}")
@@ -442,79 +439,93 @@ def _cmd_squeezing(cfg, out_dir):
     return 0
 
 
-def _bloch_columns(t_grid, states):
-    return [t_grid, [s.sx for s in states], [s.sy for s in states],
-            [s.sz for s in states]]
+def _run_engines(cfg, out_dir, stem, analytic, numeric, write, compare, tol):
+    """Run the solvers ``cfg.engine`` selects; returns the exit status.
+
+    ``write(path_stem, result)`` writes one engine as ``<stem>.*``.  Under
+    ``both`` the analytic result is written first as ``<stem>_analytic.*``,
+    then the numeric one as ``<stem>_numeric.*``, and ``<stem>_compare.meta``
+    holds ``compare(analytic, numeric)``, whose last value is the deviation,
+    then ``tolerance`` and ``status``: fail and 1 unless it is <= ``tol``.
+    """
+    if cfg.engine != "both":
+        solve = analytic if cfg.engine == "analytic" else numeric
+        write(os.path.join(out_dir, stem), solve())
+        return 0
+    results = []
+    for engine, solve in (("analytic", analytic), ("numeric", numeric)):
+        results.append(solve())
+        write(os.path.join(out_dir, f"{stem}_{engine}"), results[-1])
+    entries = compare(*results)
+    ok = [*entries.values()][-1] <= tol
+    entries.update(tolerance=tol, status="pass" if ok else "fail")
+    write_meta(os.path.join(out_dir, stem + "_compare.meta"), entries)
+    return 0 if ok else 1
+
+
+def _bloch_deviation(analytic, numeric):
+    return {"supnorm_deviation":
+            np.abs(analytic.as_array() - numeric.as_array()).max()}
 
 
 def _cmd_decay(cfg, out_dir):
     rr = cfg.resolved_rates()
     t_grid = _time_grid(cfg, rr)
     state0 = BlochVector(cfg.sx0, cfg.sy0, cfg.sz0)
-    header = ["t", "sx", "sy", "sz"]
-    status = 0
 
-    analytic = numeric = None
-    if cfg.engine in ("analytic", "both"):
-        analytic = [free_evolution(state0, rr, t) for t in t_grid]
-        name = "decay_analytic.csv" if cfg.engine == "both" else "decay.csv"
-        write_csv(os.path.join(out_dir, name), header,
-                  _bloch_columns(t_grid, analytic))
-    if cfg.engine in ("numeric", "both"):
-        lv = oracle.build_liouvillian(rr)
-        traj = oracle.propagate(oracle.bloch_to_rho(state0), lv, t_grid)
-        numeric = [oracle.rho_to_bloch(rho) for rho in traj]
-        name = "decay_numeric.csv" if cfg.engine == "both" else "decay.csv"
-        write_csv(os.path.join(out_dir, name), header,
-                  _bloch_columns(t_grid, numeric))
-    if cfg.engine == "both":
-        dev = max(np.abs(a.as_array() - n.as_array()).max()
-                  for a, n in zip(analytic, numeric))
-        ok = dev <= DECAY_TOL
-        write_meta(os.path.join(out_dir, "decay_compare.meta"),
-                   {"supnorm_deviation": dev, "tolerance": DECAY_TOL,
-                    "status": "pass" if ok else "fail"})
-        status = 0 if ok else 1
-    return status
+    def analytic():
+        return BlochVector(*np.array(
+            [free_evolution(state0, rr, t).as_array() for t in t_grid]).T)
+
+    def numeric():
+        return oracle.rho_to_bloch(oracle.propagate(
+            oracle.bloch_to_rho(state0), oracle.build_liouvillian(rr), t_grid))
+
+    def write(stem, state):
+        write_csv(stem + ".csv", ["t", "sx", "sy", "sz"],
+                  [t_grid, state.sx, state.sy, state.sz])
+
+    return _run_engines(cfg, out_dir, "decay", analytic, numeric, write,
+                        _bloch_deviation, DECAY_TOL)
 
 
 def _cmd_steady(cfg, out_dir):
     rr = cfg.resolved_rates()
     phi_choice = _phi_choice(cfg.phi)
-    header = ["sx", "sy", "sz", "rho_plus", "rho_minus"]
-    status = 0
 
-    def columns(state):
-        plus, minus = dressed_populations(state)
-        return [[state.sx], [state.sy], [state.sz], [plus], [minus]]
+    def analytic():
+        return driven_steady_state(rr, cfg.laser_omega, phi_choice, sx0=cfg.sx0)
 
-    analytic = numeric = None
-    if cfg.engine in ("analytic", "both"):
-        analytic = driven_steady_state(rr, cfg.laser_omega, phi_choice,
-                                       sx0=cfg.sx0)
-        name = "steady_analytic.csv" if cfg.engine == "both" else "steady.csv"
-        write_csv(os.path.join(out_dir, name), header, columns(analytic))
-    if cfg.engine in ("numeric", "both"):
+    def numeric():
         lv = oracle.build_liouvillian(rr, omega=cfg.laser_omega, laser_on=True)
         rho0 = oracle.bloch_to_rho(BlochVector(cfg.sx0, cfg.sy0, cfg.sz0))
-        numeric = oracle.rho_to_bloch(oracle.stationary_state(lv, rho0=rho0))
-        name = "steady_numeric.csv" if cfg.engine == "both" else "steady.csv"
-        write_csv(os.path.join(out_dir, name), header, columns(numeric))
-    if cfg.engine == "both":
-        dev = np.abs(analytic.as_array() - numeric.as_array()).max()
-        ok = dev <= STEADY_TOL
-        write_meta(os.path.join(out_dir, "steady_compare.meta"),
-                   {"supnorm_deviation": dev, "tolerance": STEADY_TOL,
-                    "status": "pass" if ok else "fail"})
-        status = 0 if ok else 1
-    return status
+        return oracle.rho_to_bloch(oracle.stationary_state(lv, rho0=rho0))
+
+    def write(stem, state):
+        plus, minus = dressed_populations(state)
+        write_csv(stem + ".csv", ["sx", "sy", "sz", "rho_plus", "rho_minus"],
+                  [[state.sx], [state.sy], [state.sz], [plus], [minus]])
+
+    return _run_engines(cfg, out_dir, "steady", analytic, numeric, write,
+                        _bloch_deviation, STEADY_TOL)
 
 
-def _spectrum_meta(result):
-    return {"engine": result.engine,
-            "coherent_weight": result.coherent_weight,
-            "zero_width_weight": result.zero_width_weight,
-            "sum_rule": sum_rule(result)}
+def _write_spectrum(stem, result):
+    write_csv(stem + ".csv", ["delta_omega", "S_in"],
+              [result.omega_grid, result.incoherent])
+    write_meta(stem + ".meta",
+               {"engine": result.engine,
+                "coherent_weight": result.coherent_weight,
+                "zero_width_weight": result.zero_width_weight,
+                "sum_rule": sum_rule(result)})
+
+
+def _spectrum_deviation(analytic, numeric):
+    """Sup-norm deviation, also relative to the analytic peak."""
+    peak = float(np.abs(analytic.incoherent).max())
+    dev = float(np.abs(analytic.incoherent - numeric.incoherent).max())
+    return {"supnorm_deviation": dev, "peak": peak,
+            "relative_deviation": dev / peak if peak > 0 else dev}
 
 
 def _cmd_spectrum(cfg, out_dir):
@@ -523,38 +534,18 @@ def _cmd_spectrum(cfg, out_dir):
     if cfg.laser_omega <= 0:
         raise ConfigError("spectrum needs a resonant drive: set Omega > 0")
     grid = _omega_grid(cfg)
-    header = ["delta_omega", "S_in"]
-    status = 0
 
-    analytic = numeric = None
-    if cfg.engine in ("analytic", "both"):
-        analytic = exact_incoherent_spectrum(rr, cfg.laser_omega, phi_choice,
-                                             sx0=cfg.sx0, omega_grid=grid)
-        name = "spectrum_analytic" if cfg.engine == "both" else "spectrum"
-        write_csv(os.path.join(out_dir, name + ".csv"), header,
-                  [grid, analytic.incoherent])
-        write_meta(os.path.join(out_dir, name + ".meta"),
-                   _spectrum_meta(analytic))
-    if cfg.engine in ("numeric", "both"):
-        numeric = oracle.regression_spectrum(
+    def analytic():
+        return exact_incoherent_spectrum(rr, cfg.laser_omega, phi_choice,
+                                         sx0=cfg.sx0, omega_grid=grid)
+
+    def numeric():
+        return oracle.regression_spectrum(
             rr, cfg.laser_omega, sx0=cfg.sx0, sy0=cfg.sy0, sz0=cfg.sz0,
             omega_grid=grid)
-        name = "spectrum_numeric" if cfg.engine == "both" else "spectrum"
-        write_csv(os.path.join(out_dir, name + ".csv"), header,
-                  [grid, numeric.incoherent])
-        write_meta(os.path.join(out_dir, name + ".meta"),
-                   _spectrum_meta(numeric))
-    if cfg.engine == "both":
-        peak = float(np.abs(analytic.incoherent).max())
-        dev = float(np.abs(analytic.incoherent - numeric.incoherent).max())
-        rel = dev / peak if peak > 0 else dev
-        ok = rel <= SPECTRUM_TOL
-        write_meta(os.path.join(out_dir, "spectrum_compare.meta"),
-                   {"supnorm_deviation": dev, "peak": peak,
-                    "relative_deviation": rel, "tolerance": SPECTRUM_TOL,
-                    "status": "pass" if ok else "fail"})
-        status = 0 if ok else 1
-    return status
+
+    return _run_engines(cfg, out_dir, "spectrum", analytic, numeric,
+                        _write_spectrum, _spectrum_deviation, SPECTRUM_TOL)
 
 
 def _cmd_sweep(cfg, out_dir):

@@ -96,8 +96,12 @@ def bloch_to_rho(state):
 
 
 def rho_to_bloch(rho):
-    return BlochVector(float(rho[0, 1].real), float(-rho[0, 1].imag),
-                       float(0.5 * (rho[0, 0] - rho[1, 1]).real))
+    """Bloch vector of a density matrix (float fields), or of each matrix in
+    an (n, 2, 2) stack (array fields, equal to the per-matrix values)."""
+    rho = np.asarray(rho)
+    fields = (rho[..., 0, 1].real, -rho[..., 0, 1].imag,
+              0.5 * (rho[..., 0, 0] - rho[..., 1, 1]).real)
+    return BlochVector(*(map(float, fields) if rho.ndim == 2 else fields))
 
 
 def assert_density_matrix(rho, tol=1e-10):
@@ -113,36 +117,32 @@ def assert_density_matrix(rho, tol=1e-10):
         raise ValueError("density matrix has a negative eigenvalue")
 
 
-def reservoir_liouvillian(rates, phi=None):
+def reservoir_liouvillian(rates):
     """Engineered-reservoir part of the master equation.
 
     2*gamma_s D[S-] + 2*gamma_n D[S+]
     - 2*gamma_m (e^{2i phi} S+ . S+ + e^{-2i phi} S- . S-)
     """
-    phi = rates.phi if phi is None else phi
+    phi = rates.phi
     lv = 2.0 * rates.gamma_s * dissipator(SM) + 2.0 * rates.gamma_n * dissipator(SP)
     lv -= 2.0 * rates.gamma_m * (np.exp(2j * phi) * sandwich(SP, SP)
                                  + np.exp(-2j * phi) * sandwich(SM, SM))
     return lv
 
 
-def build_liouvillian(rates, gamma_rad=None, omega=0.0, phi=None,
-                      laser_on=False, laser_phase=0.0):
+def build_liouvillian(rates, *, omega=0.0, laser_on=False):
     """Full Liouvillian: reservoir + radiative decay + optional resonant drive.
 
-    The radiative part is Gamma*D[S-]; the drive enters as
-    -i[V, .] with V = (Omega/2)(S+ e^{-i phi_L} + S- e^{i phi_L}), which at
-    phi_L = 0 reproduces d<Sy>/dt = -Omega <Sz>, d<Sz>/dt = +Omega <Sy>.
-    ``gamma_rad`` and ``phi`` default to the values carried by ``rates``.
+    The squeezing phase and Gamma are those of ``rates``.  The radiative
+    part is Gamma*D[S-]; the drive enters as -i[V, .] with
+    V = (Omega/2)(S+ + S-), which reproduces d<Sy>/dt = -Omega <Sz>,
+    d<Sz>/dt = +Omega <Sy>.
     """
-    gamma_rad = rates.gamma_rad if gamma_rad is None else gamma_rad
-    lv = reservoir_liouvillian(rates, phi=phi)
-    if gamma_rad > 0.0:
-        lv = lv + gamma_rad * dissipator(SM)
+    lv = reservoir_liouvillian(rates)
+    if rates.gamma_rad > 0.0:
+        lv = lv + rates.gamma_rad * dissipator(SM)
     if laser_on and omega != 0.0:
-        v = 0.5 * omega * (np.exp(-1j * laser_phase) * SP
-                           + np.exp(1j * laser_phase) * SM)
-        lv = lv + hamiltonian_superop(v)
+        lv = lv + hamiltonian_superop(0.5 * omega * (SP + SM))
     return lv
 
 
@@ -182,18 +182,18 @@ def build_qnd_liouvillian(gamma0, nbar, phi):
                    - sandwich(s_phi2, I2) - sandwich(I2, s_phi2))
 
 
-def kernel_projector(liouvillian, tol=_KERNEL_TOL):
+def kernel_projector(liouvillian):
     """Spectral projector P onto ker L, and the dimension of the kernel.
 
     P = R (W^H R)^-1 W^H, where the columns of R and W are the right and
-    left null vectors of the SVD (singular values at most ``tol`` times the
+    left null vectors of the SVD (singular values at most 1e-10 times the
     largest).  P commutes with L and exp(L t) -> P as t -> infinity.
     Raises :class:`PropagationError` unless P^2 = P and L P = 0 hold to
     1e-8 relative to |P| and to the Liouvillian scale.
     """
     u, sv, vh = np.linalg.svd(liouvillian)
     scale = max(sv[0], 1.0)
-    null = sv <= tol * scale
+    null = sv <= _KERNEL_TOL * scale
     if not np.any(null):
         raise ValueError("Liouvillian has no stationary modes")
     right = vh[null].conj().T
@@ -228,7 +228,7 @@ def _projected_state(liouvillian, proj, rho0):
     return rho
 
 
-def stationary_state(liouvillian, rho0=None, tol=_KERNEL_TOL):
+def stationary_state(liouvillian, rho0=None):
     """t -> infinity limit of exp(L t) rho0: the kernel projection P vec(rho0).
 
     ``rho0`` may be omitted when the kernel is one-dimensional, where the
@@ -236,7 +236,7 @@ def stationary_state(liouvillian, rho0=None, tol=_KERNEL_TOL):
     locking) makes the limit depend on rho0, and omitting it then raises
     :class:`DegenerateSteadyStateError`.
     """
-    proj, kernel_dim = kernel_projector(liouvillian, tol=tol)
+    proj, kernel_dim = kernel_projector(liouvillian)
     if rho0 is None:
         if kernel_dim > 1:
             raise DegenerateSteadyStateError(

@@ -88,8 +88,7 @@ class PhononBathSpec:
 
 @dataclass(frozen=True)
 class DriveConfig:
-    """Bichromatic drive (two tones at detunings +-Delta) plus the resonant
-    exciting laser.
+    """Bichromatic drive: two tones at detunings +-Delta.
 
     Rabi frequencies and the detuning are in GHz, phases in radians.  The
     squeezing phase of the engineered reservoir is (phi1 + phi2)/2.
@@ -100,16 +99,12 @@ class DriveConfig:
     phi1: float = 0.0
     phi2: float = 0.0
     detuning: float = 0.0
-    laser_rabi: float = 0.0
-    laser_phase: float = 0.0
 
     def __post_init__(self):
         if self.omega1_rabi < 0 or self.omega2_rabi < 0:
             raise ValueError("Rabi frequencies must be >= 0")
         if self.detuning <= 0:
             raise ValueError(f"detuning must be > 0, got {self.detuning}")
-        if self.laser_rabi < 0:
-            raise ValueError("laser_rabi must be >= 0")
 
     @property
     def two_phi(self):

@@ -124,8 +124,12 @@ def exact_incoherent_spectrum(rates, omega, phi_choice, sx0=0.0, omega_grid=None
     coherence-locked regime (gamma_x = 0) the non-decaying part of the
     correlation, of weight (1 - 4*sx0^2)/4, is reported in
     ``zero_width_weight`` instead of being evaluated as a pole; the elastic
-    weight |<S+>_s|^2 goes to ``coherent_weight``.
+    weight |<S+>_s|^2 goes to ``coherent_weight``.  An undamped dot
+    (gamma_s + gamma_n + Gamma = 0) raises ValueError.
     """
+    if rates.gamma_s + rates.gamma_n + rates.gamma_rad == 0.0:
+        # Its sideband poles sit on the axis: S_in is 0/0 at delta = +-Omega.
+        raise ValueError("undamped dot: the correlation never decays")
     if omega_grid is None:
         omega_grid = default_omega_grid(omega)
     omega_grid = np.asarray(omega_grid, dtype=float)

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sps
+from sps import cli
 from sps.cli import (
     CSV_CHUNK_ROWS,
     ConfigError,
@@ -153,6 +154,9 @@ class TestParseConfig:
         ("t_max", "-1", ["decay"]),
         ("omega_span", "-2", ["spectrum"]),
         ("render_width", "-0.5", ["figure", "fig5"]),
+        ("nbar_max", "-1", ["figure", "fig3"]),
+        ("ratio_max", "0.5", ["figure", "fig3"]),
+        ("ratio_max", "1", ["figure", "fig4"]),
     ])
     def test_out_of_range_run_key_reports_line(self, tmp_path, capsys,
                                                key, value, command):
@@ -160,17 +164,19 @@ class TestParseConfig:
         out = tmp_path / "out"
         assert run_cli([*command, "--config", tmp_path / "cfg",
                         "--out", out]) == 2
-        assert f"line 10: {key} must be >= " in capsys.readouterr().err
+        rule = "> 1," if key == "ratio_max" else ">= "
+        assert f"line 10: {key} must be {rule}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_run_keys_at_their_minimum(self):
         cfg = parse_config(MINIMAL_DIRECT + "t_points = 1\nomega_points = 1\n"
                            "nbar_points = 1\nratio_points = 1\nsx0_points = 1\n"
                            "t_max = 0\nomega_span = 0\nrender_width = 0\n"
-                           "sweep_points = 0\n")
+                           "sweep_points = 0\nnbar_max = 0\n")
         assert (cfg.t_points, cfg.omega_points, cfg.nbar_points,
                 cfg.ratio_points, cfg.sx0_points) == (1, 1, 1, 1, 1)
-        assert cfg.t_max == cfg.omega_span == cfg.render_width == 0.0
+        assert (cfg.t_max == cfg.omega_span == cfg.render_width
+                == cfg.nbar_max == 0.0)
 
     def test_bad_engine(self):
         with pytest.raises(ConfigError, match="engine"):
@@ -403,6 +409,22 @@ class TestSubcommands:
         assert "steady state undefined" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", [["spectrum", "--engine", "analytic"],
+                                         ["figure", "fig5"]])
+    def test_undamped_dot_writes_no_spectrum(self, tmp_path, capsys, command):
+        # gamma1 = gamma2 = Gamma = 0: the Rabi sidebands never decay, and
+        # S_in would be 0/0 at delta = +-Omega.
+        (tmp_path / "cfg").write_text(
+            "[rates]\ngamma1 = 0\ngamma2 = 0\nnbar = 0.5\nphi = pi/2\n"
+            "[run]\nOmega = 20\nsx0 = 0.3\nomega_points = 201\n"
+            "sx0_points = 3\n")
+        out = tmp_path / "out"
+        assert run_cli([*command, "--config", tmp_path / "cfg",
+                        "--out", out]) == 1
+        assert "undamped dot" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
     @pytest.mark.parametrize("gamma2,code", [
         ("1.0000000005", 0), ("1.000000002", 2)])
     def test_fig5_perfect_regime_tolerance(self, tmp_path, capsys, gamma2, code):
@@ -422,6 +444,114 @@ class TestSubcommands:
         code = run_cli(["figure", "fig3", "--config", PRESETS / "fig5.cfg",
                         "--out", tmp_path])
         assert code == 0  # any preset works for fig3: it sweeps its own grid
+
+
+#: A direct-mode run that every engine of decay, steady and spectrum accepts.
+ENGINE_CONFIG = """
+[rates]
+gamma1 = 1
+gamma2 = 4
+nbar = 0.5
+phi = 0
+
+[run]
+Gamma = 0.3
+Omega = 3
+sx0 = 0.2
+sy0 = 0.1
+sz0 = -0.2
+t_points = 21
+omega_points = 41
+"""
+
+#: Extensions each engine's output has under its stem.
+ENGINE_OUTPUTS = {"decay": (".csv",), "steady": (".csv",),
+                  "spectrum": (".csv", ".meta")}
+#: Ordered keys of ``<command>_compare.meta``.
+COMPARE_KEYS = {
+    "decay": ["supnorm_deviation", "tolerance", "status"],
+    "steady": ["supnorm_deviation", "tolerance", "status"],
+    "spectrum": ["supnorm_deviation", "peak", "relative_deviation",
+                 "tolerance", "status"],
+}
+#: The oracle step each command's numeric engine runs.
+ORACLE_STEP = {"decay": "propagate", "steady": "stationary_state",
+               "spectrum": "regression_spectrum"}
+
+
+def _outputs(stem, command):
+    return {stem + ext for ext in ENGINE_OUTPUTS[command]}
+
+
+def _meta_items(path):
+    return [tuple(line.split("=", 1)) for line in path.read_text().splitlines()]
+
+
+class TestEngineContract:
+    """What --engine analytic/numeric/both writes and returns, per command."""
+
+    @pytest.fixture
+    def config(self, tmp_path):
+        path = tmp_path / "engines.cfg"
+        path.write_text(ENGINE_CONFIG)
+        return path
+
+    def run(self, config, command, engine, out):
+        return run_cli([command, "--config", config, "--engine", engine,
+                        "--out", out])
+
+    @pytest.mark.parametrize("command", list(ENGINE_OUTPUTS))
+    @pytest.mark.parametrize("engine", ["analytic", "numeric"])
+    def test_one_engine_writes_the_plain_stem(self, tmp_path, config,
+                                              command, engine):
+        out = tmp_path / "out"
+        assert self.run(config, command, engine, out) == 0
+        assert set(os.listdir(out)) == _outputs(command, command)
+
+    @pytest.mark.parametrize("command", list(ENGINE_OUTPUTS))
+    def test_both_engines_write_each_and_a_comparison(self, tmp_path, config,
+                                                      command):
+        out = tmp_path / "both"
+        assert self.run(config, command, "both", out) == 0
+        assert set(os.listdir(out)) == (
+            _outputs(f"{command}_analytic", command)
+            | _outputs(f"{command}_numeric", command)
+            | {f"{command}_compare.meta"})
+        items = _meta_items(out / f"{command}_compare.meta")
+        assert [key for key, _ in items] == COMPARE_KEYS[command]
+        assert items[-1] == ("status", "pass")
+        # Each engine's files are those it writes when run alone.
+        for engine in ("analytic", "numeric"):
+            alone = tmp_path / engine
+            assert self.run(config, command, engine, alone) == 0
+            for ext in ENGINE_OUTPUTS[command]:
+                assert ((out / f"{command}_{engine}{ext}").read_bytes()
+                        == (alone / f"{command}{ext}").read_bytes())
+
+    @pytest.mark.parametrize("command", list(ENGINE_OUTPUTS))
+    def test_deviation_beyond_tolerance_exits_1(self, tmp_path, config,
+                                                monkeypatch, command):
+        monkeypatch.setattr(cli, f"{command.upper()}_TOL", -1.0)
+        out = tmp_path / "out"
+        assert self.run(config, command, "both", out) == 1
+        assert set(os.listdir(out)) == (
+            _outputs(f"{command}_analytic", command)
+            | _outputs(f"{command}_numeric", command)
+            | {f"{command}_compare.meta"})
+        items = dict(_meta_items(out / f"{command}_compare.meta"))
+        assert (items["tolerance"], items["status"]) == ("-1", "fail")
+
+    @pytest.mark.parametrize("command", list(ENGINE_OUTPUTS))
+    def test_numeric_failure_keeps_the_analytic_files(self, tmp_path, config,
+                                                      monkeypatch, capsys,
+                                                      command):
+        def fail(*args, **kwargs):
+            raise RuntimeError("oracle failed")
+        monkeypatch.setattr(sps.oracle, ORACLE_STEP[command], fail)
+        out = tmp_path / "out"
+        assert self.run(config, command, "both", out) == 1
+        assert "oracle failed" in capsys.readouterr().err
+        assert set(os.listdir(out)) == _outputs(f"{command}_analytic", command)
 
 
 class TestFigureDeterminism:

@@ -230,6 +230,19 @@ class TestPropagate:
             ana = driven_evolution(s0, rates, 4.0, 0.0, t).as_array()
             assert np.abs(rho_to_bloch(rho).as_array() - ana).max() < 1e-8
 
+    def test_rho_to_bloch_reads_a_stack(self):
+        rng = np.random.default_rng(11)
+        lv = build_liouvillian(random_rates(rng, gamma_rad=True), omega=2.0,
+                               laser_on=True)
+        traj = propagate(random_density_matrix(rng), lv, np.linspace(0, 3, 9))
+        stack = rho_to_bloch(traj)
+        assert stack.as_array().shape == (3, 9)
+        for k, rho in enumerate(traj):
+            single = rho_to_bloch(rho)
+            fields = (single.sx, single.sy, single.sz)
+            assert all(type(value) is float for value in fields)
+            assert fields == (stack.sx[k], stack.sy[k], stack.sz[k])
+
     def test_rejects_decreasing_grid(self):
         with pytest.raises(ValueError):
             propagate(np.eye(2, dtype=complex) / 2, np.zeros((4, 4), complex),

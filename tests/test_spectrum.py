@@ -124,6 +124,13 @@ class TestExactSpectrum:
         assert steady.sx == 0.0  # no locking away from the perfect regime
         assert result.coherent_weight == pytest.approx(steady.sy**2, rel=1e-12)
 
+    def test_rejects_undamped_dot(self):
+        # Like the oracle: without damping the sidebands never decay.
+        with pytest.raises(ValueError, match="undamped dot"):
+            exact_incoherent_spectrum(reservoir_rates(0.0, 0.0, 0.5), 20.0,
+                                      HALF_PI, sx0=0.3,
+                                      omega_grid=np.linspace(-40, 40, 201))
+
     def test_nonnegative_on_default_grid(self):
         for rates, phi in ((LOCKED, HALF_PI),
                            (reservoir_rates(1.0, 3.0, 0.4), 0.0),
