@@ -474,8 +474,7 @@ def _cmd_decay(cfg, out_dir):
     state0 = BlochVector(cfg.sx0, cfg.sy0, cfg.sz0)
 
     def analytic():
-        return BlochVector(*np.array(
-            [free_evolution(state0, rr, t).as_array() for t in t_grid]).T)
+        return free_evolution(state0, rr, t_grid)
 
     def numeric():
         return oracle.rho_to_bloch(oracle.propagate(

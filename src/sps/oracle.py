@@ -112,7 +112,7 @@ def assert_density_matrix(rho, tol=1e-10):
     if np.abs(rho - rho.conj().T).max() > tol:
         raise ValueError("density matrix is not Hermitian")
     if abs(np.trace(rho) - 1.0) > tol:
-        raise ValueError(f"density matrix trace {np.trace(rho)!r} != 1")
+        raise ValueError(f"density matrix trace {complex(np.trace(rho))!r} != 1")
     if np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min() < -tol:
         raise ValueError("density matrix has a negative eigenvalue")
 
@@ -210,8 +210,8 @@ def kernel_projector(liouvillian):
     if not (idempotency <= _RESIDUAL_TOL * size
             and annihilation <= _RESIDUAL_TOL * scale * size):
         raise PropagationError(
-            f"kernel projector failed its checks: |P^2 - P| = {idempotency!r}, "
-            f"|L P| = {annihilation!r}")
+            f"kernel projector failed its checks: |P^2 - P| = {float(idempotency)!r}, "
+            f"|L P| = {float(annihilation)!r}")
     return proj, int(np.count_nonzero(null))
 
 
@@ -224,7 +224,7 @@ def _projected_state(liouvillian, proj, rho0):
     residual = np.abs(liouvillian @ vectorize(rho)).max()
     if residual > _RESIDUAL_TOL * scale:
         raise PropagationError(
-            f"asymptotic state is not stationary: |L rho| = {residual!r}")
+            f"asymptotic state is not stationary: |L rho| = {float(residual)!r}")
     return rho
 
 
@@ -302,8 +302,8 @@ def propagate(rho0, liouvillian, t_grid):
     herm = np.abs(rhos - np.conj(np.swapaxes(rhos, 1, 2))).max()
     if traces.max() > 1e-10 or herm > 1e-10:
         raise PropagationError(
-            f"propagation broke invariants: max trace error {traces.max()!r}, "
-            f"max Hermiticity error {herm!r}")
+            f"propagation broke invariants: max trace error {float(traces.max())!r}, "
+            f"max Hermiticity error {float(herm)!r}")
     return rhos
 
 
@@ -312,8 +312,8 @@ def _check_stationary(liouvillian, rho_ss):
     residual = np.abs(liouvillian @ vectorize(rho_ss)).max()
     if residual > 1e-10 * scale:
         raise ValueError(
-            f"rho_ss is not stationary: |L rho| = {residual!r} "
-            f"(tolerance {1e-10 * scale!r})")
+            f"rho_ss is not stationary: |L rho| = {float(residual)!r} "
+            f"(tolerance {float(1e-10 * scale)!r})")
 
 
 def _fluctuation_operator(rho_ss):
@@ -378,8 +378,8 @@ def regression_spectrum(rates, omega, sx0=0.0, sy0=0.0, sz0=0.0, *,
     if np.any(failed):
         worst = int(np.argmax(failed))
         raise PropagationError(
-            f"resolvent solve residual {residual[worst]!r} exceeds "
-            f"{bound[worst]!r} at delta = {omega_grid[worst]!r}")
+            f"resolvent solve residual {float(residual[worst])!r} exceeds "
+            f"{float(bound[worst])!r} at delta = {float(omega_grid[worst])!r}")
 
     return SpectrumResult(
         coherent_weight=float(abs(expect(SP, rho_ss)) ** 2),

@@ -2,6 +2,7 @@
 states, coherence locking, dressed populations, external squeezed vacuum."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -204,6 +205,14 @@ def _text(value):
     return "%.17g" % value
 
 
+def _edge_times(q):
+    """t = 0 and the times just either side of |q t| = 1e-3 and 1e-6, where
+    the 2x2 exponential switches to its near-defective series."""
+    if q == 0.0:
+        return [0.0]
+    return [0.0] + [x * f / q for x in (1e-6, 1e-3) for f in (1 - 1e-9, 1 + 1e-9)]
+
+
 #: One (gamma1, gamma2, nbar, Gamma, Omega, sx0, phi) point; gamma2 None
 #: means gamma2 = gamma1, the perfect regime.
 driven_points = st.tuples(
@@ -274,6 +283,72 @@ class TestArrayPath:
         rates = reservoir_rates(1.0, 2.0, 0.0)
         with pytest.raises(ValueError, match="got 0.3"):
             damping_triple(rates, np.array([0.0, HALF_PI, 0.3]))
+
+    @staticmethod
+    def assert_trajectory_matches_scalar(evolve, times):
+        """One array call on ``times`` equals the scalar calls as %.17g
+        text, without a warning; a negative or NaN time fails it."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = evolve(np.array(times))
+            expected = [evolve(t) for t in times]
+        fields = ("sx", "sy", "sz")
+        assert all(type(getattr(s, f)) is float for s in expected for f in fields)
+        assert [[_text(v) for v in getattr(got, f)] for f in fields] == \
+            [[_text(getattr(s, f)) for s in expected] for f in fields]
+        for bad in (-1e-300, math.nan):
+            with pytest.raises(ValueError, match="t must be >= 0"):
+                evolve(np.array([*times, bad]))
+
+    @given(point=driven_points, state=bloch_states(),
+           times=st.lists(st.floats(0.0, 50.0), max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_free_evolution_array_equals_scalar(self, point, state, times):
+        g1, g2, nbar, gamma_rad, _, _, phi = point
+        rates = reservoir_rates(g1, g1 if g2 is None else g2, nbar,
+                                phi1=phi, phi2=phi, gamma_rad=gamma_rad)
+        self.assert_trajectory_matches_scalar(
+            lambda t: free_evolution(state, rates, t), _edge_times(1.0) + times)
+
+    @given(point=driven_points, critical=st.booleans(), state=bloch_states(),
+           times=st.lists(st.floats(0.0, 50.0), max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_driven_evolution_array_equals_scalar(self, point, critical, state,
+                                                  times):
+        g1, g2, nbar, gamma_rad, omega, _, phi = point
+        rates = reservoir_rates(g1, g1 if g2 is None else g2, nbar,
+                                phi1=phi, phi2=phi, gamma_rad=gamma_rad)
+        triple = damping_triple(rates, phi)
+        if critical:  # a defective (Sy, Sz) block: q = 0
+            omega = 0.5 * (triple.gamma_z - triple.gamma_y)
+        # |q|: half the eigenvalue splitting of the (Sy, Sz) block.
+        q = math.sqrt(abs(0.25 * (triple.gamma_z - triple.gamma_y) ** 2
+                          - omega * omega))
+        self.assert_trajectory_matches_scalar(
+            lambda t: driven_evolution(state, rates, omega, phi, t),
+            _edge_times(q) + times)
+
+    @given(n=st.one_of(st.just(0.0), st.floats(0.0, 100.0)),
+           squeeze=st.floats(0.0, 1.0),
+           gamma=st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
+           state=bloch_states(),
+           times=st.lists(st.floats(0.0, 50.0), max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_external_decay_array_equals_scalar(self, n, squeeze, gamma, state,
+                                                times):
+        m = squeeze * math.sqrt(n * (n + 1.0))
+        self.assert_trajectory_matches_scalar(
+            lambda t: external_squeezed_decay(state, n, m, gamma, t),
+            _edge_times(1.0) + times)
+
+    def test_undriven_locked_pair(self):
+        # Omega = 0 and gamma_y = 0: <Sy> is conserved and broadcasts.
+        rates = reservoir_rates(1.0, 1.0, 0.5)
+        s0 = BlochVector(0.1, -0.3, 0.2)
+        out = driven_evolution(s0, rates, 0.0, 0.0, np.linspace(0.0, 5.0, 4))
+        assert out.sy.tolist() == [-0.3] * 4
+        self.assert_trajectory_matches_scalar(
+            lambda t: driven_evolution(s0, rates, 0.0, 0.0, t), [0.0, 1e-7, 3.0])
 
 
 class TestDrivenEvolution:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import sps
 from sps import cli
+from sps.bloch import BlochVector, free_evolution
 from sps.cli import (
     CSV_CHUNK_ROWS,
     ConfigError,
@@ -340,6 +341,26 @@ class TestSubcommands:
         table = np.genfromtxt(tmp_path / "decay_analytic.csv", delimiter=",",
                               names=True)
         assert table["sx"][0] == 0.4
+
+    def test_decay_bytes_equal_scalar_reference(self, tmp_path):
+        # One array call writes what a scalar call per row would.
+        text = ("[rates]\ngamma1 = 0.7\ngamma2 = 1.9\nnbar = 0.8\nphi = 1.1\n"
+                "[run]\nengine = analytic\nGamma = 0.3\nsx0 = 0.2\n"
+                "sy0 = -0.15\nsz0 = 0.25\nt_points = 3001\n")
+        (tmp_path / "cfg").write_text(text)
+        assert run_cli(["decay", "--config", tmp_path / "cfg",
+                        "--out", tmp_path]) == 0
+        cfg = parse_config(text)
+        rates = cfg.resolved_rates()
+        state0 = BlochVector(cfg.sx0, cfg.sy0, cfg.sz0)
+        t_grid = cli._time_grid(cfg, rates)
+        assert len(t_grid) == 3001
+        rows = []
+        for t in t_grid.tolist():
+            s = free_evolution(state0, rates, t)
+            rows.append(",".join(map(format_value, (t, s.sx, s.sy, s.sz))))
+        expected = "t,sx,sy,sz\n" + "".join(row + "\n" for row in rows)
+        assert (tmp_path / "decay.csv").read_bytes() == expected.encode()
 
     def test_steady_locked_both_engines(self, tmp_path):
         assert run_cli(["steady", "--config", PRESETS / "steady_locked.cfg",

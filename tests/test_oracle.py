@@ -253,6 +253,17 @@ class TestPropagate:
             propagate(np.diag([1.5, -0.5]).astype(complex),
                       np.zeros((4, 4), complex), np.linspace(0, 1, 3))
 
+    def test_errors_print_python_numbers(self):
+        # Near the perfect regime exp(L t) loses the trace at t ~ 1e11.
+        rates = reservoir_rates(1.0, 1.0 + 1e-5, 0.5, phi1=HALF_PI, phi2=HALF_PI)
+        with pytest.raises(PropagationError, match="max trace error") as err:
+            propagate(bloch_to_rho(BlochVector(0.0, 0.0, 0.0)),
+                      build_liouvillian(rates), [0.0, 2e11])
+        assert "np." not in str(err.value)
+        with pytest.raises(ValueError, match=r"trace \(1.2\+0j\) != 1"):
+            propagate(np.diag([0.6, 0.6]).astype(complex),
+                      np.zeros((4, 4), complex), [0.0])
+
 
 class TestStationaryStates:
     def test_asymptotic_matches_locked_prediction(self):
