@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import argparse
 import ast
+import contextlib
 import math
 import operator
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -31,15 +32,14 @@ from .physparams import DriveConfig, PhononBathSpec, displacement_factor, \
     phonon_rate
 from .reservoir import figure3_dataset, figure4_dataset, map_to_squeezing, \
     quantum_threshold, reservoir_rates
-from .spectrum import exact_incoherent_spectrum, figure5_dataset, sum_rule
+from .spectrum import DEFAULT_OMEGA_POINTS, default_omega_grid, \
+    exact_incoherent_spectrum, figure5_dataset, sum_rule
 
 #: Analytic-vs-numeric comparison tolerances for --engine both.
 DECAY_TOL = 1e-8
 STEADY_TOL = 1e-8
 SPECTRUM_TOL = 1e-8  # relative sup norm against the analytic peak
 
-SUBCOMMANDS = ("rates", "squeezing", "decay", "steady", "spectrum", "sweep",
-               "figure")
 FIGURES = ("fig3", "fig4", "fig5")
 ENGINES = ("analytic", "numeric", "both")
 
@@ -58,6 +58,76 @@ class ConfigError(ValueError):
         super().__init__(message)
 
 
+_SWEEP_PARAMS = ("gamma1", "gamma2", "nbar", "phi", "Omega", "sx0")
+_SWEEP_QUANTITIES = ("steady", "squeezing")
+
+
+def _key(default, rule=None, name=None):
+    """A [run] key, declared on its RunConfig field: the field's default,
+    its rule (a range such as ``">= 1"`` or a tuple of allowed values) and
+    its config name where that differs from the field's.  The key's type
+    is the field's annotation."""
+    return field(default=default, metadata={"rule": rule, "name": name})
+
+
+@dataclass
+class RunConfig:
+    """Validated configuration for one CLI invocation.
+
+    A length or width of 0 selects its automatic value, a grid needs a
+    point, and the fig3/fig4 ratios gamma2/gamma1 lie in (1, ratio_max].
+    """
+
+    mode: str                      # "physical" or "direct"
+    bath: PhononBathSpec | None = None
+    drive: DriveConfig | None = None
+    include_b: bool = False
+    gamma1: float = 0.0
+    gamma2: float = 0.0
+    nbar: float = 0.0
+    phi: float = 0.0
+    engine: str = _key("analytic", ENGINES)
+    out: str = _key(".")
+    gamma_rad: float = _key(0.0, name="Gamma")
+    laser_omega: float = _key(0.0, name="Omega")
+    sx0: float = _key(0.0)
+    sy0: float = _key(0.0)
+    sz0: float = _key(0.0)
+    t_max: float = _key(0.0, ">= 0")           # 0 -> auto
+    t_points: int = _key(201, ">= 1")
+    omega_span: float = _key(0.0, ">= 0")      # 0 -> auto (2*Omega)
+    omega_points: int = _key(DEFAULT_OMEGA_POINTS, ">= 1")
+    nbar_max: float = _key(3.0, ">= 0")
+    nbar_points: int = _key(201, ">= 1")
+    ratio_max: float = _key(10.0, "> 1")
+    ratio_points: int = _key(201, ">= 1")
+    sx0_points: int = _key(41, ">= 1")
+    render_delta: bool = _key(False)
+    render_width: float = _key(0.0, ">= 0")    # 0 -> gamma1
+    sweep_param: str = _key("", _SWEEP_PARAMS)
+    sweep_start: float = _key(0.0)
+    sweep_stop: float = _key(0.0)
+    sweep_points: int = _key(0)
+    sweep_quantity: str = _key("steady", _SWEEP_QUANTITIES)
+
+    def resolved_rates(self):
+        """Reservoir triple for this configuration (either input mode)."""
+        if self.mode == "direct":
+            return reservoir_rates(self.gamma1, self.gamma2, self.nbar,
+                                   phi1=self.phi, phi2=self.phi,
+                                   gamma_rad=self.gamma_rad)
+        gamma1 = phonon_rate(1, self.drive, self.bath, include_b=self.include_b)
+        gamma2 = phonon_rate(2, self.drive, self.bath, include_b=self.include_b)
+        nbar = self.bath.occupation(self.drive.detuning)
+        return reservoir_rates(gamma1, gamma2, nbar,
+                               phi1=self.drive.phi1, phi2=self.drive.phi2,
+                               gamma_rad=self.gamma_rad)
+
+
+#: [run] key -> its RunConfig field.
+_RUN_KEYS = {f.metadata["name"] or f.name: f for f in fields(RunConfig)
+             if "rule" in f.metadata}
+
 # Section -> key -> type ("float", "int", "bool", "str").
 _SCHEMA = {
     "bath": {
@@ -72,83 +142,9 @@ _SCHEMA = {
     "rates": {
         "gamma1": "float", "gamma2": "float", "nbar": "float", "phi": "float",
     },
-    "run": {
-        "engine": "str", "out": "str", "Gamma": "float",
-        "Omega": "float", "sx0": "float", "sy0": "float", "sz0": "float",
-        "t_max": "float", "t_points": "int",
-        "omega_span": "float", "omega_points": "int",
-        "nbar_max": "float", "nbar_points": "int",
-        "ratio_max": "float", "ratio_points": "int",
-        "sx0_points": "int", "render_delta": "bool", "render_width": "float",
-        "sweep_param": "str", "sweep_start": "float", "sweep_stop": "float",
-        "sweep_points": "int", "sweep_quantity": "str",
-    },
+    "run": {key: f.type for key, f in _RUN_KEYS.items()},
 }
-
-#: Range of a [run] key: a grid needs a point, a length or width is not
-#: negative (0 selects the automatic value), nor is n-bar, and the fig3/fig4
-#: ratios gamma2/gamma1 lie above 1.
-_RUN_RANGE = {"t_points": ">= 1", "omega_points": ">= 1",
-              "nbar_points": ">= 1", "ratio_points": ">= 1",
-              "sx0_points": ">= 1", "t_max": ">= 0", "omega_span": ">= 0",
-              "render_width": ">= 0", "nbar_max": ">= 0", "ratio_max": "> 1"}
 _RELATIONS = {">=": operator.ge, ">": operator.gt}
-
-#: RunConfig fields of the [run] keys not named alike.
-_RUN_FIELDS = {"Gamma": "gamma_rad", "Omega": "laser_omega"}
-
-_SWEEP_PARAMS = ("gamma1", "gamma2", "nbar", "phi", "Omega", "sx0")
-_SWEEP_QUANTITIES = ("steady", "squeezing")
-
-
-@dataclass
-class RunConfig:
-    """Validated configuration for one CLI invocation."""
-
-    mode: str                      # "physical" or "direct"
-    bath: PhononBathSpec | None = None
-    drive: DriveConfig | None = None
-    include_b: bool = False
-    gamma1: float = 0.0
-    gamma2: float = 0.0
-    nbar: float = 0.0
-    phi: float = 0.0
-    gamma_rad: float = 0.0
-    engine: str = "analytic"
-    out: str = "."
-    laser_omega: float = 0.0
-    sx0: float = 0.0
-    sy0: float = 0.0
-    sz0: float = 0.0
-    t_max: float = 0.0             # 0 -> auto
-    t_points: int = 201
-    omega_span: float = 0.0        # 0 -> auto (2*Omega)
-    omega_points: int = 2001
-    nbar_max: float = 3.0
-    nbar_points: int = 201
-    ratio_max: float = 10.0
-    ratio_points: int = 201
-    sx0_points: int = 41
-    render_delta: bool = False
-    render_width: float = 0.0      # 0 -> gamma1
-    sweep_param: str = ""
-    sweep_start: float = 0.0
-    sweep_stop: float = 0.0
-    sweep_points: int = 0
-    sweep_quantity: str = "steady"
-
-    def resolved_rates(self):
-        """Reservoir triple for this configuration (either input mode)."""
-        if self.mode == "direct":
-            return reservoir_rates(self.gamma1, self.gamma2, self.nbar,
-                                   phi1=self.phi, phi2=self.phi,
-                                   gamma_rad=self.gamma_rad)
-        gamma1 = phonon_rate(1, self.drive, self.bath, include_b=self.include_b)
-        gamma2 = phonon_rate(2, self.drive, self.bath, include_b=self.include_b)
-        nbar = self.bath.occupation(self.drive.detuning)
-        return reservoir_rates(gamma1, gamma2, nbar,
-                               phi1=self.drive.phi1, phi2=self.drive.phi2,
-                               gamma_rad=self.gamma_rad)
 
 
 def _evaluate(node):
@@ -190,6 +186,8 @@ def _parse_value(kind, text, line):
         if lowered in ("false", "no", "0", "off"):
             return False
         raise ConfigError(f"expected a boolean, got {text!r}", line)
+    if not text:
+        raise ConfigError("expected a non-empty string, got ''", line)
     return text
 
 
@@ -221,8 +219,11 @@ def parse_config(text):
         if key in sections[current]:
             raise ConfigError(f"duplicate key {key!r} in section [{current}]", lineno)
         parsed = _parse_value(_SCHEMA[current][key], value, lineno)
-        rule = _RUN_RANGE.get(key) if current == "run" else None
-        if rule is not None:
+        rule = _RUN_KEYS[key].metadata["rule"] if current == "run" else None
+        if isinstance(rule, tuple) and parsed not in rule:
+            raise ConfigError(f"{key} must be one of {rule}, got {value!r}",
+                              lineno)
+        if isinstance(rule, str):
             relation, bound = rule.split()
             if not _RELATIONS[relation](parsed, float(bound)):
                 raise ConfigError(f"{key} must be {rule}, got {value!r}", lineno)
@@ -284,16 +285,7 @@ def _build_config(sections):
         cfg.phi = sections["rates"].get("phi", 0.0)
 
     for key, value in run.items():
-        setattr(cfg, _RUN_FIELDS.get(key, key), value)
-    if cfg.engine not in ENGINES:
-        raise ConfigError(f"engine must be one of {ENGINES}, got {cfg.engine!r}")
-    if cfg.sweep_param and cfg.sweep_param not in _SWEEP_PARAMS:
-        raise ConfigError(
-            f"sweep_param must be one of {_SWEEP_PARAMS}, got {cfg.sweep_param!r}")
-    if cfg.sweep_quantity not in _SWEEP_QUANTITIES:
-        raise ConfigError(
-            f"sweep_quantity must be one of {_SWEEP_QUANTITIES}, "
-            f"got {cfg.sweep_quantity!r}")
+        setattr(cfg, _RUN_KEYS[key].name, value)
     if (cfg.sweep_param == "phi" and cfg.sweep_quantity == "steady"
             and cfg.sweep_points >= 2):
         _phi_choice(np.linspace(cfg.sweep_start, cfg.sweep_stop,
@@ -397,10 +389,9 @@ def _time_grid(cfg, rates):
 
 
 def _omega_grid(cfg):
-    span = cfg.omega_span if cfg.omega_span > 0 else 2.0 * cfg.laser_omega
-    if span <= 0:
-        raise ConfigError("spectrum needs omega_span > 0 or Omega > 0")
-    return np.linspace(-span, span, cfg.omega_points)
+    if cfg.omega_span > 0:
+        return np.linspace(-cfg.omega_span, cfg.omega_span, cfg.omega_points)
+    return default_omega_grid(cfg.laser_omega, cfg.omega_points)
 
 
 # ----------------------------------------------------------------------
@@ -608,25 +599,35 @@ def _cmd_figure(cfg, out_dir, fig):
     raise ConfigError(f"unknown figure {fig!r} (expected one of {FIGURES})")
 
 
+_COMMANDS = {"rates": _cmd_rates, "squeezing": _cmd_squeezing,
+             "decay": _cmd_decay, "steady": _cmd_steady,
+             "spectrum": _cmd_spectrum, "sweep": _cmd_sweep,
+             "figure": _cmd_figure}
+SUBCOMMANDS = tuple(_COMMANDS)
+
+
 def run_subcommand(name, cfg, fig=None):
-    """Execute one subcommand; returns the process exit status."""
-    out_dir = cfg.out
-    os.makedirs(out_dir, exist_ok=True)
-    if name == "rates":
-        return _cmd_rates(cfg, out_dir)
-    if name == "squeezing":
-        return _cmd_squeezing(cfg, out_dir)
-    if name == "decay":
-        return _cmd_decay(cfg, out_dir)
-    if name == "steady":
-        return _cmd_steady(cfg, out_dir)
-    if name == "spectrum":
-        return _cmd_spectrum(cfg, out_dir)
-    if name == "sweep":
-        return _cmd_sweep(cfg, out_dir)
-    if name == "figure":
-        return _cmd_figure(cfg, out_dir, fig)
-    raise ConfigError(f"unknown subcommand {name!r}")
+    """Execute one subcommand; returns the process exit status.
+
+    The output directories it creates are removed again if a config error
+    escapes, so that such a run leaves nothing behind.
+    """
+    if name not in _COMMANDS:
+        raise ConfigError(f"unknown subcommand {name!r}")
+    created = []
+    head = os.path.abspath(cfg.out)
+    while not os.path.exists(head):
+        created.append(head)
+        head = os.path.dirname(head)
+    os.makedirs(cfg.out, exist_ok=True)
+    try:
+        return _COMMANDS[name](cfg, cfg.out,
+                               *([fig] if name == "figure" else []))
+    except ConfigError:
+        for path in created:  # innermost first; os.rmdir keeps a non-empty one
+            with contextlib.suppress(OSError):
+                os.rmdir(path)
+        raise
 
 
 def _build_parser():

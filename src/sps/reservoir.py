@@ -24,10 +24,6 @@ REGIME_PERFECT = "perfect"     # gamma_1 = gamma_2: one quadrature decoherence-f
 #: catastrophic cancellation in 1/(gamma_s - gamma_n).
 EQUAL_RATE_RTOL = 1e-9
 
-#: Default grids for the ratio datasets: nbar in [0, 3], gamma2/gamma1 in (1, 10].
-DEFAULT_NBAR_GRID = np.linspace(0.0, 3.0, 201)
-DEFAULT_RATIO_GRID = np.linspace(1.0, 10.0, 202)[1:]
-
 _IDENTITY_RTOL = 1e-12
 
 
@@ -197,10 +193,6 @@ def _ratio_grid_table(value, nbar_grid, ratio_grid):
     ``GRID_BLOCK_POINTS`` points at a time; every operation is elementwise,
     so each cell equals that of one call over the whole mesh.
     """
-    if nbar_grid is None:
-        nbar_grid = DEFAULT_NBAR_GRID
-    if ratio_grid is None:
-        ratio_grid = DEFAULT_RATIO_GRID
     nbar_grid = np.asarray(nbar_grid, float).ravel()
     ratio_grid = np.asarray(ratio_grid, float).ravel()
     if np.any(ratio_grid <= 1.0):
@@ -226,7 +218,7 @@ def _background_ratio(desc):
         return np.where(denom > 0.0, desc.n_background / denom, np.nan)
 
 
-def figure3_dataset(nbar_grid=None, ratio_grid=None):
+def figure3_dataset(nbar_grid, ratio_grid):
     """Table of |M|/N over (nbar, gamma2/gamma1), ordinary regime.
 
     Returns an array of rows (nbar, ratio, |M|/N) with nbar as the outer
@@ -235,7 +227,7 @@ def figure3_dataset(nbar_grid=None, ratio_grid=None):
     return _ratio_grid_table(_quantum_ratio, nbar_grid, ratio_grid)
 
 
-def figure4_dataset(nbar_grid=None, ratio_grid=None):
+def figure4_dataset(nbar_grid, ratio_grid):
     """Table of Nb/(|M| - Ns) over (nbar, gamma2/gamma1), ordinary regime.
 
     The ratio exceeds 1 exactly where the background overwhelms the quantum

@@ -233,7 +233,7 @@ def pole_decomposition(rates, omega, phi_choice, sx0=0.0):
     }
 
 
-def figure5_dataset(sx0_grid=None, gamma0=1.0, nbar=0.5, omega=20.0,
+def figure5_dataset(sx0_grid, gamma0=1.0, nbar=0.5, omega=20.0,
                     omega_grid=None, render_delta=False, render_width=None):
     """Incoherent-spectrum surface over the initial coherence sx0.
 
@@ -244,8 +244,6 @@ def figure5_dataset(sx0_grid=None, gamma0=1.0, nbar=0.5, omega=20.0,
     keeps its integrated power.  Each sx0 slice is written straight into the
     table, so the memory beyond it is that of one spectrum.
     """
-    if sx0_grid is None:
-        sx0_grid = np.linspace(-0.5, 0.5, 41)
     sx0_grid = np.asarray(sx0_grid, dtype=float)
     if omega_grid is None:
         omega_grid = default_omega_grid(omega)

@@ -3,8 +3,10 @@ determinism of the figure datasets."""
 
 import math
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +27,8 @@ from sps.cli import (
     write_csv,
 )
 
-PRESETS = Path(__file__).resolve().parent.parent / "presets"
+ROOT = Path(__file__).resolve().parent.parent
+PRESETS = ROOT / "presets"
 
 MINIMAL_DIRECT = """
 [rates]
@@ -182,6 +185,36 @@ class TestParseConfig:
     def test_bad_engine(self):
         with pytest.raises(ConfigError, match="engine"):
             parse_config("[rates]\ngamma1 = 1\ngamma2 = 1\n[run]\nengine = fft\n")
+
+    @pytest.mark.parametrize("key,choices", [
+        ("engine", "('analytic', 'numeric', 'both')"),
+        ("sweep_param", "('gamma1', 'gamma2', 'nbar', 'phi', 'Omega', 'sx0')"),
+        ("sweep_quantity", "('steady', 'squeezing')"),
+    ], ids=["engine", "sweep_param", "sweep_quantity"])
+    def test_choice_key_reports_line(self, tmp_path, capsys, key, choices):
+        (tmp_path / "cfg").write_text(MINIMAL_DIRECT + f"{key} = fft\n")
+        out = tmp_path / "out"
+        assert run_cli(["rates", "--config", tmp_path / "cfg",
+                        "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            f"sps: config error: line 10: {key} must be one of {choices}, "
+            "got 'fft'\n")
+        assert not out.exists()
+
+    def test_empty_string_reports_line(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg").write_text(MINIMAL_DIRECT + "out =\n")
+        assert run_cli(["rates", "--config", "cfg"]) == 2
+        assert capsys.readouterr().err == (
+            "sps: config error: line 10: expected a non-empty string, got ''\n")
+        assert os.listdir(tmp_path) == ["cfg"]
+
+    def test_readme_lists_the_run_keys_in_declaration_order(self):
+        row, = (line for line in (ROOT / "README.md").read_text().splitlines()
+                if line.startswith("| `[run]` |"))
+        keys = [f.metadata["name"] or f.name for f in fields(cli.RunConfig)
+                if "rule" in f.metadata]
+        assert re.findall(r"`(\w+)`", row) == keys
 
 
 def _cell_text(value):
@@ -460,6 +493,33 @@ class TestSubcommands:
         if code:
             assert "config error" in capsys.readouterr().err
             assert not (tmp_path / "fig5.csv").exists()
+
+    @pytest.mark.parametrize("text,command", [
+        ((PRESETS / "physical.cfg").read_text(), ["spectrum"]),
+        (MINIMAL_DIRECT + "sweep_param = nbar\nsweep_points = 1\n", ["sweep"]),
+        ("[rates]\ngamma1 = 1\ngamma2 = 2\n[run]\nOmega = 20\n",
+         ["figure", "fig5"]),
+        ((PRESETS / "physical.cfg").read_text(), ["figure", "fig5"]),
+        ("[rates]\ngamma1 = 1\ngamma2 = 1\nphi = 1\n[run]\nOmega = 20\n",
+         ["steady"]),
+    ], ids=["spectrum-undriven", "sweep-one-point", "fig5-imperfect",
+            "fig5-physical", "steady-phi"])
+    def test_config_error_leaves_no_output_directory(self, tmp_path, capsys,
+                                                     text, command):
+        (tmp_path / "cfg").write_text(text)
+        out = tmp_path / "out" / "nested"
+        assert run_cli([*command, "--config", tmp_path / "cfg",
+                        "--out", out]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["cfg"]
+
+    def test_config_error_keeps_an_existing_directory(self, tmp_path):
+        (tmp_path / "cfg").write_text("[rates]\ngamma1 = 1\ngamma2 = 2\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run_cli(["spectrum", "--config", tmp_path / "cfg",
+                        "--out", out]) == 2
+        assert os.listdir(out) == []
 
     def test_unknown_figure_rejected(self, tmp_path):
         code = run_cli(["figure", "fig3", "--config", PRESETS / "fig5.cfg",

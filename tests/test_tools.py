@@ -31,3 +31,29 @@ def test_ulps_and_cell_report():
     report = compare_outputs.diff_file(
         "t.csv", b"a,b\n1,0.1\n", b"a,b\n1,0.10000000000000002\n")
     assert report.startswith("t.csv: 1 cells differ, largest 1 ulps")
+
+
+def _fake_tree(root, cli_source):
+    """A checkout whose ``python -m sps.cli`` runs ``cli_source``."""
+    package = root / "src" / "sps"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text(cli_source)
+    return root
+
+
+def test_directory_made_by_one_side_is_reported(tmp_path):
+    # Both trees exit 2 with no file written; only the parent leaves out/.
+    parent = _fake_tree(tmp_path / "parent",
+                        "import os, sys\nos.makedirs('out')\nsys.exit(2)\n")
+    change = _fake_tree(tmp_path / "change", "import sys\nsys.exit(2)\n")
+    config = tmp_path / "x.cfg"
+    config.write_text("")
+    proc = subprocess.run(
+        [sys.executable, str(TOOL), str(parent), str(change),
+         "--config", str(config), "--command", "rates"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[:2] == ["x.cfg rates:", "    out/: written by the parent only"]
+    assert lines[-1] == "differ: 4 of 4 runs"

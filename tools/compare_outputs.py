@@ -9,9 +9,10 @@ every command (by default each subcommand and each figure), once without
 ``--engine`` and once with each engine, as ``python -m sps.cli`` in a fresh
 process per run and tree.  The runs are compared by exit code, standard
 output, standard error (with each tree's ``src`` path replaced by
-``<src>``) and the bytes of every file written.  For a file that differs,
-the cells (split at ``,`` and ``=``) that differ are counted, and the
-largest distance between two differing finite floats is given in ulps.
+``<src>``), the directories made and the bytes of every file written.  For
+a file that differs, the cells (split at ``,`` and ``=``) that differ are
+counted, and the largest distance between two differing finite floats is
+given in ulps.
 
 The last line is ``identical: N runs`` (exit status 0) or
 ``differ: K of N runs`` (exit status 1).
@@ -87,7 +88,11 @@ def diff_file(name, old, new):
 
 
 def run(tree, config, command, engine, work):
-    """Exit code, stdout, stderr and written files of one fresh CLI run."""
+    """Exit code, stdout, stderr and written paths of one fresh CLI run.
+
+    The paths map each name under ``work`` to its ``Path``; a directory's
+    name ends in ``/``.
+    """
     work.mkdir(parents=True)
     src = str(tree / "src")
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
@@ -97,7 +102,8 @@ def run(tree, config, command, engine, work):
     if engine:
         argv += ["--engine", engine]
     proc = subprocess.run(argv, cwd=work, env=env, capture_output=True)
-    files = {str(p.relative_to(work)): p for p in work.rglob("*") if p.is_file()}
+    files = {str(p.relative_to(work)) + "/" * p.is_dir(): p
+             for p in work.rglob("*")}
     return (proc.returncode, proc.stdout.replace(src.encode(), b"<src>"),
             proc.stderr.replace(src.encode(), b"<src>"), files)
 
@@ -115,7 +121,8 @@ def compare(old, new):
         if name not in new_files or name not in old_files:
             side = "parent" if name in old_files else "change"
             found.append(f"{name}: written by the {side} only")
-        elif not filecmp.cmp(old_files[name], new_files[name], shallow=False):
+        elif not name.endswith("/") and not filecmp.cmp(
+                old_files[name], new_files[name], shallow=False):
             found.append(diff_file(name, old_files[name].read_bytes(),
                                    new_files[name].read_bytes()))
     return found
