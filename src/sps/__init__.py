@@ -47,7 +47,6 @@ from .spectrum import (
     SpectrumResult,
     exact_incoherent_spectrum,
     figure5_dataset,
-    lambda_laplace,
     pole_decomposition,
     rendered_incoherent,
     strong_field_spectrum,
@@ -89,7 +88,6 @@ __all__ = [
     "SpectrumResult",
     "exact_incoherent_spectrum",
     "figure5_dataset",
-    "lambda_laplace",
     "pole_decomposition",
     "rendered_incoherent",
     "strong_field_spectrum",

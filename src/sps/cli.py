@@ -107,7 +107,7 @@ class RunConfig:
     sweep_param: str = _key("", _SWEEP_PARAMS)
     sweep_start: float = _key(0.0)
     sweep_stop: float = _key(0.0)
-    sweep_points: int = _key(0)
+    sweep_points: int = _key(0, ">= 2")        # 0 -> not set
     sweep_quantity: str = _key("steady", _SWEEP_QUANTITIES)
 
     def resolved_rates(self):

@@ -91,30 +91,18 @@ def _fluctuation_moments(rates, omega, phi_choice, sx0):
 
 
 def _lambda_rational(z, triple, omega, cx0, cy0, cz0):
-    """Lambda(z) from the fluctuation moments, without the gamma_x = 0 pole."""
+    """Lambda(z) from the fluctuation moments, without the gamma_x = 0 pole:
+
+    Lambda(z) = <dS+ dSx>_s/(z + gamma_x)
+              - i*[<dS+ dSy>_s (z + gamma_z) - Omega <dS+ dSz>_s]
+                / [z^2 + (gamma_y+gamma_z) z + gamma_y*gamma_z + Omega^2]
+    """
     denom = z**2 + (triple.gamma_y + triple.gamma_z) * z + (
         triple.gamma_y * triple.gamma_z + omega**2)
     val = -1j * (cy0 * (z + triple.gamma_z) - omega * cz0) / denom
     if triple.gamma_x > 0.0:
         val = val + cx0 / (z + triple.gamma_x)
     return val
-
-
-def lambda_laplace(z, rates, omega, phi_choice, sx0=0.0):
-    """Laplace transform Lambda(z) of the steady-state fluctuation correlation.
-
-    Lambda(z) = <dS+ dSx>_s/(z + gamma_x)
-              - i*[<dS+ dSy>_s (z + gamma_z) - Omega <dS+ dSz>_s]
-                / [z^2 + (gamma_y+gamma_z) z + gamma_y*gamma_z + Omega^2]
-
-    Accepts scalar or array ``z``.  When gamma_x = 0 the first term is a
-    pole at z = 0 describing a zero-width spectral feature; it is split out
-    analytically (see ``exact_incoherent_spectrum``) and omitted here.
-    """
-    triple, _, cx0, cy0, cz0 = _fluctuation_moments(rates, omega, phi_choice, sx0)
-    val = _lambda_rational(np.asarray(z, dtype=complex), triple, omega,
-                           cx0, cy0, cz0)
-    return complex(val) if val.ndim == 0 else val
 
 
 def exact_incoherent_spectrum(rates, omega, phi_choice, sx0=0.0, omega_grid=None):

@@ -41,6 +41,8 @@ from sps.spectrum import (
     sum_rule,
 )
 
+from correlation import fluctuation_correlation
+
 HALF_PI = math.pi / 2.0
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
 
@@ -326,7 +328,7 @@ def test_criterion_10_sum_rule():
     rho_ss = oracle.stationary_state(lv)
     state = oracle.rho_to_bloch(rho_ss)
     c0_algebra = (0.5 + state.sz) - (state.sx**2 + state.sy**2)
-    corr0 = oracle.two_time_correlation(lv, rho_ss, np.linspace(0.0, 0.5, 3))[0]
+    corr0 = fluctuation_correlation(lv, rho_ss, np.linspace(0.0, 0.5, 3))[0]
     assert abs(corr0 - c0_algebra) < 1e-12
     general_grid = np.linspace(-6000.0, 6000.0, 24001)
     exact = exact_incoherent_spectrum(rates, omega, 0.0, omega_grid=general_grid)

@@ -161,6 +161,8 @@ class TestParseConfig:
         ("nbar_max", "-1", ["figure", "fig3"]),
         ("ratio_max", "0.5", ["figure", "fig3"]),
         ("ratio_max", "1", ["figure", "fig4"]),
+        ("sweep_points", "1", ["sweep"]),
+        ("sweep_points", "-5", ["rates"]),
     ])
     def test_out_of_range_run_key_reports_line(self, tmp_path, capsys,
                                                key, value, command):
@@ -176,9 +178,10 @@ class TestParseConfig:
         cfg = parse_config(MINIMAL_DIRECT + "t_points = 1\nomega_points = 1\n"
                            "nbar_points = 1\nratio_points = 1\nsx0_points = 1\n"
                            "t_max = 0\nomega_span = 0\nrender_width = 0\n"
-                           "sweep_points = 0\nnbar_max = 0\n")
+                           "sweep_points = 2\nnbar_max = 0\n")
         assert (cfg.t_points, cfg.omega_points, cfg.nbar_points,
                 cfg.ratio_points, cfg.sx0_points) == (1, 1, 1, 1, 1)
+        assert cfg.sweep_points == 2
         assert (cfg.t_max == cfg.omega_span == cfg.render_width
                 == cfg.nbar_max == 0.0)
 

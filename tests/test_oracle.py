@@ -1,5 +1,6 @@
 """Brute-force Liouvillian layer: superoperator structure, equivalent
-forms, propagation, regression-theorem correlations, numeric spectrum."""
+forms, propagation, stationary states, the time-domain fluctuation
+correlation, the resolvent spectrum."""
 
 import math
 
@@ -29,11 +30,12 @@ from sps.oracle import (
     rho_to_bloch,
     sandwich,
     stationary_state,
-    two_time_correlation,
     vectorize,
 )
 from sps.reservoir import reservoir_rates
 from sps.spectrum import exact_incoherent_spectrum, sum_rule
+
+from correlation import fluctuation_correlation
 
 HALF_PI = math.pi / 2.0
 RNG = np.random.default_rng(20240817)
@@ -66,7 +68,7 @@ class TestSuperoperatorStructure:
         a, b, rho = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
                      for _ in range(3))
         direct = a @ rho @ b
-        via_super = oracle.unvectorize(sandwich(a, b) @ vectorize(rho))
+        via_super = (sandwich(a, b) @ vectorize(rho)).reshape(2, 2)
         assert np.allclose(direct, via_super, atol=1e-14)
 
     @pytest.mark.parametrize("seed", range(20))
@@ -79,8 +81,8 @@ class TestSuperoperatorStructure:
         assert np.abs(trace_row @ lv).max() < 1e-12
         # Hermiticity preservation: L(rho^+) = (L rho)^+ on random Hermitian rho.
         rho = random_hermitian(rng)
-        lhs = oracle.unvectorize(lv @ vectorize(rho.conj().T))
-        rhs = oracle.unvectorize(lv @ vectorize(rho)).conj().T
+        lhs = (lv @ vectorize(rho.conj().T)).reshape(2, 2)
+        rhs = (lv @ vectorize(rho)).reshape(2, 2).conj().T
         assert np.abs(lhs - rhs).max() < 1e-12
 
 
@@ -110,7 +112,7 @@ class TestBuildLiouvillian:
         rates = reservoir_rates(0.0, 0.0, 0.0)
         lv = build_liouvillian(rates, omega=omega, laser_on=True)
         rho = bloch_to_rho(BlochVector(0.1, 0.2, 0.3))
-        drho = oracle.unvectorize(lv @ vectorize(rho))
+        drho = (lv @ vectorize(rho)).reshape(2, 2)
         dsy = np.trace(drho @ SY).real
         dsz = np.trace(drho @ oracle.SZ).real
         assert dsy == pytest.approx(-omega * 0.3, rel=1e-12)
@@ -298,13 +300,33 @@ class TestStationaryStates:
         assert rho_to_bloch(stationary_state(degenerate, rho0=rho0)).sx == \
             pytest.approx(0.2, abs=1e-12)
 
+    def test_rejects_nonstationary_state(self):
+        # The one stationarity check: |L rho| at most 1e-10 of the
+        # Liouvillian scale, whatever the projector handed in.
+        lv = build_liouvillian(reservoir_rates(1.0, 2.5, 0.4))
+        rho0 = bloch_to_rho(BlochVector(0.3, 0.0, 0.2))
+        with pytest.raises(PropagationError, match="not stationary"):
+            oracle._projected_state(lv, np.eye(4), rho0)
+        # A state off the kernel by a residual of 1e-9 of the scale fails
+        # too; one off by 1e-11 passes.
+        proj, _ = kernel_projector(lv)
+        scale = max(np.abs(lv).max(), 1.0)
+        # Adds a multiple of Sx, scaled so that |L rho| grows by exactly
+        # scale, to P vec(rho0) (tr rho0 = 1).
+        off_kernel = np.outer(vectorize(SX) / np.abs(lv @ vectorize(SX)).max(),
+                              vectorize(np.eye(2))) * scale
+        with pytest.raises(PropagationError, match="not stationary"):
+            oracle._projected_state(lv, proj + 1e-9 * off_kernel, rho0)
+        rho = oracle._projected_state(lv, proj + 1e-11 * off_kernel, rho0)
+        assert np.abs(lv @ vectorize(rho)).max() <= 1e-10 * scale
+
 
 class TestTwoTimeCorrelation:
     def test_tau_zero_value(self):
         rates = reservoir_rates(1.0, 2.5, 0.4)
         lv = build_liouvillian(rates, omega=3.0, laser_on=True)
         rho_ss = stationary_state(lv)
-        corr = two_time_correlation(lv, rho_ss, np.linspace(0.0, 1.0, 5))
+        corr = fluctuation_correlation(lv, rho_ss, np.linspace(0.0, 1.0, 5))
         state = rho_to_bloch(rho_ss)
         expected = (0.5 + state.sz) - (state.sx**2 + state.sy**2)
         assert corr[0] == pytest.approx(expected, abs=1e-12)
@@ -313,22 +335,15 @@ class TestTwoTimeCorrelation:
         rates = reservoir_rates(1.0, 2.5, 0.4)
         lv = build_liouvillian(rates, omega=3.0, laser_on=True)
         rho_ss = stationary_state(lv)
-        corr = two_time_correlation(lv, rho_ss, np.linspace(0.0, 40.0, 801))
+        corr = fluctuation_correlation(lv, rho_ss, np.linspace(0.0, 40.0, 801))
         assert abs(corr[-1]) < 1e-10 * abs(corr[0])
 
     def test_ground_state_has_no_fluctuations(self):
         rates = reservoir_rates(0.0, 0.0, 0.0, gamma_rad=1.0)
         lv = build_liouvillian(rates)
         rho_ss = np.diag([0.0, 1.0]).astype(complex)
-        corr = two_time_correlation(lv, rho_ss, np.linspace(0.0, 3.0, 7))
+        corr = fluctuation_correlation(lv, rho_ss, np.linspace(0.0, 3.0, 7))
         assert np.abs(corr).max() == 0.0
-
-    def test_rejects_nonstationary_state(self):
-        rates = reservoir_rates(1.0, 2.5, 0.4)
-        lv = build_liouvillian(rates)
-        rho = bloch_to_rho(BlochVector(0.3, 0.0, 0.2))
-        with pytest.raises(ValueError, match="stationary"):
-            two_time_correlation(lv, rho, np.linspace(0.0, 1.0, 5))
 
 
 class TestNumericSpectrum:
@@ -344,7 +359,7 @@ class TestNumericSpectrum:
         # C(tau) = w exp(-g tau) transforms to 2 w g/(g^2 + delta^2).
         lv = build_liouvillian(self.THERMAL)
         tau = np.linspace(0.0, 10.0, 11)
-        corr = two_time_correlation(lv, stationary_state(lv), tau)
+        corr = fluctuation_correlation(lv, stationary_state(lv), tau)
         assert np.abs(corr - self.WEIGHT * np.exp(-self.G * tau)).max() < 1e-14
         grid = np.linspace(-12.0, 12.0, 401)
         result = regression_spectrum(self.THERMAL, 0.0, omega_grid=grid)
@@ -374,7 +389,7 @@ class TestNumericSpectrum:
             assert result.zero_width_weight == pytest.approx(
                 0.25 * (1.0 - 4.0 * sx0**2), abs=1e-14)
             rho_ss = stationary_state(lv, bloch_to_rho(BlochVector(sx0, 0.0, 0.0)))
-            late = two_time_correlation(lv, rho_ss, np.array([0.0, 50.0]))[-1]
+            late = fluctuation_correlation(lv, rho_ss, np.array([0.0, 50.0]))[-1]
             assert late.real == pytest.approx(result.zero_width_weight, abs=1e-12)
         unlocked = regression_spectrum(reservoir_rates(1.0, 3.0, 0.5), 8.0,
                                        sx0=0.3, omega_grid=grid)

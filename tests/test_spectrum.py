@@ -15,12 +15,13 @@ from sps.spectrum import (
     default_omega_grid,
     exact_incoherent_spectrum,
     figure5_dataset,
-    lambda_laplace,
     pole_decomposition,
     rendered_incoherent,
     strong_field_spectrum,
     sum_rule,
 )
+
+from correlation import fluctuation_correlation
 
 HALF_PI = math.pi / 2.0
 
@@ -43,17 +44,22 @@ def wide_grid(omega, gamma_bar, factor=200.0, points=40001):
 
 
 class TestLambdaLaplace:
+    """S_in(delta) = 2 Re Lambda(z) at z = -i delta."""
+
     def test_decay_at_large_z(self):
         rates = reservoir_rates(1.0, 3.0, 0.4)
-        values = [abs(lambda_laplace(z, rates, 5.0, 0.0))
-                  for z in (1e3, 1e5, 1e7)]
-        assert values[0] > values[1] > values[2]
-        assert values[2] < 1e-6
+        for sign in (1.0, -1.0):
+            grid = sign * np.array([1e3, 1e5, 1e7])
+            values = np.abs(exact_incoherent_spectrum(
+                rates, 5.0, 0.0, omega_grid=grid).incoherent)
+            assert values[0] > values[1] > values[2]
+            assert values[2] < 1e-6
 
     def test_finite_at_origin_for_unequal_rates(self):
         rates = reservoir_rates(1.0, 3.0, 0.4)
-        value = lambda_laplace(0.0, rates, 5.0, 0.0)
-        assert np.isfinite(value.real) and np.isfinite(value.imag)
+        result = exact_incoherent_spectrum(rates, 5.0, 0.0,
+                                           omega_grid=np.array([0.0]))
+        assert np.isfinite(result.incoherent[0])
 
     def test_strong_field_root_reduction(self):
         # Exact quadratic roots approach -(gamma_y+gamma_z)/2 +- i*Omega,
@@ -72,18 +78,20 @@ class TestLambdaLaplace:
         assert previous < 1e-2
 
     def test_matches_correlation_transform(self):
-        # Lambda(z) must equal the numerically Laplace-transformed
-        # regression-theorem correlation.
+        # S_in(delta) must equal 2 Re of the numerically Fourier-transformed
+        # regression-theorem correlation, int C(tau) e^{i delta tau} dtau.
         rates = reservoir_rates(1.0, 3.0, 0.4)
         omega = 8.0
         lv = oracle.build_liouvillian(rates, omega=omega, laser_on=True)
         rho_ss = oracle.stationary_state(lv)
         tau = np.linspace(0.0, 15.0, 40001)
-        corr = oracle.two_time_correlation(lv, rho_ss, tau)
-        for z in (0.5, 1.0 + 2.0j, 3.0 - 1.0j):
-            numeric = np.trapezoid(corr * np.exp(-z * tau), tau)
-            analytic = lambda_laplace(z, rates, omega, 0.0)
-            assert abs(numeric - analytic) < 1e-4
+        corr = fluctuation_correlation(lv, rho_ss, tau)
+        deltas = np.array([0.0, 3.0, -8.0, 20.0])
+        analytic = exact_incoherent_spectrum(rates, omega, 0.0,
+                                             omega_grid=deltas).incoherent
+        for delta, value in zip(deltas, analytic):
+            numeric = 2.0 * np.trapezoid(corr * np.exp(1j * delta * tau), tau).real
+            assert abs(numeric - value) < 1e-4
 
 
 class TestExactSpectrum:
