@@ -88,8 +88,8 @@ class RunConfig:
     phi: float = 0.0
     engine: str = _key("analytic", ENGINES)
     out: str = _key(".")
-    gamma_rad: float = _key(0.0, name="Gamma")
-    laser_omega: float = _key(0.0, name="Omega")
+    gamma_rad: float = _key(0.0, ">= 0", name="Gamma")
+    laser_omega: float = _key(0.0, ">= 0", name="Omega")
     sx0: float = _key(0.0)
     sy0: float = _key(0.0)
     sz0: float = _key(0.0)
@@ -143,6 +143,11 @@ _SCHEMA = {
         "gamma1": "float", "gamma2": "float", "nbar": "float", "phi": "float",
     },
     "run": {key: f.type for key, f in _RUN_KEYS.items()},
+}
+#: Section -> key -> its rule, for the sections whose keys have rules.
+_RULES = {
+    "rates": dict.fromkeys(("gamma1", "gamma2", "nbar"), ">= 0"),
+    "run": {key: f.metadata["rule"] for key, f in _RUN_KEYS.items()},
 }
 _RELATIONS = {">=": operator.ge, ">": operator.gt}
 
@@ -219,7 +224,7 @@ def parse_config(text):
         if key in sections[current]:
             raise ConfigError(f"duplicate key {key!r} in section [{current}]", lineno)
         parsed = _parse_value(_SCHEMA[current][key], value, lineno)
-        rule = _RUN_KEYS[key].metadata["rule"] if current == "run" else None
+        rule = _RULES.get(current, {}).get(key)
         if isinstance(rule, tuple) and parsed not in rule:
             raise ConfigError(f"{key} must be one of {rule}, got {value!r}",
                               lineno)
@@ -305,7 +310,11 @@ def parse_config_file(path):
 #: Rows that :func:`write_csv` formats with one ``%`` operation: enough to
 #: spread the per-operation cost, which is flat per cell from 256 rows up,
 #: few enough that a chunk's cells and text stay near a megabyte or below.
+#: It is also the most values a float column's text memo holds, unless the
+#: column's period is longer.
 CSV_CHUNK_ROWS = 1024
+#: The longest period of a float column whose texts :func:`write_csv` memoizes.
+CSV_MEMO_PERIOD = 4 * CSV_CHUNK_ROWS
 
 
 def _column(values):
@@ -338,11 +347,48 @@ def format_value(value):
     return conversion % (array.tolist(),)
 
 
+def _period(array):
+    """The period with which float cells ``array`` start, as a constant or a
+    grid axis of an outer product does: the rows before the first value
+    recurs (a NaN never does), if it recurs within ``CSV_MEMO_PERIOD`` rows
+    and those rows then repeat bit for bit; else 0."""
+    head = array[:2 * CSV_MEMO_PERIOD]
+    recurs = np.flatnonzero(head[1:CSV_MEMO_PERIOD + 1] == head[:1])
+    if recurs.size == 0:
+        return 0
+    period = int(recurs[0]) + 1
+    repeats = head[period:2 * period].tobytes() == head[:period].tobytes()
+    return period if repeats else 0
+
+
+def _memo_texts(part, memo, cap):
+    """Texts of the float cells ``part`` from ``memo``, which maps a float64
+    bit pattern (it fixes the ``%.17g`` text) to its text and gains the
+    values it lacks; None instead when it would then hold more than ``cap``
+    values."""
+    if part.dtype != np.float64:
+        with np.errstate(over="ignore", invalid="ignore"):  # as float() does
+            part = part.astype(np.float64)
+    keys = part.view(np.uint64).tolist()
+    missing = [key for key in dict.fromkeys(keys) if key not in memo]
+    if len(memo) + len(missing) > cap:
+        return None
+    if missing:
+        values = np.array(missing, dtype=np.uint64).view(np.float64).tolist()
+        memo.update(zip(missing, ("%.17g," * len(values) % tuple(values))
+                        .split(",")))
+    return list(map(memo.__getitem__, keys))
+
+
 def write_csv(path, header, columns):
     """Write equal-length ``columns`` (arrays or lists) as CSV under ``header``.
 
     A column holds one kind of value and is formatted by the rule of its
     dtype; rows are formatted ``CSV_CHUNK_ROWS`` at a time by one ``%``.
+    A float column that starts periodic (see :func:`_period`) formats each
+    distinct value once and reuses its text, as long as it holds no more
+    distinct values than its period or ``CSV_CHUNK_ROWS``, whichever is
+    larger; the bytes are the same as formatting every cell.
     """
     columns = [_column(values) for values in columns]
     if len(columns) != len(header):
@@ -354,15 +400,28 @@ def write_csv(path, header, columns):
                          f"shapes {shapes}")
     n_rows = columns[0][1].size if columns else 0
     width = len(columns)
-    row = ",".join(conversion for conversion, _ in columns) + "\n"
+    periods = [_period(array) if conversion == "%.17g" else 0
+               for conversion, array in columns]
+    # Per column: its text memo, or None for the plain path.
+    memos = [{} if period else None for period in periods]
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(",".join(header) + "\n")
         for start in range(0, n_rows, CSV_CHUNK_ROWS):
             chunk = min(CSV_CHUNK_ROWS, n_rows - start)
             cells = [None] * (chunk * width)
-            for j, (_, array) in enumerate(columns):
-                cells[j::width] = array[start:start + chunk].tolist()
-            handle.write(row * chunk % tuple(cells))
+            row = []
+            for j, (conversion, array) in enumerate(columns):
+                part = array[start:start + chunk]
+                texts = None if memos[j] is None else _memo_texts(
+                    part, memos[j], max(periods[j], CSV_CHUNK_ROWS))
+                if texts is None:
+                    memos[j] = None
+                    texts = part.tolist()
+                else:
+                    conversion = "%s"
+                cells[j::width] = texts
+                row.append(conversion)
+            handle.write((",".join(row) + "\n") * chunk % tuple(cells))
 
 
 def write_meta(path, entries):

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from sps import cli
 from sps.bloch import BlochVector, free_evolution
 from sps.cli import (
     CSV_CHUNK_ROWS,
+    CSV_MEMO_PERIOD,
     ConfigError,
     format_value,
     main,
@@ -163,6 +165,8 @@ class TestParseConfig:
         ("ratio_max", "1", ["figure", "fig4"]),
         ("sweep_points", "1", ["sweep"]),
         ("sweep_points", "-5", ["rates"]),
+        ("Gamma", "-0.1", ["decay"]),
+        ("Gamma", "-1e-300", ["rates"]),
     ])
     def test_out_of_range_run_key_reports_line(self, tmp_path, capsys,
                                                key, value, command):
@@ -174,16 +178,42 @@ class TestParseConfig:
         assert f"line 10: {key} must be {rule}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key,line,command", [
+        ("gamma1", 3, ["decay"]),
+        ("gamma2", 4, ["steady"]),
+        ("nbar", 5, ["spectrum"]),
+        ("nbar", 5, ["figure", "fig5"]),
+        ("Omega", 9, ["steady"]),
+        ("Omega", 9, ["rates"]),
+    ])
+    def test_negative_rate_reports_line(self, tmp_path, capsys, key, line,
+                                        command):
+        text = re.sub(rf"^{key} = .*$", f"{key} = -5", MINIMAL_DIRECT,
+                      flags=re.M)
+        (tmp_path / "cfg").write_text(text)
+        out = tmp_path / "out"
+        assert run_cli([*command, "--config", tmp_path / "cfg",
+                        "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            f"sps: config error: line {line}: {key} must be >= 0, got '-5'\n")
+        assert not out.exists()
+
     def test_run_keys_at_their_minimum(self):
         cfg = parse_config(MINIMAL_DIRECT + "t_points = 1\nomega_points = 1\n"
                            "nbar_points = 1\nratio_points = 1\nsx0_points = 1\n"
                            "t_max = 0\nomega_span = 0\nrender_width = 0\n"
-                           "sweep_points = 2\nnbar_max = 0\n")
+                           "sweep_points = 2\nnbar_max = 0\nGamma = 0\n")
         assert (cfg.t_points, cfg.omega_points, cfg.nbar_points,
                 cfg.ratio_points, cfg.sx0_points) == (1, 1, 1, 1, 1)
         assert cfg.sweep_points == 2
         assert (cfg.t_max == cfg.omega_span == cfg.render_width
-                == cfg.nbar_max == 0.0)
+                == cfg.nbar_max == cfg.gamma_rad == 0.0)
+
+    def test_zero_rates_and_drive_are_accepted(self):
+        text = re.sub(r"^(gamma1|nbar|Omega) = .*$", r"\1 = 0", MINIMAL_DIRECT,
+                      flags=re.M)
+        cfg = parse_config(text)
+        assert cfg.gamma1 == cfg.nbar == cfg.laser_omega == 0.0
 
     def test_bad_engine(self):
         with pytest.raises(ConfigError, match="engine"):
@@ -248,9 +278,62 @@ class TestFormatValue:
         assert format_value(value) == _cell_text(value)
 
 
-_SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
+_SPECIAL_FLOATS = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324,
                    -2.2250738585072014e-308 / 3, 1e308, -1e308]
+#: NaNs with either sign, quiet and signalling, with and without payload.
+_NAN_BITS = [0xFFF8000000000000, 0x7FF8000000000001, 0x7FF0000000000001,
+             0xFFFFFFFFFFFFFFFF, 0x7FF4000000000123]
+#: Floats with distinct bit patterns: -0.0 and 0.0 first, then the NaNs.
+_SPECIAL_POOL = np.concatenate([
+    _SPECIAL_FLOATS[:2],
+    np.array(_NAN_BITS, dtype=np.uint64).view(np.float64),
+    _SPECIAL_FLOATS[2:]])
 _INT64 = st.integers(-2**63, 2**63 - 1)
+_FLOAT_DTYPES = st.sampled_from([np.float64, np.float32])
+
+
+def _as_dtype(values, dtype):
+    """``values`` as an array of ``dtype``; a float32 overflows to inf."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.array(values, dtype=dtype)
+
+
+def _with_specials(values):
+    """``values`` with the special floats after the first one, so the
+    first value is the one that marks a column's period."""
+    specials = _as_dtype(_SPECIAL_POOL, values.dtype)
+    return np.concatenate([values[:1], specials, values[1:]])
+
+
+@st.composite
+def _float_phases(draw, n_rows):
+    """A float column of two phases, each tiling its own pool of distinct
+    bit patterns (one pool holds -0.0, 0.0 and the NaNs): so the writer's
+    text memo is taken or not, then kept up to its bound or dropped in a
+    later chunk."""
+    chunk, longest = CSV_CHUNK_ROWS, CSV_MEMO_PERIOD
+    never = max(n_rows, 1)  # a pool size at which no value repeats
+    head, tail = draw(st.sampled_from([
+        (1, never), (2, never), (chunk // 2, never),  # repeats, then none
+        (never, 1), (never, chunk // 2),              # none, then repeats
+        (chunk // 2, chunk // 2),          # CSV_CHUNK_ROWS values in all
+        (chunk // 2, chunk // 2 + 1),      # one past them
+        (3 * chunk - 1, 1),                # a long period, then one more value
+        (longest, never), (longest + 1, 1),  # the longest period, one past it
+        (1, 2)]))
+    split = min(draw(st.sampled_from([chunk - 1, chunk, chunk + 1,
+                                      2 * head, 2 * head + 1])), n_rows)
+    dtype = np.dtype(draw(_FLOAT_DTYPES))
+    bits = np.dtype(f"u{dtype.itemsize}")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    begin, step = rng.integers(0, 2**(8 * bits.itemsize), size=2, dtype=bits)
+    spread = begin + np.arange(head + tail, dtype=bits) * (step | 1)
+    pool = _with_specials(spread.view(dtype))
+    offsets = draw(st.sampled_from([(0, head), (tail, 0)]))
+    column = np.concatenate([
+        pool[offsets[0] + np.arange(split) % head],
+        pool[offsets[1] + np.arange(n_rows - split) % tail]])
+    return column if draw(st.booleans()) else list(column)
 
 
 @st.composite
@@ -258,9 +341,9 @@ def _csv_column(draw, n_rows):
     """One CSV column of ``n_rows`` cells, in one of the shapes callers pass."""
     kind = draw(st.sampled_from(["float", "int", "bool", "str", "broadcast"]))
     if kind == "float":
-        pool = draw(st.lists(st.one_of(st.floats(), st.sampled_from(_SPECIAL_FLOATS)),
+        pool = draw(st.lists(st.one_of(st.floats(), st.sampled_from(_SPECIAL_POOL)),
                              min_size=1, max_size=12))
-        dtype = float
+        dtype = draw(_FLOAT_DTYPES)
     elif kind == "int":
         pool = draw(st.lists(_INT64, min_size=1, max_size=12))
         dtype = np.int64
@@ -273,11 +356,14 @@ def _csv_column(draw, n_rows):
         pool = draw(st.lists(text, min_size=1, max_size=6))
         dtype = str
     else:
-        scalar = draw(st.one_of(st.floats(), _INT64, st.booleans()))
+        dtype = draw(_FLOAT_DTYPES)
+        floats = st.floats(width=np.finfo(dtype).bits).map(dtype)
+        scalar = draw(st.one_of(floats, st.sampled_from(_SPECIAL_POOL),
+                                _INT64, st.booleans()))
         return np.broadcast_to(np.asarray(scalar), (n_rows,))
     seed = draw(st.integers(0, 2**32 - 1))
     picks = np.random.default_rng(seed).integers(len(pool), size=n_rows)
-    array = np.array(pool, dtype=dtype)[picks]
+    array = _as_dtype(pool, dtype)[picks]
     form = draw(st.sampled_from(["array", "list", "numpy scalars"]))
     if form == "array":
         return array
@@ -290,25 +376,93 @@ def _csv_column(draw, n_rows):
 def _table(draw):
     chunk = CSV_CHUNK_ROWS
     n_rows = draw(st.sampled_from([0, 1, chunk - 1, chunk, chunk + 1,
-                                   3 * chunk + 1]))
-    width = draw(st.integers(1, 4))
-    return [draw(_csv_column(n_rows)) for _ in range(width)]
+                                   2 * chunk - 1, 2 * chunk, 2 * chunk + 1,
+                                   6 * chunk - 1, 2 * CSV_MEMO_PERIOD + 1]))
+    columns = [draw(_csv_column(n_rows)) for _ in range(draw(st.integers(0, 3)))]
+    # One column is always a float column in phases, for the text memo.
+    columns.insert(draw(st.integers(0, len(columns))),
+                   draw(_float_phases(n_rows)))
+    return columns
+
+
+def _headed(columns):
+    """``(header, columns)`` for :func:`write_csv`, naming the columns c0, c1..."""
+    return [f"c{j}" for j in range(len(columns))], columns
+
+
+def _per_row_reference(columns):
+    """What :func:`write_csv` writes, built one cell at a time."""
+    header, _ = _headed(columns)
+    text = ",".join(header) + "\n" + "".join(
+        ",".join(format_value(cell) for cell in row) + "\n"
+        for row in zip(*columns))
+    return text.encode("utf-8")
 
 
 class TestWriteCsv:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(columns=_table())
     def test_bytes_equal_per_row_reference(self, tmp_path_factory, columns):
         path = tmp_path_factory.mktemp("csv") / "t.csv"
-        header = [f"c{j}" for j in range(len(columns))]
-        write_csv(path, header, columns)
-        expected = ",".join(header) + "\n" + "".join(
-            ",".join(format_value(cell) for cell in row) + "\n"
-            for row in zip(*columns))
-        assert path.read_bytes() == expected.encode("utf-8")
+        write_csv(path, *_headed(columns))
+        assert path.read_bytes() == _per_row_reference(columns)
         for column in columns:
             for cell in list(column[:3]) + list(column[-3:]):
                 assert format_value(cell) == _cell_text(cell)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_memo_keeps_signed_zeros_and_nans_apart(self, tmp_path, dtype):
+        # Equal as values, -0.0 and 0.0 differ in bits and in text.
+        n_rows = 2 * CSV_CHUNK_ROWS + 1
+        pool = _with_specials(np.array([0.5], dtype=dtype))
+        columns = [pool[np.arange(n_rows) % pool.size],
+                   np.broadcast_to(pool[1:2], (n_rows,)),
+                   np.arange(n_rows) / 7.0]
+        assert [cli._period(column) for column in columns] == [pool.size, 1, 0]
+        path = tmp_path / "t.csv"
+        write_csv(path, *_headed(columns))
+        assert path.read_bytes() == _per_row_reference(columns)
+        assert path.read_text().splitlines()[2:4] == [
+            "-0,-0,0.14285714285714285", "0,-0,0.2857142857142857"]
+
+    @pytest.mark.parametrize("period,extra", [
+        (3001, 0), (3001, 1), (CSV_MEMO_PERIOD, 0), (CSV_MEMO_PERIOD + 1, 0)])
+    def test_long_period_memo(self, tmp_path, period, extra):
+        # An inner grid axis longer than a chunk, as fig5's delta_omega;
+        # ``extra`` new values follow two periods.
+        pool = _with_specials(np.arange(1, period + extra + 1) / 7.0)
+        column = pool[np.r_[np.arange(2 * period) % period,
+                            period + np.arange(extra)]]
+        assert cli._period(column) == (period if period <= CSV_MEMO_PERIOD
+                                       else 0)
+        path = tmp_path / "t.csv"
+        write_csv(path, *_headed([column]))
+        assert path.read_bytes() == _per_row_reference([column])
+
+    @pytest.mark.parametrize("shape", ["distinct", "fig3", "fig5", "turns",
+                                       "longest period"])
+    def test_traced_peak_is_under_a_megabyte(self, tmp_path, shape):
+        n_rows = 8 * CSV_CHUNK_ROWS + 1
+        rows = np.arange(n_rows)
+        distinct = np.random.default_rng(7).random((6, n_rows))
+        columns = {
+            "distinct": list(distinct),
+            "fig3": [np.linspace(0.0, 3.0, 251)[rows // 250],
+                     np.linspace(1.0, 10.0, 251)[1:][rows % 250], distinct[0]],
+            "fig5": [np.linspace(-0.5, 0.5, 21)[rows // 3001],
+                     np.linspace(-40.0, 40.0, 3001)[rows % 3001], distinct[0]],
+            # Constant in the first chunk, then never repeating.
+            "turns": list(np.where(rows < CSV_CHUNK_ROWS, 0.5, distinct[:3])),
+            "longest period": [distinct[0][rows % CSV_MEMO_PERIOD]],
+        }[shape]
+        path = tmp_path / "t.csv"
+        tracemalloc.start()
+        try:
+            write_csv(path, *_headed(columns))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_text_keeps_trailing_nul(self, tmp_path):
         assert format_value("a\x00") == "a\x00"
