@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .reservoir import _scalar
+from .reservoir import RATE_FLOOR, _scalar
 
 #: Tolerance on the Bloch-sphere containment check sx^2+sy^2+sz^2 <= 1/4.
 SPHERE_TOL = 1e-12
@@ -85,17 +85,18 @@ def quadrature(state, phi):
     return state.sx * s + state.sy * c, state.sx * c - state.sy * s
 
 
-def _decay_rates(rates):
+def _decay_rates(rates, floor=RATE_FLOOR):
     """Decay rates (s_phi, s_phi_perp, <Sz>) of the undriven dot, elementwise.
 
-    Gamma/2 + gamma_s + gamma_n -+ 2*gamma_m and Gamma + 2*(gamma_s + gamma_n);
-    the first is exactly 0 in the perfect regime at Gamma = 0 (no sqrt noise).
+    Gamma/2 + gamma_s + gamma_n -+ 2*gamma_m and gamma_z = Gamma + 2*(gamma_s
+    + gamma_n); a reduced rate at most floor*gamma_z is returned as exactly 0
+    (by default the one rule for a vanishing rate, RATE_FLOOR).
     """
     base = 0.5 * rates.gamma_rad + (rates.gamma_s + rates.gamma_n)
-    reduced = np.where(rates.is_perfect & (rates.gamma_rad == 0.0), 0.0,
-                       base - 2.0 * rates.gamma_m)
-    return (np.maximum(reduced, 0.0), base + 2.0 * rates.gamma_m,
-            rates.gamma_rad + 2.0 * (rates.gamma_s + rates.gamma_n))
+    reduced = base - 2.0 * rates.gamma_m
+    gamma_z = rates.gamma_rad + 2.0 * (rates.gamma_s + rates.gamma_n)
+    return (np.where(reduced <= floor * gamma_z, 0.0, reduced),
+            base + 2.0 * rates.gamma_m, gamma_z)
 
 
 def free_steady_inversion(rates):
@@ -115,7 +116,7 @@ def free_evolution(state0, rates, t):
     """Free decay of the dot in the engineered reservoir after time ``t``.
 
     The quadrature s_phi decays at the reduced rate Gamma/2+gamma_s+gamma_n-2*gamma_m
-    (zero in the perfect regime), s_phi_perp at the enhanced rate with
+    (0 up to RATE_FLOOR*gamma_z), s_phi_perp at the enhanced rate with
     +2*gamma_m, and <Sz> relaxes exponentially to ``free_steady_inversion``.
     ``t`` may be an array (the rates stay scalar); its fields broadcast.
     """
@@ -159,9 +160,11 @@ def damping_triple(rates, phi_choice):
     """
     phi = _check_phi_choice(phi_choice)
     reduced, enhanced, gamma_z = _decay_rates(rates)
+    # gamma_y at phi = 0 is not floored: the drive couples s_y to <Sz>.
+    coupled = _decay_rates(rates, floor=0.0)[0]
     phi_is_zero = phi == 0.0
     fields = np.broadcast_arrays(np.where(phi_is_zero, enhanced, reduced),
-                                 np.where(phi_is_zero, reduced, enhanced),
+                                 np.where(phi_is_zero, coupled, enhanced),
                                  gamma_z, phi)
     return DampingTriple(*map(_scalar, fields))
 
@@ -177,8 +180,8 @@ def driven_steady_state(rates, omega, phi_choice, sx0=0.0):
     <Sy>_s = d*Omega/(gamma_y*gamma_z + Omega^2) and
     <Sz>_s = -d*gamma_y/(gamma_y*gamma_z + Omega^2) with d = gamma_s - gamma_n
     (+Gamma/2 when radiative decay is kept).  <Sx>_s vanishes whenever
-    gamma_x > 0; in the locked case (gamma_1 = gamma_2, phi = pi/2,
-    gamma_x = 0) it stays at the initial coherence ``sx0``.  Every argument
+    gamma_x > 0; in the locked case (phi = pi/2, gamma_x at most the floor
+    of _decay_rates, so 0) it stays at the initial coherence ``sx0``.  Every argument
     may be an array; they broadcast elementwise and any invalid element
     raises for the whole call.
     """

@@ -146,6 +146,8 @@ _SCHEMA = {
 }
 #: Section -> key -> its rule, for the sections whose keys have rules.
 _RULES = {
+    "bath": dict(alpha=">= 0", omega_c="> 0", temperature=">= 0", nbar=">= 0"),
+    "drive": dict(omega1=">= 0", omega2=">= 0", detuning="> 0"),
     "rates": dict.fromkeys(("gamma1", "gamma2", "nbar"), ">= 0"),
     "run": {key: f.metadata["rule"] for key, f in _RUN_KEYS.items()},
 }
@@ -262,23 +264,18 @@ def _build_config(sections):
         if ("temperature" in bath_keys) == ("nbar" in bath_keys):
             raise ConfigError(
                 "section [bath] needs exactly one of temperature / nbar")
-        try:
-            cfg.bath = PhononBathSpec(
-                alpha=_require("bath", "alpha", sections),
-                omega_c=_require("bath", "omega_c", sections),
-                temperature=bath_keys.get("temperature"),
-                nbar_override=bath_keys.get("nbar"))
-            drive_keys = sections["drive"]
-            cfg.drive = DriveConfig(
-                omega1_rabi=_require("drive", "omega1", sections),
-                omega2_rabi=_require("drive", "omega2", sections),
-                phi1=drive_keys.get("phi1", 0.0),
-                phi2=drive_keys.get("phi2", 0.0),
-                detuning=_require("drive", "detuning", sections))
-        except ValueError as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            raise ConfigError(str(exc)) from exc
+        cfg.bath = PhononBathSpec(
+            alpha=_require("bath", "alpha", sections),
+            omega_c=_require("bath", "omega_c", sections),
+            temperature=bath_keys.get("temperature"),
+            nbar_override=bath_keys.get("nbar"))
+        drive_keys = sections["drive"]
+        cfg.drive = DriveConfig(
+            omega1_rabi=_require("drive", "omega1", sections),
+            omega2_rabi=_require("drive", "omega2", sections),
+            phi1=drive_keys.get("phi1", 0.0),
+            phi2=drive_keys.get("phi2", 0.0),
+            detuning=_require("drive", "detuning", sections))
         cfg.include_b = sections["drive"].get("include_B", False)
         cfg.phi = cfg.drive.phi
     else:
@@ -442,7 +439,7 @@ def _time_grid(cfg, rates):
     if cfg.t_max > 0:
         t_max = cfg.t_max
     else:
-        nonzero = [r for r in _decay_rates(rates) if r > 1e-12]
+        nonzero = [r for r in _decay_rates(rates) if r > 0]
         t_max = 10.0 / min(nonzero) if nonzero else 1.0
     return np.linspace(0.0, t_max, cfg.t_points)
 

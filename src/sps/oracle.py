@@ -5,7 +5,8 @@ with exact linear algebra on it.  Propagation applies exp(L (t_k - t_0))
 at every sample (Pade-13 scaling and squaring, Higham 2005).  The
 t -> infinity state is P vec(rho_0), with P the spectral projector onto
 ker L built from SVD null vectors (not from an eigendecomposition: L is
-defective at a critically damped sideband pair).  The regression-theorem
+defective at a critically damped sideband pair), whose modes are those of
+rate at most the closed forms' RATE_FLOOR*gamma_z.  The regression-theorem
 spectrum is the resolvent -(L - P + i delta)^-1 (1 - P) X_0, one batched
 solve over the frequency grid; the never-decaying kernel part P X_0 is
 the zero-width weight.  Nothing here reuses the closed forms of
@@ -24,7 +25,7 @@ import math
 import numpy as np
 
 from .bloch import BlochVector
-from .reservoir import REGIME_ORDINARY, map_to_squeezing
+from .reservoir import RATE_FLOOR, REGIME_ORDINARY, map_to_squeezing
 from .spectrum import SpectrumResult
 
 # Dot operators in the {|e>, |g>} basis.
@@ -35,7 +36,6 @@ SY = 0.5j * (SM - SP)
 SZ = np.array([[0.5, 0.0], [0.0, -0.5]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
 
-_KERNEL_TOL = 1e-10
 #: Relative bound on the projector identities and solve residuals.
 _RESIDUAL_TOL = 1e-8
 #: Samples per batched matrix exponential (bounds the working memory).
@@ -182,14 +182,17 @@ def kernel_projector(liouvillian):
     """Spectral projector P onto ker L, and the dimension of the kernel.
 
     P = R (W^H R)^-1 W^H, where the columns of R and W are the right and
-    left null vectors of the SVD (singular values at most 1e-10 times the
-    largest).  P commutes with L and exp(L t) -> P as t -> infinity.
-    Raises :class:`PropagationError` unless P^2 = P and L P = 0 hold to
-    1e-8 relative to |P| and to the Liouvillian scale.
+    left null vectors of the SVD: singular values at most RATE_FLOOR*|tr L|/2
+    (the closed forms' zero-rate floor, as |tr L| = 2 gamma_z), or below
+    numpy's rank tolerance 4 eps sigma_1 where that is larger (an undamped
+    dot).  P commutes with L and exp(L t) -> P as t -> infinity.  Raises
+    :class:`PropagationError` unless P^2 = P and L P = 0 hold to 1e-8
+    relative to |P| and to the Liouvillian scale.
     """
     u, sv, vh = np.linalg.svd(liouvillian)
     scale = max(sv[0], 1.0)
-    null = sv <= _KERNEL_TOL * scale
+    null = sv <= max(RATE_FLOOR * abs(np.trace(liouvillian)) / 2.0,
+                     4.0 * np.finfo(float).eps * sv[0])
     if not np.any(null):
         raise ValueError("Liouvillian has no stationary modes")
     right = vh[null].conj().T

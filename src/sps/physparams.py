@@ -170,13 +170,13 @@ def _thermal_excess(bath, order):
     return 2.0 * bath.alpha * half * float(np.sum(f @ weights))
 
 
-def _displacement_exponent(bath, rtol=QUAD_RTOL):
+def _displacement_exponent(bath):
     """integral_0^(8 omega_c) J(omega)/omega^2 * (2 n(omega)+1), so <B> = exp(-it/2).
 
     The zero-point part alpha*omega_c**2/2*(1 - e**-64) is closed; with
     ``nbar_override`` it carries the factor 2*nbar+1 and is the whole answer.
     At T > 0 the thermal excess comes from :func:`_thermal_excess`, and two
-    rule orders that differ by more than ``rtol`` of the exponent (or a
+    rule orders that differ by more than ``QUAD_RTOL`` of the exponent (or a
     non-finite one) raise :class:`QuadratureError`.
     """
     exponent = 0.5 * bath.alpha * bath.omega_c**2 * -math.expm1(-QUAD_CUTOFF**2)
@@ -185,16 +185,16 @@ def _displacement_exponent(bath, rtol=QUAD_RTOL):
     if bath.temperature == 0.0:
         return exponent
     coarse, fine = (_thermal_excess(bath, order) for order in QUAD_ORDERS)
-    if not abs(fine - coarse) <= rtol * (exponent + fine):
+    if not abs(fine - coarse) <= QUAD_RTOL * (exponent + fine):
         raise QuadratureError(
             f"displacement-factor quadrature did not converge: thermal "
             f"excess {fine!r} (order {QUAD_ORDERS[1]}) vs {coarse!r} (order "
-            f"{QUAD_ORDERS[0]}), zero-point part {exponent!r}, requested "
-            f"rtol={rtol!r}")
+            f"{QUAD_ORDERS[0]}), zero-point part {exponent!r}, "
+            f"QUAD_RTOL={QUAD_RTOL!r}")
     return exponent + fine
 
 
-def displacement_factor(bath, rtol=QUAD_RTOL):
+def displacement_factor(bath):
     """Polaron displacement factor <B> in (0, 1].
 
     Continuum form exp[-1/2 * integral_0^(8 omega_c) J(omega)/omega^2 *
@@ -203,7 +203,7 @@ def displacement_factor(bath, rtol=QUAD_RTOL):
     (see :func:`_displacement_exponent`).  At T = 0 the exponent is
     alpha*omega_c**2/2, which the tests use as an oracle.
     """
-    return math.exp(-0.5 * _displacement_exponent(bath, rtol))
+    return math.exp(-0.5 * _displacement_exponent(bath))
 
 
 def phonon_rate(i, drive, bath, include_b=False):

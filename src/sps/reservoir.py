@@ -23,6 +23,8 @@ REGIME_PERFECT = "perfect"     # gamma_1 = gamma_2: one quadrature decoherence-f
 #: Relative tolerance below which gamma_1 and gamma_2 count as equal; avoids
 #: catastrophic cancellation in 1/(gamma_s - gamma_n).
 EQUAL_RATE_RTOL = 1e-9
+#: Every engine counts a rate <= RATE_FLOOR*gamma_z (the largest rate) as zero.
+RATE_FLOOR = 1e-10
 
 _IDENTITY_RTOL = 1e-12
 

@@ -265,14 +265,19 @@ class TestArrayPath:
 
     def test_sweep_across_equal_rates(self):
         g2 = np.concatenate([np.linspace(0.5, 1.5, 101),
-                             [1.0, 1.0 + 1e-12, 1.0 - 1e-12, 1.0 + 1e-6]])
+                             [1.0, 1.0 + 1e-12, 1.0 - 1e-12, 1.0 + 1e-6,
+                              1.0 + 1e-3]])
         for phi in (0.0, HALF_PI):
             self.assert_matches_scalar(
                 [(1.0, v, 0.5, 0.0, 20.0, 0.3, phi) for v in g2])
-        rates = reservoir_rates(1.0, g2, 0.5)
+        rates = reservoir_rates(1.0, g2, 0.5, phi1=HALF_PI, phi2=HALF_PI)
         locked = driven_steady_state(rates, 20.0, HALF_PI, sx0=0.3).sx == 0.3
-        assert locked.tolist() == rates.is_perfect.tolist()
-        assert locked[-4:].tolist() == [True, True, True, False]
+        assert locked[-5:].tolist() == [True, True, True, True, False]
+        # Each element locks exactly where the oracle's kernel is 2-D.
+        kernel_dims = [oracle.kernel_projector(oracle.build_liouvillian(
+            reservoir_rates(1.0, v, 0.5, phi1=HALF_PI, phi2=HALF_PI),
+            omega=20.0, laser_on=True))[1] for v in g2]
+        assert locked.tolist() == [dim == 2 for dim in kernel_dims]
 
     def test_undamped_element_fails_whole_call(self):
         rates = reservoir_rates(1.0, 1.0, 0.5)  # gamma_y = 0 at phi = 0

@@ -198,6 +198,32 @@ class TestParseConfig:
             f"sps: config error: line {line}: {key} must be >= 0, got '-5'\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("key,value,line,command", [
+        ("alpha", "-5", 7, ["rates"]),
+        ("omega_c", "0", 8, ["squeezing"]),
+        ("nbar", "-5", 9, ["rates"]),
+        ("temperature", "-5", 9, ["decay"]),
+        ("omega1", "-5", 12, ["rates"]),
+        ("omega2", "-5", 13, ["steady"]),
+        ("detuning", "0", 14, ["rates"]),
+        ("detuning", "-490", 14, ["spectrum"]),
+    ])
+    def test_out_of_range_physical_key_reports_line(self, tmp_path, capsys,
+                                                    key, value, line, command):
+        # temperature replaces the preset's nbar, its alternative.
+        target = "nbar" if key == "temperature" else key
+        text = re.sub(rf"^{target} = .*$", f"{key} = {value}",
+                      (PRESETS / "physical.cfg").read_text(), flags=re.M)
+        (tmp_path / "cfg").write_text(text)
+        out = tmp_path / "out"
+        assert run_cli([*command, "--config", tmp_path / "cfg",
+                        "--out", out]) == 2
+        rule = "> 0" if key in ("omega_c", "detuning") else ">= 0"
+        assert capsys.readouterr().err == (
+            f"sps: config error: line {line}: {key} must be {rule}, "
+            f"got '{value}'\n")
+        assert not out.exists()
+
     def test_run_keys_at_their_minimum(self):
         cfg = parse_config(MINIMAL_DIRECT + "t_points = 1\nomega_points = 1\n"
                            "nbar_points = 1\nratio_points = 1\nsx0_points = 1\n"
@@ -635,6 +661,20 @@ class TestSubcommands:
                         "--out", out]) == 1
         assert "undamped dot" in capsys.readouterr().err
         assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("command", ["steady", "spectrum", "decay"])
+    @pytest.mark.parametrize("gamma2", ["1.0000001", "1.00001"])
+    def test_engines_agree_below_rate_floor(self, tmp_path, command, gamma2):
+        # Off the perfect regime, but with gamma_x below RATE_FLOOR*gamma_z:
+        # both engines lock, and the decay horizon skips the zero rate.
+        (tmp_path / "cfg").write_text(
+            f"[rates]\ngamma1 = 1\ngamma2 = {gamma2}\nnbar = 0.5\n"
+            "phi = pi/2\n[run]\nOmega = 20\nsx0 = 0.3\nomega_points = 201\n"
+            "t_points = 21\n")
+        assert run_cli([command, "--config", tmp_path / "cfg", "--engine",
+                        "both", "--out", tmp_path]) == 0
+        compare = (tmp_path / f"{command}_compare.meta").read_text()
+        assert compare.endswith("status=pass\n")
 
     @pytest.mark.parametrize("gamma2,code", [
         ("1.0000000005", 0), ("1.000000002", 2)])

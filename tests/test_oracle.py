@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sps import oracle
@@ -32,7 +32,7 @@ from sps.oracle import (
     stationary_state,
     vectorize,
 )
-from sps.reservoir import reservoir_rates
+from sps.reservoir import RATE_FLOOR, reservoir_rates
 from sps.spectrum import exact_incoherent_spectrum, sum_rule
 
 from correlation import fluctuation_correlation
@@ -457,11 +457,17 @@ class TestExactLinearAlgebra:
             kernel_projector(nilpotent)
 
 
-#: Draws away from the near-perfect band 0.8 < gamma2/gamma1 < 1.25
-#: (gamma2 != gamma1), where a slow rate gamma_x or gamma_y ~ (gamma2 -
-#: gamma1)^2 makes the resolvent ill-conditioned and the engines' agreement
-#: degrade as scale/rate; that band has its own tests below.
-rate_ratios = st.one_of(st.just(1.0), st.floats(1.25, 10.0), st.floats(0.1, 0.8))
+#: Draws away from the near-perfect band 0.8 < gamma2/gamma1 < 1.25, where
+#: a slow rate gamma_x or gamma_y ~ (gamma2 - gamma1)^2 makes the resolvent
+#: ill-conditioned and the engines' agreement degrade as scale/rate; that
+#: band has its own tests below.  The exception is the locked draw: there
+#: the reduced rate lies below RATE_FLOOR*gamma_z and both engines count it
+#: as zero.  It stops at 2e-6, not at the floor (~4e-5), because the snapped
+#: rate, ~(gamma2/gamma1 - 1)^2/16 of gamma_z, moves the free decay over
+#: the 5/gamma_z horizon below by 5/16*(gamma2/gamma1 - 1)^2, which must
+#: stay under the 1e-12 bound.
+rate_ratios = st.one_of(st.just(1.0), st.floats(1.25, 10.0), st.floats(0.1, 0.8),
+                        st.floats(-2e-6, 2e-6).map(lambda e: 1.0 + e))
 nbars = st.one_of(st.just(0.0), st.floats(0.0, 3.0))
 gamma_rads = st.one_of(st.just(0.0), st.floats(0.05, 2.0))
 
@@ -473,6 +479,9 @@ class TestOracleAgainstClosedForms:
     @settings(max_examples=150, deadline=None)
     def test_property_spectrum_and_decay(self, g1, ratio, nbar, gamma_rad,
                                          omega, sx0, phi):
+        # A locked |sx0| near 1/2 leaves the Bloch sphere when gamma2 !=
+        # gamma1 (test_locked_half_coherence_leaves_sphere).
+        assume(ratio == 1.0 or abs(ratio - 1.0) > 1e-3 or abs(sx0) < 0.49)
         rates = reservoir_rates(g1, g1 * ratio, nbar, phi1=phi, phi2=phi,
                                 gamma_rad=gamma_rad)
         grid = np.linspace(-2.0 * omega, 2.0 * omega, 201)
@@ -485,9 +494,9 @@ class TestOracleAgainstClosedForms:
             exact.zero_width_weight, abs=1e-12)
 
         state0 = BlochVector(0.8 * sx0, 0.15, -0.2)
-        # At phi in {0, pi/2} the undriven quadratures decay at gamma_x and
-        # gamma_y, the inversion at gamma_z; follow the slowest nonzero one.
-        triple = damping_triple(rates, phi)
+        # The undriven quadratures and the inversion decay at the rates of
+        # damping_triple at pi/2, whatever phi is; follow the slowest nonzero one.
+        triple = damping_triple(rates, HALF_PI)
         slowest = min(r for r in (triple.gamma_x, triple.gamma_y,
                                   triple.gamma_z) if r > 0)
         t_grid = np.linspace(0.0, 5.0 / slowest, 16)
@@ -537,24 +546,66 @@ class TestOracleAgainstClosedForms:
         assert np.abs(exact.incoherent - numeric.incoherent).max() <= 1e-6 * peak
         assert numeric.zero_width_weight == exact.zero_width_weight == 0.0
 
-    def test_band_below_kernel_tolerance_is_open(self):
-        # Known disagreement, left open: at gamma2/gamma1 = 1 + 1e-7 the
-        # closed form keeps gamma_x ~ 5e-15 > 0 (an unlocked, extremely
-        # narrow central line), while the oracle's SVD counts that rate as
-        # part of a two-dimensional kernel (a locked, zero-width line).  The
-        # engines therefore disagree on the steady coherence and on the
-        # zero-width weight.
+    def test_band_below_rate_floor_is_locked(self):
+        # At gamma2/gamma1 = 1 + 1e-7 the reduced rate, ~5e-15, lies below
+        # RATE_FLOOR*gamma_z: the closed forms snap gamma_x to 0 and the
+        # oracle's SVD counts its mode as kernel, so both engines report the
+        # same locked coherence and zero-width line.
         rates = reservoir_rates(1.0, 1.0 + 1e-7, 0.5, phi1=HALF_PI, phi2=HALF_PI)
-        assert 0.0 < damping_triple(rates, HALF_PI).gamma_x < 1e-14
+        assert damping_triple(rates, HALF_PI).gamma_x == 0.0
         grid = np.linspace(-40.0, 40.0, 11)
         exact = exact_incoherent_spectrum(rates, 20.0, HALF_PI, sx0=0.3,
                                           omega_grid=grid)
         numeric = regression_spectrum(rates, 20.0, sx0=0.3, omega_grid=grid)
         assert numeric.params["kernel_dim"] == 2
-        assert exact.zero_width_weight == 0.0
-        assert numeric.zero_width_weight == pytest.approx(0.16, abs=1e-9)
-        assert driven_steady_state(rates, 20.0, HALF_PI, sx0=0.3).sx == 0.0
+        for result in (exact, numeric):
+            assert result.zero_width_weight == pytest.approx(0.16, abs=1e-9)
+        peak = np.abs(exact.incoherent).max()
+        assert np.abs(exact.incoherent - numeric.incoherent).max() <= 1e-9 * peak
+        assert driven_steady_state(rates, 20.0, HALF_PI, sx0=0.3).sx == 0.3
         lv = build_liouvillian(rates, omega=20.0, laser_on=True)
         rho0 = bloch_to_rho(BlochVector(0.3, 0.0, 0.0))
         assert rho_to_bloch(stationary_state(lv, rho0=rho0)).sx == \
             pytest.approx(0.3, abs=1e-9)
+
+    @given(g1=st.floats(0.01, 50.0), exponent=st.floats(-7.0, -3.0),
+           sign=st.sampled_from([-1.0, 1.0]), nbar=nbars,
+           omega=st.floats(0.3, 300.0),
+           sx0=st.floats(-0.5, 0.5, exclude_min=True, exclude_max=True))
+    @settings(max_examples=150, deadline=None)
+    def test_property_one_rule_across_rate_floor(self, g1, exponent, sign,
+                                                 nbar, omega, sx0):
+        rates = reservoir_rates(g1, g1 * (1.0 + sign * 10.0 ** exponent), nbar,
+                                phi1=HALF_PI, phi2=HALF_PI)
+        # Each engine rounds the rate its own way (the SVD to ~eps*|L|), so
+        # a draw within 1e-3 of the floor could fall on either side of it.
+        reduced = rates.gamma_s + rates.gamma_n - 2.0 * rates.gamma_m
+        floor = RATE_FLOOR * 2.0 * (rates.gamma_s + rates.gamma_n)
+        assume(abs(reduced - floor) > 1e-3 * floor)
+        lv = build_liouvillian(rates, omega=omega, laser_on=True)
+        locked = damping_triple(rates, HALF_PI).gamma_x == 0.0
+        assert locked == (kernel_projector(lv)[1] == 2)
+        rho = stationary_state(lv, rho0=bloch_to_rho(BlochVector(sx0, 0.0, 0.0)))
+        if locked:  # <Sx> = Re rho_eg, read without the sphere check (below)
+            assert rho[0, 1].real == pytest.approx(sx0, abs=1e-9)
+
+    def test_locked_half_coherence_leaves_sphere(self):
+        # Known defect, left open: inside the locked band sx stays at
+        # sx0 = 1/2 while d = gamma_s - gamma_n != 0 still drives sy and sz,
+        # so the steady vector lies outside the Bloch sphere.  Both steady
+        # engines and the exact spectrum raise; the oracle's spectrum
+        # returns a negative zero-width weight.
+        rates = reservoir_rates(1.0, 1.0 + 3e-5, 0.5, phi1=HALF_PI, phi2=HALF_PI)
+        assert damping_triple(rates, HALF_PI).gamma_x == 0.0
+        grid = np.linspace(-40.0, 40.0, 11)
+        lv = build_liouvillian(rates, omega=20.0, laser_on=True)
+        rho0 = bloch_to_rho(BlochVector(0.5, 0.0, 0.0))
+        for solve in (
+                lambda: driven_steady_state(rates, 20.0, HALF_PI, sx0=0.5),
+                lambda: rho_to_bloch(stationary_state(lv, rho0=rho0)),
+                lambda: exact_incoherent_spectrum(rates, 20.0, HALF_PI, sx0=0.5,
+                                                  omega_grid=grid)):
+            with pytest.raises(ValueError, match="unphysical Bloch vector"):
+                solve()
+        numeric = regression_spectrum(rates, 20.0, sx0=0.5, omega_grid=grid)
+        assert numeric.zero_width_weight < 0.0
