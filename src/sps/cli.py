@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import ast
 import contextlib
+import gc
 import math
 import operator
 import os
@@ -665,8 +666,9 @@ SUBCOMMANDS = tuple(_COMMANDS)
 def run_subcommand(name, cfg, fig=None):
     """Execute one subcommand; returns the process exit status.
 
-    The output directories it creates are removed again if a config error
-    escapes, so that such a run leaves nothing behind.
+    The output directories it creates are removed again if an error
+    escapes, as long as they are empty, so that a run that fails before
+    writing leaves nothing behind.
     """
     if name not in _COMMANDS:
         raise ConfigError(f"unknown subcommand {name!r}")
@@ -679,7 +681,7 @@ def run_subcommand(name, cfg, fig=None):
     try:
         return _COMMANDS[name](cfg, cfg.out,
                                *([fig] if name == "figure" else []))
-    except ConfigError:
+    except BaseException:
         for path in created:  # innermost first; os.rmdir keeps a non-empty one
             with contextlib.suppress(OSError):
                 os.rmdir(path)
@@ -715,11 +717,24 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"sps: config error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError, MemoryError) as exc:
         print(f"sps: error: {exc}", file=sys.stderr)
         return 1
     return status
 
 
+def run(argv=None):
+    """Process entry of ``sps``: :func:`main` after :func:`gc.freeze`.
+
+    The objects the imports made live until the process exits; frozen, no
+    collection walks them again, the one at interpreter exit included.
+    Objects made later are collected as usual.  :func:`main` and ``import
+    sps`` leave the collector alone, since tests and library code call
+    them inside a longer-lived process.
+    """
+    gc.freeze()
+    return main(argv)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -20,19 +20,15 @@ rho_ge, rho_gg), so the superoperator of rho -> A rho B is kron(A, B.T).
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .bloch import BlochVector
-from .reservoir import RATE_FLOOR, REGIME_ORDINARY, map_to_squeezing
+from .reservoir import RATE_FLOOR
 from .spectrum import SpectrumResult
 
 # Dot operators in the {|e>, |g>} basis.
 SP = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)   # S+ = |e><g|
 SM = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)   # S- = |g><e|
-SX = 0.5 * (SP + SM)
-SY = 0.5j * (SM - SP)
 SZ = np.array([[0.5, 0.0], [0.0, -0.5]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
 
@@ -140,42 +136,6 @@ def build_liouvillian(rates, *, omega=0.0, laser_on=False):
     if laser_on and omega != 0.0:
         lv = lv + hamiltonian_superop(0.5 * omega * (SP + SM))
     return lv
-
-
-def build_liouvillian_decomposed(rates):
-    """Reservoir Liouvillian as maximally-squeezed jump + thermal background.
-
-    gamma*(D[Y] + Nb*D[S-] + Nb*D[S+]) with the squeezed jump operator
-    Y = sqrt(Ns+1) S- e^{-i phi} - sqrt(Ns) S+ e^{i phi}.  Valid in the
-    ordinary regime (gamma_2 > gamma_1) only; equals
-    ``reservoir_liouvillian`` as a matrix.
-    """
-    desc = map_to_squeezing(rates)
-    if desc.regime != REGIME_ORDINARY:
-        raise ValueError(
-            f"decomposition requires the ordinary regime (gamma2 > gamma1), "
-            f"got {desc.regime}")
-    phi = rates.phi
-    jump = (math.sqrt(desc.n_squeezed + 1.0) * np.exp(-1j * phi) * SM
-            - math.sqrt(desc.n_squeezed) * np.exp(1j * phi) * SP)
-    return desc.gamma_eff * (dissipator(jump)
-                             + desc.n_background * dissipator(SM)
-                             + desc.n_background * dissipator(SP))
-
-
-def build_qnd_liouvillian(gamma0, nbar, phi):
-    """Quadrature-coupling (QND) form of the perfect-regime reservoir.
-
-    4*(2*nbar+1)*gamma0 * (2 S_phi . S_phi - S_phi^2 . - . S_phi^2) with
-    S_phi = Sx sin(phi) + Sy cos(phi).  Equals ``reservoir_liouvillian`` for
-    gamma_1 = gamma_2 = gamma0 as a matrix; only S_phi couples to the bath,
-    so <S_phi> is conserved.
-    """
-    s_phi = SX * math.sin(phi) + SY * math.cos(phi)
-    s_phi2 = s_phi @ s_phi
-    rate = 4.0 * (2.0 * nbar + 1.0) * gamma0
-    return rate * (2.0 * sandwich(s_phi, s_phi)
-                   - sandwich(s_phi2, I2) - sandwich(I2, s_phi2))
 
 
 def kernel_projector(liouvillian):

@@ -21,8 +21,6 @@ from sps.bloch import (
 from sps.cli import parse_config, run_subcommand
 from sps.oracle import (
     build_liouvillian,
-    build_liouvillian_decomposed,
-    build_qnd_liouvillian,
     regression_spectrum,
     reservoir_liouvillian,
 )
@@ -42,6 +40,8 @@ from sps.spectrum import (
 )
 
 from correlation import fluctuation_correlation
+from liouvillian_forms import build_liouvillian_decomposed, \
+    build_qnd_liouvillian
 
 HALF_PI = math.pi / 2.0
 PRESETS = Path(__file__).resolve().parent.parent / "presets"

@@ -1,6 +1,9 @@
 """CLI: config parsing, subcommand outputs, dual-engine comparisons,
 determinism of the figure datasets."""
 
+import ast
+import gc
+import importlib
 import math
 import os
 import re
@@ -660,7 +663,7 @@ class TestSubcommands:
         assert run_cli([*command, "--config", tmp_path / "cfg",
                         "--out", out]) == 1
         assert "undamped dot" in capsys.readouterr().err
-        assert os.listdir(out) == []
+        assert os.listdir(tmp_path) == ["cfg"]  # nor its output directory
 
     @pytest.mark.parametrize("command", ["steady", "spectrum", "decay"])
     @pytest.mark.parametrize("gamma2", ["1.0000001", "1.00001"])
@@ -717,6 +720,21 @@ class TestSubcommands:
         assert run_cli(["spectrum", "--config", tmp_path / "cfg",
                         "--out", out]) == 2
         assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("command,key", [
+        (["decay"], "t_points = 1e15\n"),
+        (["sweep"], "sweep_param = nbar\nsweep_stop = 1\n"
+                    "sweep_points = 1e15\n"),
+    ], ids=["decay-t_points", "sweep-sweep_points"])
+    def test_grid_too_large_to_allocate_is_one_error_line(
+            self, tmp_path, capsys, command, key):
+        # An 8 PB grid fails at its allocation, before any memory is touched.
+        (tmp_path / "cfg").write_text(MINIMAL_DIRECT + key)
+        assert run_cli([*command, "--config", tmp_path / "cfg",
+                        "--out", tmp_path / "out" / "nested"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("sps: error: ") and err.count("\n") == 1, err
+        assert os.listdir(tmp_path) == ["cfg"]
 
     def test_unknown_figure_rejected(self, tmp_path):
         code = run_cli(["figure", "fig3", "--config", PRESETS / "fig5.cfg",
@@ -853,6 +871,16 @@ class TestFigureDeterminism:
         assert len(lines) == 1 + 201 * 201
 
 
+def run_python(source, *args):
+    """Run ``source`` in a fresh interpreter that imports this ``sps``."""
+    src = str(Path(sps.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, "-c", source, *map(str, args)],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
 #: Runs in a fresh interpreter; argv[1] is a direct-mode config, argv[2] a
 #: physical-mode one and argv[3] the output dir.
 IMPORT_PROBE = """
@@ -901,17 +929,65 @@ class TestImportCost:
         direct, physical = tmp_path / "direct.cfg", tmp_path / "physical.cfg"
         direct.write_text(MINIMAL_DIRECT + "engine = both\nsx0 = 0.3\n")
         physical.write_text(PHYSICAL_THERMAL)
-        src = str(Path(sps.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + [p for p in [env.get("PYTHONPATH")] if p])
-        proc = subprocess.run(
-            [sys.executable, "-c", IMPORT_PROBE, str(direct), str(physical),
-             str(tmp_path)],
-            env=env, capture_output=True, text=True, timeout=120)
+        proc = run_python(IMPORT_PROBE, direct, physical, tmp_path)
         assert proc.returncode == 0, proc.stderr
         for name in ("steady", "spectrum"):
             meta = (tmp_path / f"{name}_compare.meta").read_text()
             assert "status=pass" in meta
         meta = (tmp_path / "rates.meta").read_text()
         assert "mode=physical" in meta and "include_B=true" in meta
+
+
+#: Runs in a fresh interpreter: ``import sps`` and ``import sps.cli`` leave
+#: the collector alone, then the process entry runs argv[1:]; prints the
+#: (enabled, frozen count) states before the imports, after them and after
+#: the entry, and exits with the entry's status.
+ENTRY_PROBE = """
+import gc
+import sys
+
+states = [(gc.isenabled(), gc.get_freeze_count())]
+import sps
+import sps.cli
+states.append((gc.isenabled(), gc.get_freeze_count()))
+status = sps.cli.run(sys.argv[1:])
+states.append((gc.isenabled(), gc.get_freeze_count()))
+print(states)
+sys.exit(status)
+"""
+
+
+def _tree_bytes(directory):
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
+class TestProcessEntry:
+    ARGV = ["spectrum", "--config", PRESETS / "spectrum_locked.cfg",
+            "--engine", "both"]
+
+    def test_main_leaves_the_collector_alone(self, tmp_path):
+        before = gc.isenabled(), gc.get_freeze_count()
+        assert run_cli([*self.ARGV, "--out", tmp_path]) == 0
+        assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+    def test_entry_freezes_the_import_heap_and_matches_main(self, tmp_path):
+        proc = run_python(ENTRY_PROBE, *self.ARGV, "--out", tmp_path / "entry")
+        status = run_cli([*self.ARGV, "--out", tmp_path / "main"])
+        assert proc.returncode == status == 0, proc.stderr
+        before, imported, after = ast.literal_eval(proc.stdout)
+        assert imported == before and before[0]
+        assert after[0] and after[1] > 0
+        assert _tree_bytes(tmp_path / "entry") == _tree_bytes(tmp_path / "main")
+
+    def test_console_script_is_the_main_block_entry(self):
+        tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+        with open(ROOT / "pyproject.toml", "rb") as handle:
+            target = tomllib.load(handle)["project"]["scripts"]["sps"]
+        module, _, name = target.partition(":")
+        entry = getattr(importlib.import_module(module), name)
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        main_block, = [node for node in tree.body if isinstance(node, ast.If)
+                       and ast.unparse(node.test) == "__name__ == '__main__'"]
+        call = main_block.body[0].value  # sys.exit(<entry>())
+        assert ast.unparse(call.func) == "sys.exit" and not call.args[0].args
+        assert entry is getattr(cli, call.args[0].func.id)

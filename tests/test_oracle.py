@@ -15,14 +15,10 @@ from sps.bloch import BlochVector, damping_triple, driven_evolution, \
 from sps.oracle import (
     SM,
     SP,
-    SX,
-    SY,
     DegenerateSteadyStateError,
     PropagationError,
     bloch_to_rho,
     build_liouvillian,
-    build_liouvillian_decomposed,
-    build_qnd_liouvillian,
     kernel_projector,
     propagate,
     regression_spectrum,
@@ -36,6 +32,8 @@ from sps.reservoir import RATE_FLOOR, reservoir_rates
 from sps.spectrum import exact_incoherent_spectrum, sum_rule
 
 from correlation import fluctuation_correlation
+from liouvillian_forms import SX, SY, build_liouvillian_decomposed, \
+    build_qnd_liouvillian
 
 HALF_PI = math.pi / 2.0
 RNG = np.random.default_rng(20240817)
