@@ -17,12 +17,13 @@ from __future__ import annotations
 import argparse
 import ast
 import contextlib
+import functools
 import gc
 import math
 import operator
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -31,8 +32,8 @@ from .bloch import BlochVector, _check_phi_choice, _decay_rates, \
     dressed_populations, driven_steady_state, free_evolution
 from .physparams import DriveConfig, PhononBathSpec, displacement_factor, \
     phonon_rate
-from .reservoir import figure3_dataset, figure4_dataset, map_to_squeezing, \
-    quantum_threshold, reservoir_rates
+from .reservoir import _check_rule, _declare, figure3_dataset, \
+    figure4_dataset, map_to_squeezing, quantum_threshold, reservoir_rates
 from .spectrum import DEFAULT_OMEGA_POINTS, default_omega_grid, \
     exact_incoherent_spectrum, figure5_dataset, sum_rule
 
@@ -63,30 +64,27 @@ _SWEEP_PARAMS = ("gamma1", "gamma2", "nbar", "phi", "Omega", "sx0")
 _SWEEP_QUANTITIES = ("steady", "squeezing")
 
 
-def _key(default, rule=None, name=None):
-    """A [run] key, declared on its RunConfig field: the field's default,
-    its rule (a range such as ``">= 1"`` or a tuple of allowed values) and
-    its config name where that differs from the field's.  The key's type
-    is the field's annotation."""
-    return field(default=default, metadata={"rule": rule, "name": name})
+#: A [run] key, declared on its RunConfig field (see reservoir._declare).
+_key = functools.partial(_declare, section="run")
 
 
-@dataclass
+@dataclass(kw_only=True)
 class RunConfig:
     """Validated configuration for one CLI invocation.
 
-    A length or width of 0 selects its automatic value, a grid needs a
-    point, and the fig3/fig4 ratios gamma2/gamma1 lie in (1, ratio_max].
+    Its fields declare the [rates] and [run] config keys and [drive]'s
+    include_B.  A length or width of 0 selects its automatic value.
     """
 
     mode: str                      # "physical" or "direct"
     bath: PhononBathSpec | None = None
     drive: DriveConfig | None = None
-    include_b: bool = False
-    gamma1: float = 0.0
-    gamma2: float = 0.0
-    nbar: float = 0.0
-    phi: float = 0.0
+    include_b: bool = _declare(False, name="include_B", section="drive")
+    # The direct-rate mode's rates; the physical mode computes its own.
+    gamma1: float | None = _declare(rule=">= 0", section="rates")
+    gamma2: float | None = _declare(rule=">= 0", section="rates")
+    nbar: float = _declare(0.0, ">= 0", section="rates")
+    phi: float = _declare(0.0, section="rates")
     engine: str = _key("analytic", ENGINES)
     out: str = _key(".")
     gamma_rad: float = _key(0.0, ">= 0", name="Gamma")
@@ -125,34 +123,18 @@ class RunConfig:
                                gamma_rad=self.gamma_rad)
 
 
-#: [run] key -> its RunConfig field.
-_RUN_KEYS = {f.metadata["name"] or f.name: f for f in fields(RunConfig)
-             if "rule" in f.metadata}
+def _config_keys(*classes):
+    """Section -> config key -> the field of ``classes`` that declares it."""
+    table = {}
+    for cls in classes:
+        for f in fields(cls):
+            if f.metadata.get("section"):
+                table.setdefault(f.metadata["section"], {})[
+                    f.metadata["name"] or f.name] = f
+    return table
 
-# Section -> key -> type ("float", "int", "bool", "str").
-_SCHEMA = {
-    "bath": {
-        "alpha": "float", "omega_c": "float",
-        "temperature": "float", "nbar": "float",
-    },
-    "drive": {
-        "omega1": "float", "omega2": "float",
-        "phi1": "float", "phi2": "float", "detuning": "float",
-        "include_B": "bool",
-    },
-    "rates": {
-        "gamma1": "float", "gamma2": "float", "nbar": "float", "phi": "float",
-    },
-    "run": {key: f.type for key, f in _RUN_KEYS.items()},
-}
-#: Section -> key -> its rule, for the sections whose keys have rules.
-_RULES = {
-    "bath": dict(alpha=">= 0", omega_c="> 0", temperature=">= 0", nbar=">= 0"),
-    "drive": dict(omega1=">= 0", omega2=">= 0", detuning="> 0"),
-    "rates": dict.fromkeys(("gamma1", "gamma2", "nbar"), ">= 0"),
-    "run": {key: f.metadata["rule"] for key, f in _RUN_KEYS.items()},
-}
-_RELATIONS = {">=": operator.ge, ">": operator.gt}
+
+_KEYS = _config_keys(PhononBathSpec, DriveConfig, RunConfig)
 
 
 def _evaluate(node):
@@ -209,7 +191,7 @@ def parse_config(text):
             continue
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip()
-            if name not in _SCHEMA:
+            if name not in _KEYS:
                 raise ConfigError(f"unknown section [{name}]", lineno)
             if name in sections:
                 raise ConfigError(f"duplicate section [{name}]", lineno)
@@ -222,73 +204,59 @@ def parse_config(text):
             raise ConfigError("key outside of any section", lineno)
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _SCHEMA[current]:
+        declared = _KEYS[current].get(key)
+        if declared is None:
             raise ConfigError(f"unknown key {key!r} in section [{current}]", lineno)
         if key in sections[current]:
             raise ConfigError(f"duplicate key {key!r} in section [{current}]", lineno)
-        parsed = _parse_value(_SCHEMA[current][key], value, lineno)
-        rule = _RULES.get(current, {}).get(key)
-        if isinstance(rule, tuple) and parsed not in rule:
-            raise ConfigError(f"{key} must be one of {rule}, got {value!r}",
+        parsed = _parse_value(declared.type.removesuffix(" | None"), value,
                               lineno)
-        if isinstance(rule, str):
-            relation, bound = rule.split()
-            if not _RELATIONS[relation](parsed, float(bound)):
-                raise ConfigError(f"{key} must be {rule}, got {value!r}", lineno)
+        try:
+            _check_rule(key, declared.metadata["rule"], parsed, repr(value))
+        except ValueError as exc:
+            raise ConfigError(str(exc), lineno) from None
         sections[current][key] = parsed
 
     return _build_config(sections)
 
 
-def _require(section, key, sections):
-    try:
-        return sections[section][key]
-    except KeyError:
-        raise ConfigError(f"missing required key {key!r} in section [{section}]") from None
+def _take(cls, values):
+    """Construct dataclass ``cls`` from the entries of ``values`` (field
+    name -> value) that name its fields, removing them from ``values``."""
+    return cls(**{f.name: values.pop(f.name) for f in fields(cls)
+                  if f.name in values})
 
 
 def _build_config(sections):
     has_bath = "bath" in sections
-    has_rates = "rates" in sections
-    if has_bath == has_rates:
+    if has_bath == ("rates" in sections):
         raise ConfigError(
             "exactly one of [bath]+[drive] (physical mode) or [rates] "
             "(direct-rate mode) must be present")
+    if has_bath and "drive" not in sections:
+        raise ConfigError("physical mode needs a [drive] section")
+    if not has_bath and "drive" in sections:
+        raise ConfigError("[drive] requires the physical mode ([bath])")
+    if has_bath and (("temperature" in sections["bath"])
+                     == ("nbar" in sections["bath"])):
+        raise ConfigError(
+            "section [bath] needs exactly one of temperature / nbar")
 
-    run = sections.get("run", {})
-    cfg = RunConfig(mode="physical" if has_bath else "direct")
-
+    values = {}  # field name -> value
+    for section, declared in _KEYS.items():
+        if section not in sections:
+            continue
+        for key, f in declared.items():
+            if key in sections[section]:
+                values[f.name] = sections[section][key]
+            elif f.default is MISSING:
+                raise ConfigError(
+                    f"missing required key {key!r} in section [{section}]")
     if has_bath:
-        if "drive" not in sections:
-            raise ConfigError("physical mode needs a [drive] section")
-        bath_keys = sections["bath"]
-        if ("temperature" in bath_keys) == ("nbar" in bath_keys):
-            raise ConfigError(
-                "section [bath] needs exactly one of temperature / nbar")
-        cfg.bath = PhononBathSpec(
-            alpha=_require("bath", "alpha", sections),
-            omega_c=_require("bath", "omega_c", sections),
-            temperature=bath_keys.get("temperature"),
-            nbar_override=bath_keys.get("nbar"))
-        drive_keys = sections["drive"]
-        cfg.drive = DriveConfig(
-            omega1_rabi=_require("drive", "omega1", sections),
-            omega2_rabi=_require("drive", "omega2", sections),
-            phi1=drive_keys.get("phi1", 0.0),
-            phi2=drive_keys.get("phi2", 0.0),
-            detuning=_require("drive", "detuning", sections))
-        cfg.include_b = sections["drive"].get("include_B", False)
-        cfg.phi = cfg.drive.phi
-    else:
-        if "drive" in sections:
-            raise ConfigError("[drive] requires the physical mode ([bath])")
-        cfg.gamma1 = _require("rates", "gamma1", sections)
-        cfg.gamma2 = _require("rates", "gamma2", sections)
-        cfg.nbar = sections["rates"].get("nbar", 0.0)
-        cfg.phi = sections["rates"].get("phi", 0.0)
-
-    for key, value in run.items():
-        setattr(cfg, _RUN_KEYS[key].name, value)
+        bath, drive = _take(PhononBathSpec, values), _take(DriveConfig, values)
+        values.update(bath=bath, drive=drive, gamma1=None, gamma2=None,
+                      phi=drive.phi)
+    cfg = RunConfig(mode="physical" if has_bath else "direct", **values)
     if (cfg.sweep_param == "phi" and cfg.sweep_quantity == "steady"
             and cfg.sweep_points >= 2):
         _phi_choice(np.linspace(cfg.sweep_start, cfg.sweep_stop,

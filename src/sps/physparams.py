@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .reservoir import _check_fields, _declare
+
 HBAR = 1.054571817e-34  # J s, CODATA 2018
 KB = 1.380649e-23       # J/K, exact
 
@@ -59,25 +61,21 @@ class PhononBathSpec:
     nbar_override : float, optional
         Fixed mode occupation used instead of the thermal one.  Exactly one
         of ``temperature`` / ``nbar_override`` must be given.
+
+    Each field declares its range and its ``[bath]`` config key.
     """
 
-    alpha: float
-    omega_c: float
-    temperature: float | None = None
-    nbar_override: float | None = None
+    alpha: float = _declare(rule=">= 0", section="bath")
+    omega_c: float = _declare(rule="> 0", section="bath")
+    temperature: float | None = _declare(None, ">= 0", section="bath")
+    nbar_override: float | None = _declare(None, ">= 0", name="nbar",
+                                           section="bath")
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-        if self.omega_c <= 0:
-            raise ValueError(f"omega_c must be > 0, got {self.omega_c}")
+        _check_fields(self)
         if (self.temperature is None) == (self.nbar_override is None):
             raise ValueError(
                 "exactly one of temperature / nbar_override must be given")
-        if self.temperature is not None and self.temperature < 0:
-            raise ValueError(f"temperature must be >= 0, got {self.temperature}")
-        if self.nbar_override is not None and self.nbar_override < 0:
-            raise ValueError(f"nbar_override must be >= 0, got {self.nbar_override}")
 
     def occupation(self, omega):
         """Mean phonon number of the mode at ``omega`` (GHz)."""
@@ -86,25 +84,23 @@ class PhononBathSpec:
         return thermal_occupation(omega, self.temperature)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class DriveConfig:
     """Bichromatic drive: two tones at detunings +-Delta.
 
     Rabi frequencies and the detuning are in GHz, phases in radians.  The
-    squeezing phase of the engineered reservoir is (phi1 + phi2)/2.
+    squeezing phase of the engineered reservoir is (phi1 + phi2)/2.  Each
+    field declares its range and its ``[drive]`` config key.
     """
 
-    omega1_rabi: float
-    omega2_rabi: float
-    phi1: float = 0.0
-    phi2: float = 0.0
-    detuning: float = 0.0
+    omega1_rabi: float = _declare(rule=">= 0", name="omega1", section="drive")
+    omega2_rabi: float = _declare(rule=">= 0", name="omega2", section="drive")
+    phi1: float = _declare(0.0, section="drive")
+    phi2: float = _declare(0.0, section="drive")
+    detuning: float = _declare(rule="> 0", section="drive")
 
     def __post_init__(self):
-        if self.omega1_rabi < 0 or self.omega2_rabi < 0:
-            raise ValueError("Rabi frequencies must be >= 0")
-        if self.detuning <= 0:
-            raise ValueError(f"detuning must be > 0, got {self.detuning}")
+        _check_fields(self)
 
     @property
     def two_phi(self):
@@ -220,9 +216,7 @@ def phonon_rate(i, drive, bath, include_b=False):
         omega_rabi = drive.omega2_rabi
     else:
         raise ValueError(f"tone index must be 1 or 2, got {i}")
-    delta = drive.detuning
-    if delta <= 0:
-        raise ValueError(f"detuning must be > 0, got {delta}")
+    delta = drive.detuning  # > 0, as DriveConfig declares
 
     j_peak = spectral_density(bath.omega_c * math.sqrt(1.5), bath)
     if j_peak > 0 and spectral_density(delta, bath) / j_peak < 1e-6:

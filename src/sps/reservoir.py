@@ -12,7 +12,8 @@ maximally squeezed (Ns) and thermal background (Nb) phonons.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -29,9 +30,48 @@ RATE_FLOOR = 1e-10
 _IDENTITY_RTOL = 1e-12
 
 
+#: The relations a declared range may use.
+_RELATIONS = {">=": operator.ge, ">": operator.gt}
+
+
 def _scalar(value):
     """A 0-d result as a Python scalar; arrays pass through unchanged."""
     return np.asarray(value).item() if np.ndim(value) == 0 else value
+
+
+def _declare(default=MISSING, rule=None, name=None, section=None):
+    """A dataclass field that declares the rule of its value: a range such
+    as ``">= 0"`` or a tuple of allowed values.  A config key is declared
+    on its field too: ``section`` is its config section and ``name`` its
+    config name where that differs from the field's; it is required where
+    the field has no default, and its type is the field's annotation."""
+    return field(default=default,
+                 metadata={"rule": rule, "name": name, "section": section})
+
+
+def _check_rule(name, rule, value, got=None):
+    """Raise ValueError ``"<name> must be <rule>, got <got>"`` unless
+    ``value`` meets ``rule`` (every element of an array, and NaN never
+    does); ``got`` is what the message shows, ``value`` unless given."""
+    if rule is None:
+        return
+    if isinstance(rule, tuple):
+        ok, rule = value in rule, f"one of {rule}"
+    else:
+        relation, bound = rule.split()
+        ok = np.all(_RELATIONS[relation](value, float(bound)))
+    if not ok:
+        raise ValueError(
+            f"{name} must be {rule}, got {value if got is None else got}")
+
+
+def _check_fields(instance):
+    """Check each field of dataclass ``instance`` that is not None against
+    the rule declared on it, in declaration order."""
+    for f in fields(instance):
+        value = getattr(instance, f.name)
+        if value is not None:
+            _check_rule(f.name, f.metadata.get("rule"), value)
 
 
 @dataclass(frozen=True)
@@ -40,25 +80,23 @@ class ReservoirRates:
 
     gamma_s, gamma_n, gamma_m are in GHz, phi is the squeezing phase in
     radians, gamma_rad the radiative rate of the dot outside the engineered
-    reservoir.  The constructor enforces the exact determinant identity
+    reservoir.  The constructor checks the inputs (gamma1, gamma2, nbar,
+    gamma_rad), then the triple, against their declared ranges, and
+    enforces the exact determinant identity
     gamma_s*gamma_n - gamma_m**2 = nbar*(nbar+1)*(gamma1-gamma2)**2.
     """
 
-    gamma_s: float
-    gamma_n: float
-    gamma_m: float
+    gamma1: float = _declare(rule=">= 0")
+    gamma2: float = _declare(rule=">= 0")
+    nbar: float = _declare(rule=">= 0")
+    gamma_rad: float = _declare(rule=">= 0")
+    gamma_s: float = _declare(rule=">= 0")
+    gamma_n: float = _declare(rule=">= 0")
+    gamma_m: float = _declare(rule=">= 0")
     phi: float
-    gamma_rad: float
-    gamma1: float
-    gamma2: float
-    nbar: float
 
     def __post_init__(self):
-        for name in ("gamma_s", "gamma_n", "gamma_m", "gamma_rad",
-                     "gamma1", "gamma2", "nbar"):
-            value = getattr(self, name)
-            if not np.all(value >= 0):  # written so that NaN fails too
-                raise ValueError(f"{name} must be >= 0, got {value}")
+        _check_fields(self)
         lhs = self.gamma_s * self.gamma_n - self.gamma_m * self.gamma_m
         diff = self.gamma1 - self.gamma2
         rhs = self.nbar * (self.nbar + 1.0) * (diff * diff)
@@ -105,22 +143,20 @@ def reservoir_rates(gamma1, gamma2, nbar, phi1=0.0, phi2=0.0, gamma_rad=0.0):
     phi     = (phi1 + phi2)/2, with 2*phi reduced to [0, 2*pi)
 
     Array arguments broadcast together into array fields; scalar arguments
-    give Python floats.
+    give Python floats.  An input out of the range that ReservoirRates
+    declares for it raises ValueError.
     """
     gamma1, gamma2, nbar, phi1, phi2, gamma_rad = np.broadcast_arrays(
         *(np.asarray(x, dtype=float)
           for x in (gamma1, gamma2, nbar, phi1, phi2, gamma_rad)))
-    inputs = {"gamma1": gamma1, "gamma2": gamma2, "nbar": nbar,
-              "gamma_rad": gamma_rad}
-    for name, value in inputs.items():
-        if not np.all(value >= 0):
-            raise ValueError(f"{name} must be >= 0, got {_scalar(value)}")
-    fields = dict(inputs,
+    with np.errstate(invalid="ignore"):  # a negative rate fails its check
+        gamma_m = (2.0 * nbar + 1.0) * np.sqrt(gamma1 * gamma2)
+    values = dict(gamma1=gamma1, gamma2=gamma2, nbar=nbar, gamma_rad=gamma_rad,
                   gamma_s=gamma1 * nbar + gamma2 * (nbar + 1.0),
                   gamma_n=gamma1 * (nbar + 1.0) + gamma2 * nbar,
-                  gamma_m=(2.0 * nbar + 1.0) * np.sqrt(gamma1 * gamma2),
+                  gamma_m=gamma_m,
                   phi=((phi1 + phi2) % (2.0 * math.pi)) / 2.0)
-    return ReservoirRates(**{k: _scalar(v) for k, v in fields.items()})
+    return ReservoirRates(**{k: _scalar(v) for k, v in values.items()})
 
 
 def map_to_squeezing(rates):
@@ -152,7 +188,7 @@ def map_to_squeezing(rates):
         n_background = (2.0 * nbar + 1.0) * w - root
         quantum = m_abs > n_photons
 
-    fields = {
+    values = {
         "regime": np.where(perfect, REGIME_PERFECT, np.where(
             ordinary, REGIME_ORDINARY, REGIME_INVERTED)),
         "gamma_eff": np.where(perfect, 0.0, gamma_eff),
@@ -162,7 +198,7 @@ def map_to_squeezing(rates):
         "n_background": np.where(perfect, 0.0, np.maximum(n_background, 0.0)),
         "quantum": perfect | quantum,
     }
-    return SqueezingDescriptor(**{k: _scalar(v) for k, v in fields.items()})
+    return SqueezingDescriptor(**{k: _scalar(v) for k, v in values.items()})
 
 
 def quantum_threshold(gamma1, gamma2):

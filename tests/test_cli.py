@@ -2,6 +2,7 @@
 determinism of the figure datasets."""
 
 import ast
+import dataclasses
 import gc
 import importlib
 import math
@@ -10,7 +11,6 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +31,7 @@ from sps.cli import (
     run_subcommand,
     write_csv,
 )
+from sps.reservoir import reservoir_rates
 
 ROOT = Path(__file__).resolve().parent.parent
 PRESETS = ROOT / "presets"
@@ -45,6 +46,14 @@ phi = pi/2
 [run]
 Omega = 20
 """
+
+
+def _declared(key, rule):
+    """A config key with its declared rule, as the README's config table
+    shows it."""
+    if isinstance(rule, tuple):
+        return f"{key} ∈ {{{', '.join(rule)}}}"
+    return f"{key} {rule}" if rule else key
 
 
 class TestParseConfig:
@@ -271,12 +280,75 @@ class TestParseConfig:
             "sps: config error: line 10: expected a non-empty string, got ''\n")
         assert os.listdir(tmp_path) == ["cfg"]
 
-    def test_readme_lists_the_run_keys_in_declaration_order(self):
-        row, = (line for line in (ROOT / "README.md").read_text().splitlines()
-                if line.startswith("| `[run]` |"))
-        keys = [f.metadata["name"] or f.name for f in fields(cli.RunConfig)
-                if "rule" in f.metadata]
-        assert re.findall(r"`(\w+)`", row) == keys
+    def test_readme_lists_each_sections_keys_with_their_rules(self):
+        rows = {match[1]: re.findall(r"`([^`]+)`", match[2]) for match in
+                re.finditer(r"^\| `\[(\w+)\]` \|(.*)$",
+                            (ROOT / "README.md").read_text(), flags=re.M)}
+        assert rows == {
+            section: [_declared(key, f.metadata["rule"])
+                      for key, f in declared.items()]
+            for section, declared in cli._KEYS.items()}
+
+
+#: (section, config key, field name, range) of every [bath], [drive] and
+#: [rates] key that declares a range.
+RANGED_KEYS = [(section, key, f.name, f.metadata["rule"])
+               for section in ("bath", "drive", "rates")
+               for key, f in cli._KEYS[section].items()
+               if isinstance(f.metadata["rule"], str)]
+
+
+class TestDeclaredRanges:
+    """The CLI rejects a value of a ranged key exactly when the library
+    does: ``PhononBathSpec``/``DriveConfig`` for [bath]/[drive] and
+    ``reservoir_rates`` for [rates]."""
+
+    PHYSICAL = (PRESETS / "physical.cfg").read_text()
+
+    def _library(self, section, name, value):
+        if section == "rates":
+            cfg = parse_config(MINIMAL_DIRECT)
+            rates = dict(gamma1=cfg.gamma1, gamma2=cfg.gamma2, nbar=cfg.nbar)
+            return reservoir_rates(**{**rates, name: value})
+        base = getattr(parse_config(self.PHYSICAL), section)
+        # temperature replaces the preset's nbar, its alternative.
+        other = {"nbar_override": None} if name == "temperature" else {}
+        return dataclasses.replace(base, **other, **{name: value})
+
+    def _config(self, section, key, value):
+        """The config with ``key = value`` and the line it is on."""
+        base = MINIMAL_DIRECT if section == "rates" else self.PHYSICAL
+        target = "nbar" if key == "temperature" else key
+        text, count = re.subn(rf"^{target} = .*$", f"{key} = {value!r}", base,
+                              flags=re.M)
+        assert count == 1
+        line, = (n for n, row in enumerate(text.splitlines(), start=1)
+                 if row.startswith(f"{key} = "))
+        return text, line
+
+    @pytest.mark.parametrize("section,key,name,rule", RANGED_KEYS,
+                             ids=[f"{s}.{k}" for s, k, _, _ in RANGED_KEYS])
+    @given(offset=st.floats(-1e300, -1.0))
+    @settings(max_examples=20, deadline=None)
+    def test_cli_and_library_reject_the_same_values(self, section, key, name,
+                                                    rule, offset):
+        bound = float(rule.split()[1])
+        for value in (bound, math.nextafter(bound, -math.inf),
+                      math.nextafter(bound, math.inf), bound + offset):
+            try:
+                self._library(section, name, value)
+                library_rejects = False
+            except ValueError:
+                library_rejects = True
+            text, line = self._config(section, key, value)
+            if not library_rejects:
+                parse_config(text)
+                continue
+            with pytest.raises(ConfigError) as error:
+                parse_config(text)
+            assert error.value.line == line
+            assert str(error.value) == (
+                f"line {line}: {key} must be {rule}, got {repr(value)!r}")
 
 
 def _cell_text(value):

@@ -1,5 +1,5 @@
 """The package's public names: what ``sps/__init__.py`` imports is what
-``sps.__all__`` exports."""
+``sps.__all__`` exports; and the layering of its modules."""
 
 import ast
 from pathlib import Path
@@ -15,3 +15,30 @@ def test_imports_equal_all():
                 for alias in node.names}
     assert imported == set(sps.__all__)
     assert len(sps.__all__) == len(set(sps.__all__))
+
+
+def _sps_imports(path):
+    """The names of the ``sps`` modules that the module at ``path`` imports,
+    relatively (``from .bloch import``, ``from . import oracle``) or not."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.removeprefix("sps.") for alias in node.names
+                         if alias.name.startswith("sps."))
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            if module in (".", "sps"):
+                names.update(alias.name for alias in node.names)
+            elif module.startswith((".", "sps.")):
+                names.add(module.removeprefix("sps.").lstrip("."))
+    return names
+
+
+def test_layering():
+    imports = {path.stem: _sps_imports(path)
+               for path in Path(sps.__file__).parent.glob("*.py")}
+    assert {"physparams", "reservoir", "cli"} <= imports.keys()
+    assert [name for name, used in imports.items()
+            if "cli" in used and name != "cli"] == []
+    for base in ("physparams", "reservoir"):
+        assert imports[base].isdisjoint({"bloch", "spectrum", "oracle"}), base

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -66,6 +67,11 @@ class TestReservoirRates:
             reservoir_rates(math.inf, 1.0, 0.5)
         with pytest.raises(ValueError, match="nbar must be >= 0"):
             reservoir_rates(np.array([1.0, 2.0]), 1.0, np.array([0.5, -0.5]))
+        # A negative rate is named, with no warning from the sqrt it enters.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="gamma2 must be >= 0, got -1.0"):
+                reservoir_rates(1.0, -1.0, 0.5)
 
     def test_array_fields_broadcast(self):
         r = reservoir_rates(1.0, np.array([2.0, 4.0]), 0.0)
