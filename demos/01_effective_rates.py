@@ -14,7 +14,7 @@ from sps import (
     DriveConfig,
     PhononBathSpec,
     displacement_factor,
-    phonon_rate,
+    phonon_rates,
     reservoir_rates,
     spectral_density,
     thermal_occupation,
@@ -45,8 +45,8 @@ print(f"  T = 0          : {displacement_factor(bath_cold):.6f}")
 print(f"  T = 2.35 K     : {displacement_factor(bath_warm):.6f}")
 print(f"  nbar = 0.5     : {displacement_factor(bath_pinned):.6f}")
 
-gamma_bare = phonon_rate(1, drive, bath_pinned)
-gamma_dressed = phonon_rate(1, drive, bath_pinned, include_b=True)
+gamma_bare, _ = phonon_rates(drive, bath_pinned)
+gamma_dressed, _ = phonon_rates(drive, bath_pinned, include_b=True)
 print("\ndrive-induced damping rate per tone (Omega_i = 70 GHz)")
 print(f"  bare Omega_i   : gamma_i = {gamma_bare:.4f} GHz   (~4 GHz estimate)")
 print(f"  with <B>       : gamma_i = {gamma_dressed:.4f} GHz")

@@ -15,7 +15,7 @@ from .physparams import (
     PhononBathSpec,
     QuadratureError,
     displacement_factor,
-    phonon_rate,
+    phonon_rates,
     spectral_density,
     thermal_occupation,
 )
@@ -62,7 +62,7 @@ __all__ = [
     "PhononBathSpec",
     "QuadratureError",
     "displacement_factor",
-    "phonon_rate",
+    "phonon_rates",
     "spectral_density",
     "thermal_occupation",
     "REGIME_INVERTED",

@@ -105,11 +105,8 @@ def free_steady_inversion(rates):
     Positive (population inversion) exactly when gamma_n > gamma_s + Gamma/2,
     i.e. for gamma_1 sufficiently above gamma_2.
     """
-    half_rad = 0.5 * rates.gamma_rad
-    denom = 2.0 * (rates.gamma_s + rates.gamma_n + half_rad)
-    if denom == 0.0:
-        return 0.0
-    return -(rates.gamma_s - rates.gamma_n + half_rad) / denom
+    gamma_z = _decay_rates(rates)[2]
+    return -_drive_inhomogeneity(rates) / gamma_z if gamma_z else 0.0
 
 
 def free_evolution(state0, rates, t):
@@ -236,28 +233,27 @@ def driven_evolution(state0, rates, omega, phi_choice, t):
 
     <Sx> decays independently at gamma_x (or is locked when gamma_x = 0);
     the coupled (<Sy>, <Sz>) block is propagated with the exact 2x2 matrix
-    exponential about its fixed point.  Agrees with the exact propagation
-    of the full master equation to rounding accuracy.  ``t`` may be an
-    array; the rates and ``omega`` stay scalar.
+    exponential about its fixed point, :func:`driven_steady_state`.  Agrees
+    with the exact propagation of the full master equation to rounding
+    accuracy.  ``t`` may be an array; the rates and ``omega`` stay scalar.
     """
     t = _times(t)
     triple = damping_triple(rates, phi_choice)
     sx = state0.sx * np.exp(-triple.gamma_x * t)
 
     gy, gz = triple.gamma_y, triple.gamma_z
-    d = _drive_inhomogeneity(rates)
-    denom = gy * gz + omega**2
-    if denom == 0.0:
-        # omega = 0 and gamma_y = 0: <Sy> is conserved, <Sz> decays alone.
-        sz_ss = -d / gz if gz else 0.0
+    if gy * gz + omega * omega == 0.0:
+        # omega = 0 and gamma_y = 0: <Sy> is conserved, <Sz> relaxes alone
+        # to the undriven dot's inversion.
+        sz_ss = free_steady_inversion(rates)
         return _bloch(sx, state0.sy,
                       sz_ss + (state0.sz - sz_ss) * np.exp(-gz * t))
 
-    sy_ss = d * omega / denom
-    sz_ss = -d * gy / denom
+    fixed = driven_steady_state(rates, omega, phi_choice)
     e11, e12, e21, e22 = _expm2(-gy, -omega, omega, -gz, t)
-    dy, dz = state0.sy - sy_ss, state0.sz - sz_ss
-    return _bloch(sx, sy_ss + e11 * dy + e12 * dz, sz_ss + e21 * dy + e22 * dz)
+    dy, dz = state0.sy - fixed.sy, state0.sz - fixed.sz
+    return _bloch(sx, fixed.sy + e11 * dy + e12 * dz,
+                  fixed.sz + e21 * dy + e22 * dz)
 
 
 def dressed_populations(state):

@@ -23,6 +23,7 @@ import math
 import operator
 import os
 import sys
+import warnings
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
@@ -31,7 +32,7 @@ from . import oracle
 from .bloch import BlochVector, _check_phi_choice, _decay_rates, \
     dressed_populations, driven_steady_state, free_evolution
 from .physparams import DriveConfig, PhononBathSpec, displacement_factor, \
-    phonon_rate
+    phonon_rates
 from .reservoir import _check_rule, _declare, figure3_dataset, \
     figure4_dataset, map_to_squeezing, quantum_threshold, reservoir_rates
 from .spectrum import DEFAULT_OMEGA_POINTS, default_omega_grid, \
@@ -80,7 +81,8 @@ class RunConfig:
     bath: PhononBathSpec | None = None
     drive: DriveConfig | None = None
     include_b: bool = _declare(False, name="include_B", section="drive")
-    # The direct-rate mode's rates; the physical mode computes its own.
+    # The direct-rate mode's rates; the physical mode computes its own,
+    # and its phi is the drive's.
     gamma1: float | None = _declare(rule=">= 0", section="rates")
     gamma2: float | None = _declare(rule=">= 0", section="rates")
     nbar: float = _declare(0.0, ">= 0", section="rates")
@@ -111,16 +113,13 @@ class RunConfig:
 
     def resolved_rates(self):
         """Reservoir triple for this configuration (either input mode)."""
-        if self.mode == "direct":
-            return reservoir_rates(self.gamma1, self.gamma2, self.nbar,
-                                   phi1=self.phi, phi2=self.phi,
-                                   gamma_rad=self.gamma_rad)
-        gamma1 = phonon_rate(1, self.drive, self.bath, include_b=self.include_b)
-        gamma2 = phonon_rate(2, self.drive, self.bath, include_b=self.include_b)
-        nbar = self.bath.occupation(self.drive.detuning)
-        return reservoir_rates(gamma1, gamma2, nbar,
-                               phi1=self.drive.phi1, phi2=self.drive.phi2,
-                               gamma_rad=self.gamma_rad)
+        gamma1, gamma2, nbar = self.gamma1, self.gamma2, self.nbar
+        if self.mode == "physical":
+            gamma1, gamma2 = phonon_rates(self.drive, self.bath,
+                                          include_b=self.include_b)
+            nbar = self.bath.occupation(self.drive.detuning)
+        return reservoir_rates(gamma1, gamma2, nbar, phi1=self.phi,
+                               phi2=self.phi, gamma_rad=self.gamma_rad)
 
 
 def _config_keys(*classes):
@@ -692,15 +691,19 @@ def main(argv=None):
 
 
 def run(argv=None):
-    """Process entry of ``sps``: :func:`main` after :func:`gc.freeze`.
+    """Process entry of ``sps``: :func:`main` after :func:`gc.freeze`, with
+    each warning printed as one ``sps: warning:`` line.
 
     The objects the imports made live until the process exits; frozen, no
     collection walks them again, the one at interpreter exit included.
-    Objects made later are collected as usual.  :func:`main` and ``import
-    sps`` leave the collector alone, since tests and library code call
+    Objects made later are collected as usual.  A warning's line names
+    neither the install path nor a source line, so stderr does not depend
+    on where sps lives.  :func:`main` and ``import sps`` leave the collector
+    and the warning machinery alone, since tests and library code call
     them inside a longer-lived process.
     """
     gc.freeze()
+    warnings.formatwarning = lambda message, *_: f"sps: warning: {message}\n"
     return main(argv)
 
 

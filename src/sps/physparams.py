@@ -103,14 +103,9 @@ class DriveConfig:
         _check_fields(self)
 
     @property
-    def two_phi(self):
-        """Combined squeezing phase 2*phi = phi1 + phi2, reduced to [0, 2*pi)."""
-        return (self.phi1 + self.phi2) % (2.0 * math.pi)
-
-    @property
     def phi(self):
-        """Squeezing phase phi in [0, pi)."""
-        return self.two_phi / 2.0
+        """Squeezing phase phi = ((phi1 + phi2) mod 2*pi)/2 in [0, pi)."""
+        return ((self.phi1 + self.phi2) % (2.0 * math.pi)) / 2.0
 
 
 def thermal_occupation(omega, temperature):
@@ -202,20 +197,15 @@ def displacement_factor(bath):
     return math.exp(-0.5 * _displacement_exponent(bath))
 
 
-def phonon_rate(i, drive, bath, include_b=False):
-    """Drive-induced damping rate gamma_i = 2*pi * Omega_i**2 * alpha * Delta (GHz).
+def phonon_rates(drive, bath, include_b=False):
+    """Drive-induced damping rates (gamma_1, gamma_2), gamma_i = 2*pi *
+    Omega_i**2 * alpha * Delta (GHz), of the two tones at one detuning.
 
-    ``i`` selects the drive tone (1 or 2).  With ``include_b`` the Rabi
-    frequency is renormalized by the displacement factor, Omega_i -> <B>*Omega_i;
-    the default uses the bare value.  Warns when the detuning falls outside
-    the support of J (the flat-density estimate is then meaningless).
+    With ``include_b`` each Rabi frequency is renormalized by the displacement
+    factor, Omega_i -> <B>*Omega_i; the default uses the bare values.  Warns
+    once when the detuning falls outside the support of J (the flat-density
+    estimate is then meaningless).
     """
-    if i == 1:
-        omega_rabi = drive.omega1_rabi
-    elif i == 2:
-        omega_rabi = drive.omega2_rabi
-    else:
-        raise ValueError(f"tone index must be 1 or 2, got {i}")
     delta = drive.detuning  # > 0, as DriveConfig declares
 
     j_peak = spectral_density(bath.omega_c * math.sqrt(1.5), bath)
@@ -225,6 +215,6 @@ def phonon_rate(i, drive, bath, include_b=False):
             f"(cutoff {bath.omega_c} GHz); gamma_i estimate is unreliable",
             stacklevel=2)
 
-    if include_b:
-        omega_rabi = displacement_factor(bath) * omega_rabi
-    return 2.0 * math.pi * omega_rabi**2 * bath.alpha * delta
+    scale = displacement_factor(bath) if include_b else 1.0
+    return tuple(2.0 * math.pi * (scale * omega_rabi)**2 * bath.alpha * delta
+                 for omega_rabi in (drive.omega1_rabi, drive.omega2_rabi))

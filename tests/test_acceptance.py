@@ -24,7 +24,7 @@ from sps.oracle import (
     regression_spectrum,
     reservoir_liouvillian,
 )
-from sps.physparams import DriveConfig, PhononBathSpec, phonon_rate
+from sps.physparams import DriveConfig, PhononBathSpec, phonon_rates
 from sps.reservoir import (
     figure3_dataset,
     map_to_squeezing,
@@ -71,7 +71,7 @@ def test_criterion_01_rate_estimate():
     """Reference bath and drive reproduce the ~4 GHz damping estimate."""
     bath = PhononBathSpec(alpha=2.535e-7, omega_c=1500.0, nbar_override=0.5)
     drive = DriveConfig(omega1_rabi=70.0, omega2_rabi=70.0, detuning=490.0)
-    values = [phonon_rate(i, drive, bath) for i in (1, 2)]
+    values = phonon_rates(drive, bath)
     cfg = parse_config((PRESETS / "physical.cfg").read_text())
     resolved = cfg.resolved_rates()
     ok = all(abs(g - 4.0) / 4.0 < 0.05 for g in values) \

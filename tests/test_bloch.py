@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sps import oracle
@@ -21,7 +21,7 @@ from sps.bloch import (
     free_steady_inversion,
     quadrature,
 )
-from sps.reservoir import reservoir_rates
+from sps.reservoir import RATE_FLOOR, reservoir_rates
 
 HALF_PI = math.pi / 2.0
 
@@ -35,6 +35,17 @@ def bloch_states(max_radius=0.5):
             r * u * costh),
         st.floats(0.0, 1.0), st.floats(-1.0, 1.0),
         st.floats(0.0, 2.0 * math.pi), st.just(max_radius))
+
+
+#: One (gamma1, gamma2, nbar, Gamma, Omega, phi) point; gamma2 None means
+#: gamma2 = gamma1, the perfect regime.  A nonzero Omega is at least 0.01,
+#: so that the slowest rate of the driven pair stays far above rounding.
+reservoir_points = st.tuples(
+    st.floats(0.01, 30.0), st.one_of(st.none(), st.floats(0.01, 30.0)),
+    st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+    st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
+    st.one_of(st.just(0.0), st.floats(0.01, 40.0)),
+    st.sampled_from((0.0, HALF_PI)))
 
 
 class TestBlochVector:
@@ -111,6 +122,16 @@ class TestFreeEvolution:
         rates = reservoir_rates(1.0, 2.0, 0.0)
         with pytest.raises(ValueError):
             free_evolution(BlochVector(0, 0, 0), rates, -1.0)
+
+    @given(point=reservoir_points)
+    @settings(max_examples=300, deadline=None)
+    def test_steady_inversion_formula(self, point):
+        g1, g2, nbar, gamma_rad, _, _ = point
+        rates = reservoir_rates(g1, g1 if g2 is None else g2, nbar,
+                                gamma_rad=gamma_rad)
+        s, n, half_rad = rates.gamma_s, rates.gamma_n, 0.5 * rates.gamma_rad
+        assert free_steady_inversion(rates) == \
+            -(s - n + half_rad) / (2.0 * (s + n + half_rad))
 
 
 class TestDampingTriple:
@@ -363,10 +384,22 @@ class TestDrivenEvolution:
         s0 = BlochVector(0.1, -0.2, 0.3)
         assert driven_evolution(s0, self.RATES, 2.5, 0.0, 0.0) == s0
 
-    def test_long_time_reaches_steady_state(self):
-        s0 = BlochVector(0.1, -0.2, 0.3)
-        late = driven_evolution(s0, self.RATES, 2.5, 0.0, 60.0)
-        steady = driven_steady_state(self.RATES, 2.5, 0.0)
+    @given(point=reservoir_points, state=bloch_states())
+    @example(point=(2.0, 1.0, 0.3, 0.0, 2.5, 0.0),
+             state=BlochVector(0.1, -0.2, 0.3))
+    @settings(max_examples=300, deadline=None)
+    def test_long_time_reaches_steady_state(self, point, state):
+        g1, g2, nbar, gamma_rad, omega, phi = point
+        rates = reservoir_rates(g1, g1 if g2 is None else g2, nbar,
+                                gamma_rad=gamma_rad)
+        triple = damping_triple(rates, phi)
+        # Omega = 0 with a vanishing gamma_y leaves <Sy> undamped.
+        assume(omega > 0 or triple.gamma_y > RATE_FLOOR * triple.gamma_z)
+        block = -np.linalg.eigvals([[-triple.gamma_y, -omega],
+                                    [omega, -triple.gamma_z]]).real
+        slowest = min(r for r in (triple.gamma_x, *block) if r > 0)
+        late = driven_evolution(state, rates, omega, phi, 50.0 / slowest)
+        steady = driven_steady_state(rates, omega, phi, sx0=state.sx)
         assert np.allclose(late.as_array(), steady.as_array(), atol=1e-12)
 
     def test_midtime_against_oracle(self):

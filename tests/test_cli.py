@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -1038,9 +1039,12 @@ class TestProcessEntry:
             "--engine", "both"]
 
     def test_main_leaves_the_collector_alone(self, tmp_path):
-        before = gc.isenabled(), gc.get_freeze_count()
+        def state():
+            return gc.isenabled(), gc.get_freeze_count(), warnings.formatwarning
+
+        before = state()
         assert run_cli([*self.ARGV, "--out", tmp_path]) == 0
-        assert (gc.isenabled(), gc.get_freeze_count()) == before
+        assert state() == before
 
     def test_entry_freezes_the_import_heap_and_matches_main(self, tmp_path):
         proc = run_python(ENTRY_PROBE, *self.ARGV, "--out", tmp_path / "entry")
@@ -1050,6 +1054,19 @@ class TestProcessEntry:
         assert imported == before and before[0]
         assert after[0] and after[1] > 0
         assert _tree_bytes(tmp_path / "entry") == _tree_bytes(tmp_path / "main")
+
+    def test_warning_is_one_stderr_line(self, tmp_path):
+        # A detuning far beyond the cutoff warns once for both tones, as a
+        # line that names neither the install path nor a source line.
+        config = tmp_path / "far.cfg"
+        config.write_text((PRESETS / "physical.cfg").read_text().replace(
+            "detuning = 490", "detuning = 30000"))
+        proc = run_python("import sys, sps.cli; sys.exit(sps.cli.run(sys.argv[1:]))",
+                          "rates", "--config", config, "--out", tmp_path / "out")
+        assert proc.returncode == 0, proc.stderr
+        line, = proc.stderr.splitlines()
+        assert line.startswith("sps: warning: detuning 30000.0 GHz lies outside")
+        assert (tmp_path / "out" / "rates.csv").exists()
 
     def test_console_script_is_the_main_block_entry(self):
         tomllib = pytest.importorskip("tomllib")  # Python >= 3.11

@@ -2,6 +2,7 @@
 drive-induced rates."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from sps.physparams import (
     QuadratureError,
     _displacement_exponent,
     displacement_factor,
-    phonon_rate,
+    phonon_rates,
     spectral_density,
     thermal_occupation,
 )
@@ -226,49 +227,57 @@ class TestPhononRate:
     BATH = PhononBathSpec(**BATH_REF, nbar_override=0.5)
 
     def test_reference_estimate_near_4ghz(self):
-        gamma = phonon_rate(1, self.DRIVE, self.BATH)
-        assert gamma == pytest.approx(
+        gamma1, gamma2 = phonon_rates(self.DRIVE, self.BATH)
+        assert gamma1 == gamma2 == pytest.approx(
             2.0 * math.pi * 70.0**2 * 2.535e-7 * 490.0, rel=1e-15)
-        assert abs(gamma - 4.0) / 4.0 < 0.05
+        assert abs(gamma1 - 4.0) / 4.0 < 0.05
 
     def test_zero_drive(self):
         drive = DriveConfig(omega1_rabi=0.0, omega2_rabi=3.0, detuning=490.0)
-        assert phonon_rate(1, drive, self.BATH) == 0.0
+        gamma1, gamma2 = phonon_rates(drive, self.BATH)
+        assert gamma1 == 0.0 and gamma2 > 0.0
 
     def test_doubling_rabi_quadruples(self):
         drive2 = DriveConfig(omega1_rabi=140.0, omega2_rabi=70.0, detuning=490.0)
-        ratio = phonon_rate(1, drive2, self.BATH) / phonon_rate(1, self.DRIVE, self.BATH)
-        assert ratio == pytest.approx(4.0, rel=1e-12)
+        doubled, same = phonon_rates(drive2, self.BATH)
+        base = phonon_rates(self.DRIVE, self.BATH)
+        assert doubled / base[0] == pytest.approx(4.0, rel=1e-12)
+        assert same == base[1]
 
     @given(omega=st.floats(1.0, 200.0), delta=st.floats(10.0, 2000.0),
            k=st.floats(1.1, 5.0))
     @settings(max_examples=200, deadline=None)
     def test_exact_scaling_laws(self, omega, delta, k):
-        import warnings
-
         d1 = DriveConfig(omega1_rabi=omega, omega2_rabi=omega, detuning=delta)
-        dk = DriveConfig(omega1_rabi=k * omega, omega2_rabi=omega, detuning=delta)
+        dk1 = DriveConfig(omega1_rabi=k * omega, omega2_rabi=omega, detuning=delta)
+        dk2 = DriveConfig(omega1_rabi=omega, omega2_rabi=k * omega, detuning=delta)
         dd = DriveConfig(omega1_rabi=omega, omega2_rabi=omega, detuning=k * delta)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # far-detuning advisories
-            base = phonon_rate(1, d1, self.BATH)
-            assert phonon_rate(1, dk, self.BATH) == pytest.approx(k**2 * base, rel=1e-12)
-            assert phonon_rate(1, dd, self.BATH) == pytest.approx(k * base, rel=1e-12)
+            base1, base2 = phonon_rates(d1, self.BATH)
+            assert phonon_rates(dk1, self.BATH) == pytest.approx(
+                (k**2 * base1, base2), rel=1e-12)
+            assert phonon_rates(dk2, self.BATH) == pytest.approx(
+                (base1, k**2 * base2), rel=1e-12)
+            assert phonon_rates(dd, self.BATH) == pytest.approx(
+                (k * base1, k * base2), rel=1e-12)
 
     def test_include_b_renormalization(self):
-        bare = phonon_rate(2, self.DRIVE, self.BATH)
-        dressed = phonon_rate(2, self.DRIVE, self.BATH, include_b=True)
+        drive = DriveConfig(omega1_rabi=70.0, omega2_rabi=35.0, detuning=490.0)
+        bare = phonon_rates(drive, self.BATH)
+        dressed = phonon_rates(drive, self.BATH, include_b=True)
         b = displacement_factor(self.BATH)
-        assert dressed == pytest.approx(b**2 * bare, rel=1e-12)
+        assert dressed == pytest.approx((b**2 * bare[0], b**2 * bare[1]),
+                                        rel=1e-12)
 
     def test_far_detuning_warns(self):
+        # One warning for both tones, even where every warning is shown.
         drive = DriveConfig(omega1_rabi=70.0, omega2_rabi=70.0, detuning=30000.0)
-        with pytest.warns(UserWarning, match="outside the support"):
-            phonon_rate(1, drive, self.BATH)
-
-    def test_bad_tone_index(self):
-        with pytest.raises(ValueError):
-            phonon_rate(3, self.DRIVE, self.BATH)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            phonon_rates(drive, self.BATH)
+        assert [w.category for w in caught] == [UserWarning]
+        assert "outside the support" in str(caught[0].message)
 
 
 class TestDriveConfig:
@@ -276,7 +285,6 @@ class TestDriveConfig:
         drive = DriveConfig(omega1_rabi=1.0, omega2_rabi=1.0,
                             phi1=3.0 * math.pi, phi2=0.5 * math.pi,
                             detuning=100.0)
-        assert drive.two_phi == pytest.approx(1.5 * math.pi)
         assert drive.phi == pytest.approx(0.75 * math.pi)
 
     def test_rejects_nonpositive_detuning(self):
