@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .reservoir import RATE_FLOOR, _scalar
+from .reservoir import RATE_FLOOR, _check_fields, _check_rule, _declare, \
+    _scalar
 
 #: Tolerance on the Bloch-sphere containment check sx^2+sy^2+sz^2 <= 1/4.
 SPHERE_TOL = 1e-12
@@ -50,9 +51,7 @@ def _bloch(sx, sy, sz):
 def _times(t):
     """``t`` as a float array, checked elementwise to be >= 0."""
     t = np.asarray(t, dtype=float)
-    bad = ~(t >= 0)  # written so that NaN fails too
-    if np.any(bad):
-        raise ValueError(f"t must be >= 0, got {t[bad].flat[0].item()}")
+    _check_rule("t", ">= 0", t)
     return t
 
 
@@ -62,17 +61,16 @@ class DampingTriple:
 
     ``phi_choice`` records which squeezing phase (0 or pi/2) fixed the sign
     of the +-2*gamma_m terms; gamma_z = gamma_x + gamma_y always holds.
+    The constructor checks each rate against its declared range.
     """
 
-    gamma_x: float
-    gamma_y: float
-    gamma_z: float
+    gamma_x: float = _declare(rule=">= 0")
+    gamma_y: float = _declare(rule=">= 0")
+    gamma_z: float = _declare(rule=">= 0")
     phi_choice: float
 
     def __post_init__(self):
-        if not np.all(np.minimum(np.minimum(self.gamma_x, self.gamma_y),
-                                 self.gamma_z) >= 0):
-            raise ValueError("damping rates must be >= 0")
+        _check_fields(self)
 
 
 def quadrature(state, phi):
@@ -171,6 +169,14 @@ def _drive_inhomogeneity(rates):
     return rates.gamma_s - rates.gamma_n + 0.5 * rates.gamma_rad
 
 
+def _sy_undamped(triple, omega):
+    """Where nothing restores <Sy>: omega = 0 with gamma_y <= RATE_FLOOR*gamma_z
+    (zero, as every engine counts it), or gamma_y*gamma_z + omega^2 = 0."""
+    gy, gz = triple.gamma_y, triple.gamma_z
+    return (((omega == 0.0) & (gy <= RATE_FLOOR * gz))
+            | (gy * gz + omega * omega == 0.0))
+
+
 def driven_steady_state(rates, omega, phi_choice, sx0=0.0):
     """Steady state of the resonantly driven dot (Rabi frequency ``omega``).
 
@@ -178,19 +184,19 @@ def driven_steady_state(rates, omega, phi_choice, sx0=0.0):
     <Sz>_s = -d*gamma_y/(gamma_y*gamma_z + Omega^2) with d = gamma_s - gamma_n
     (+Gamma/2 when radiative decay is kept).  <Sx>_s vanishes whenever
     gamma_x > 0; in the locked case (phi = pi/2, gamma_x at most the floor
-    of _decay_rates, so 0) it stays at the initial coherence ``sx0``.  Every argument
-    may be an array; they broadcast elementwise and any invalid element
-    raises for the whole call.
+    of _decay_rates, so 0) it stays at the initial coherence ``sx0``.  An
+    undamped <Sy> (omega = 0 with gamma_y at most RATE_FLOOR*gamma_z) raises
+    ValueError.  Every argument may be an array; they broadcast elementwise
+    and any invalid element raises for the whole call.
     """
     omega = np.asarray(omega, dtype=float)
-    if not np.all(omega >= 0):
-        raise ValueError(f"omega must be >= 0, got {_scalar(np.min(omega))}")
+    _check_rule("omega", ">= 0", omega)
     triple = damping_triple(rates, phi_choice)
-    denom = triple.gamma_y * triple.gamma_z + omega * omega
-    if np.any(denom == 0.0):
+    if np.any(_sy_undamped(triple, omega)):
         raise ValueError(
             "steady state undefined: omega = 0 with gamma_y = 0 leaves <Sy> "
             "undamped (use free_evolution for the undriven dot)")
+    denom = triple.gamma_y * triple.gamma_z + omega * omega
     d = _drive_inhomogeneity(rates)
     sy = d * omega / denom
     sz = -d * triple.gamma_y / denom
@@ -242,7 +248,7 @@ def driven_evolution(state0, rates, omega, phi_choice, t):
     sx = state0.sx * np.exp(-triple.gamma_x * t)
 
     gy, gz = triple.gamma_y, triple.gamma_z
-    if gy * gz + omega * omega == 0.0:
+    if _sy_undamped(triple, omega):
         # omega = 0 and gamma_y = 0: <Sy> is conserved, <Sz> relaxes alone
         # to the undriven dot's inversion.
         sz_ss = free_steady_inversion(rates)
@@ -273,8 +279,8 @@ def external_squeezed_decay(state0, n_photons, m_abs, gamma, t):
     correlation range 0 <= |M| <= sqrt(N*(N+1)).
     """
     t = _times(t)
-    if n_photons < 0 or gamma < 0:
-        raise ValueError("n_photons and gamma must be >= 0")
+    _check_rule("n_photons", ">= 0", n_photons)
+    _check_rule("gamma", ">= 0", gamma)
     m_max = math.sqrt(n_photons * (n_photons + 1.0))
     if not 0.0 <= m_abs <= m_max * (1.0 + 1e-12) + 1e-15:
         raise ValueError(

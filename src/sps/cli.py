@@ -24,7 +24,7 @@ import operator
 import os
 import sys
 import warnings
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
@@ -361,7 +361,7 @@ def write_csv(path, header, columns):
                          f"{len(columns)} columns")
     shapes = [array.shape for _, array in columns]
     if any(len(shape) != 1 for shape in shapes) or len(set(shapes)) > 1:
-        raise ValueError(f"CSV columns must be 1-D and of equal length, got "
+        raise ValueError(f"CSV columns need one axis and equal length, got "
                          f"shapes {shapes}")
     n_rows = columns[0][1].size if columns else 0
     width = len(columns)
@@ -570,16 +570,12 @@ def _cmd_sweep(cfg, out_dir):
     if cfg.sweep_points < 2:
         raise ConfigError("sweep_points must be >= 2")
     values = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_points)
-    params = {"gamma1": cfg.gamma1, "gamma2": cfg.gamma2, "nbar": cfg.nbar,
-              "phi": cfg.phi, "Omega": cfg.laser_omega, "sx0": cfg.sx0}
-    params[cfg.sweep_param] = values
-    rr = reservoir_rates(params["gamma1"], params["gamma2"], params["nbar"],
-                         phi1=params["phi"], phi2=params["phi"],
-                         gamma_rad=cfg.gamma_rad)
+    swept = replace(cfg, **{
+        (_KEYS["rates"] | _KEYS["run"])[cfg.sweep_param].name: values})
+    rr = swept.resolved_rates()
     if cfg.sweep_quantity == "steady":
-        state = driven_steady_state(rr, params["Omega"],
-                                    _phi_choice(params["phi"]),
-                                    sx0=params["sx0"])
+        state = driven_steady_state(rr, swept.laser_omega,
+                                    _phi_choice(swept.phi), sx0=swept.sx0)
         header = ["index", cfg.sweep_param, "sx", "sy", "sz"]
         columns = [state.sx, state.sy, state.sz]
     else:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bloch import BlochVector
-from .reservoir import RATE_FLOOR
+from .reservoir import RATE_FLOOR, _check_rule
 from .spectrum import SpectrumResult
 
 # Dot operators in the {|e>, |g>} basis.
@@ -238,8 +238,9 @@ def _expm(stack):
 def _propagate_vec(y0, liouvillian, t_grid):
     """exp(L (t_k - t_0)) y0 at every sample of a non-decreasing grid."""
     t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or len(t_grid) < 1 or np.any(np.diff(t_grid) < 0):
-        raise ValueError("t_grid must be non-decreasing")
+    if t_grid.ndim != 1 or len(t_grid) < 1:
+        raise ValueError(f"t_grid needs shape (n,), n >= 1, got {t_grid.shape}")
+    _check_rule("t_grid step", ">= 0", np.diff(t_grid, prepend=t_grid[:1]))
     lv = np.asarray(liouvillian, dtype=complex)
     out = np.empty((len(t_grid), 4), dtype=complex)
     for start in range(0, len(t_grid), _CHUNK):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .reservoir import _check_fields, _declare
+from .reservoir import _check_fields, _check_rule, _declare
 
 HBAR = 1.054571817e-34  # J s, CODATA 2018
 KB = 1.380649e-23       # J/K, exact
@@ -75,7 +75,7 @@ class PhononBathSpec:
         _check_fields(self)
         if (self.temperature is None) == (self.nbar_override is None):
             raise ValueError(
-                "exactly one of temperature / nbar_override must be given")
+                "PhononBathSpec needs exactly one of temperature / nbar_override")
 
     def occupation(self, omega):
         """Mean phonon number of the mode at ``omega`` (GHz)."""
@@ -112,18 +112,16 @@ def thermal_occupation(omega, temperature):
     """Bose-Einstein occupation 1/(exp(hbar*omega/kB*T) - 1).
 
     ``omega`` is an angular frequency in GHz, ``temperature`` in Kelvin.
-    Returns 0 at T = 0.
+    Returns 0 at T = 0, and inf where hbar*omega/kB*T underflows to 0.
     """
-    if omega <= 0:
-        raise ValueError(f"omega must be > 0, got {omega}")
-    if temperature < 0:
-        raise ValueError(f"temperature must be >= 0, got {temperature}")
+    _check_rule("omega", "> 0", omega)
+    _check_rule("temperature", ">= 0", temperature)
     if temperature == 0.0:
         return 0.0
     x = HBAR_OVER_KB * omega / temperature
     if x > 700.0:  # exp would overflow; occupation is indistinguishable from 0
         return 0.0
-    return 1.0 / math.expm1(x)
+    return 1.0 / math.expm1(x) if x else math.inf
 
 
 def spectral_density(omega, bath):
@@ -133,8 +131,7 @@ def spectral_density(omega, bath):
     The single interior maximum sits at omega_c*sqrt(3/2).
     """
     omega = np.asarray(omega, dtype=float)
-    if np.any(omega < 0):
-        raise ValueError("omega must be >= 0")
+    _check_rule("omega", ">= 0", omega)
     result = bath.alpha * omega**3 * np.exp(-((omega / bath.omega_c) ** 2))
     return result if result.ndim else float(result)
 

@@ -51,18 +51,20 @@ def _declare(default=MISSING, rule=None, name=None, section=None):
 
 def _check_rule(name, rule, value, got=None):
     """Raise ValueError ``"<name> must be <rule>, got <got>"`` unless
-    ``value`` meets ``rule`` (every element of an array, and NaN never
-    does); ``got`` is what the message shows, ``value`` unless given."""
+    ``value`` meets ``rule``, elementwise (NaN never does); ``got`` is
+    what the message shows: ``value``, or an array's first failing element,
+    unless given.  The one range check of every argument and field."""
     if rule is None:
         return
     if isinstance(rule, tuple):
         ok, rule = value in rule, f"one of {rule}"
     else:
         relation, bound = rule.split()
-        ok = np.all(_RELATIONS[relation](value, float(bound)))
-    if not ok:
-        raise ValueError(
-            f"{name} must be {rule}, got {value if got is None else got}")
+        ok = _RELATIONS[relation](value, float(bound))
+    if not np.all(ok):
+        if got is None:
+            got = _scalar(value[~ok].flat[0] if np.ndim(value) else value)
+        raise ValueError(f"{name} must be {rule}, got {got}")
 
 
 def _check_fields(instance):
@@ -208,8 +210,8 @@ def quantum_threshold(gamma1, gamma2):
     the mirrored expression otherwise; +inf for gamma1 = gamma2 (quantum at
     every nbar).
     """
-    if gamma1 <= 0 or gamma2 <= 0:
-        raise ValueError("gamma1 and gamma2 must be > 0")
+    _check_rule("gamma1", "> 0", gamma1)
+    _check_rule("gamma2", "> 0", gamma2)
     if gamma1 == gamma2:
         return math.inf
     r1, r2 = math.sqrt(gamma1), math.sqrt(gamma2)
@@ -233,8 +235,7 @@ def _ratio_grid_table(value, nbar_grid, ratio_grid):
     """
     nbar_grid = np.asarray(nbar_grid, float).ravel()
     ratio_grid = np.asarray(ratio_grid, float).ravel()
-    if np.any(ratio_grid <= 1.0):
-        raise ValueError("ratio grid must satisfy gamma2/gamma1 > 1")
+    _check_rule("ratio", "> 1", ratio_grid)
     table = np.empty((nbar_grid.size * ratio_grid.size, 3))
     mesh = table.reshape(nbar_grid.size, ratio_grid.size, 3)
     mesh[:, :, 0] = nbar_grid[:, None]

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bloch import _HALF_PI, damping_triple, driven_steady_state
-from .reservoir import reservoir_rates
+from .reservoir import _check_rule, reservoir_rates
 
 DEFAULT_OMEGA_POINTS = 2001
 
@@ -46,8 +46,7 @@ class SpectrumResult:
 
 def default_omega_grid(omega, points=DEFAULT_OMEGA_POINTS):
     """Default frequency grid [-2*Omega, 2*Omega]."""
-    if omega <= 0:
-        raise ValueError("omega must be > 0 for the default grid")
+    _check_rule("omega", "> 0", omega)
     return np.linspace(-2.0 * omega, 2.0 * omega, points)
 
 
@@ -67,11 +66,10 @@ def rendered_incoherent(result, width):
     Replaces the delta of weight w by w * 2*width/(width^2 + delta^2), which
     carries the same integrated power.
     """
-    if width <= 0:
-        raise ValueError("width must be > 0")
+    _check_rule("width", "> 0", width)
     delta = result.omega_grid
     return result.incoherent + result.zero_width_weight * 2.0 * width / (
-        width**2 + delta**2)
+        width * width + delta**2)
 
 
 def _fluctuation_moments(rates, omega, phi_choice, sx0):
@@ -149,8 +147,7 @@ def strong_field_spectrum(rates, omega, phi_choice, sx0=0.0, omega_grid=None):
     is a clearly labeled approximation engine; use the exact engine for
     ground truth.
     """
-    if omega <= 0:
-        raise ValueError("strong-field spectrum needs omega > 0")
+    _check_rule("omega", "> 0", omega)
     if omega_grid is None:
         omega_grid = default_omega_grid(omega)
     omega_grid = np.asarray(omega_grid, dtype=float)

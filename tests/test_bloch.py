@@ -204,6 +204,18 @@ class TestDrivenSteadyState:
         state = driven_steady_state(rates, 5.0, 0.0, sx0=0.3)
         assert state.sx == 0.0 and state.sy == 0.0 and state.sz == 0.0
 
+    @given(gamma=st.floats(0.01, 30.0), nbar=st.floats(0.0, 3.0),
+           state=bloch_states(), t=st.floats(0.0, 1e3))
+    @settings(max_examples=300, deadline=None)
+    def test_undriven_perfect_phi_zero_leaves_sy_undamped(self, gamma, nbar,
+                                                          state, t):
+        # gamma_y = gamma_s + gamma_n - 2*gamma_m is 0 up to rounding, and
+        # RATE_FLOOR counts it as 0 whichever way it rounds.
+        rates = reservoir_rates(gamma, gamma, nbar)
+        with pytest.raises(ValueError, match="steady state undefined"):
+            driven_steady_state(rates, 0.0, 0.0)
+        assert driven_evolution(state, rates, 0.0, 0.0, t).sy == state.sy
+
     @given(g1=st.floats(0.1, 5.0), g2=st.floats(0.1, 5.0),
            nbar=st.floats(0.0, 2.0), omega=st.floats(0.1, 30.0))
     @settings(max_examples=200, deadline=None)

@@ -722,6 +722,35 @@ class TestSubcommands:
         assert "steady state undefined" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
 
+    def test_sweep_into_negative_rate_names_first_value(self, tmp_path,
+                                                        capsys):
+        (tmp_path / "cfg").write_text(
+            MINIMAL_DIRECT + "sweep_param = gamma2\nsweep_start = -1\n"
+            "sweep_stop = 1\nsweep_points = 5\n")
+        assert run_cli(["sweep", "--config", tmp_path / "cfg",
+                        "--out", tmp_path]) == 1
+        assert capsys.readouterr().err == (
+            "sps: error: gamma2 must be >= 0, got -1.0\n")
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_undriven_perfect_phi_zero_fails_however_gamma_y_rounds(
+            self, tmp_path, capsys):
+        # gamma_y rounds to 0 at (0.1, 0.3) and to 3.6e-15 at (4.3, 0.7);
+        # both are below RATE_FLOOR*gamma_z, so neither has a steady state.
+        errors = []
+        for gamma, nbar in (("0.1", "0.3"), ("4.3", "0.7")):
+            (tmp_path / "cfg").write_text(
+                f"[rates]\ngamma1 = {gamma}\ngamma2 = {gamma}\nnbar = {nbar}\n"
+                "phi = 0\n[run]\nOmega = 0\nsy0 = 0.2\nengine = both\n")
+            out = tmp_path / "out"
+            assert run_cli(["steady", "--config", tmp_path / "cfg",
+                            "--out", out]) == 1
+            errors.append(capsys.readouterr().err)
+            assert not out.exists()
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("sps: error: steady state undefined")
+        assert errors[0].count("\n") == 1
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command", [["spectrum", "--engine", "analytic"],
                                          ["figure", "fig5"]])

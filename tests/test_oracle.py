@@ -248,6 +248,15 @@ class TestPropagate:
             propagate(np.eye(2, dtype=complex) / 2, np.zeros((4, 4), complex),
                       np.array([0.0, 1.0, 0.5]))
 
+    @pytest.mark.parametrize("grid,got", [
+        ([0.0, 1.0, 0.5], "-0.5"), ([math.nan], "nan"),
+        ([0.0, 1.0, math.nan, 2.0], "nan")])
+    def test_grid_step_names_its_first_failure(self, grid, got):
+        with pytest.raises(ValueError, match=f"^t_grid step must be >= 0, "
+                                             f"got {got}$"):
+            propagate(np.eye(2, dtype=complex) / 2, np.zeros((4, 4), complex),
+                      np.array(grid))
+
     def test_rejects_unphysical_initial_state(self):
         with pytest.raises(ValueError):
             propagate(np.diag([1.5, -0.5]).astype(complex),

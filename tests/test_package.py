@@ -42,3 +42,28 @@ def test_layering():
             if "cli" in used and name != "cli"] == []
     for base in ("physparams", "reservoir"):
         assert imports[base].isdisjoint({"bloch", "spectrum", "oracle"}), base
+
+
+def _range_messages(path):
+    """The literal text of each ``raise ValueError(...)`` in the module at
+    ``path`` that reads like a range check (``" must be "``)."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                and isinstance(node.exc.func, ast.Name)
+                and node.exc.func.id == "ValueError"):
+            text = "".join(part.value for arg in node.exc.args
+                           for part in ast.walk(arg)
+                           if isinstance(part, ast.Constant)
+                           and isinstance(part.value, str))
+            if " must be " in text:
+                found.append(f"{path.name}:{node.lineno}: {text}")
+    return found
+
+
+def test_one_range_check():
+    # reservoir._check_rule writes every "<name> must be <rule>" error.
+    found = [message for path in Path(sps.__file__).parent.glob("*.py")
+             if path.name != "reservoir.py"
+             for message in _range_messages(path)]
+    assert found == []
