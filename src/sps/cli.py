@@ -389,6 +389,17 @@ def write_csv(path, header, columns):
             handle.write((",".join(row) + "\n") * chunk % tuple(cells))
 
 
+def _write_csv(path, header, columns):
+    """:func:`write_csv`, or a ValueError naming the file and the first float
+    column that holds NaN (inf, the perfect regime's sentinel, is written)."""
+    for name, values in zip(header, columns):
+        array = np.asarray(values)
+        if array.dtype.kind == "f" and np.isnan(array).any():
+            raise ValueError(f"{os.path.basename(path)}: column {name!r} "
+                             f"holds NaN")
+    write_csv(path, header, columns)
+
+
 def write_meta(path, entries):
     with open(path, "w", encoding="utf-8", newline="") as handle:
         for key, value in entries.items():
@@ -424,11 +435,11 @@ def _omega_grid(cfg):
 
 def _cmd_rates(cfg, out_dir):
     rr = cfg.resolved_rates()
-    write_csv(os.path.join(out_dir, "rates.csv"),
-              ["gamma1", "gamma2", "nbar", "gamma_s", "gamma_n", "gamma_m",
-               "phi", "Gamma"],
-              [[rr.gamma1], [rr.gamma2], [rr.nbar], [rr.gamma_s],
-               [rr.gamma_n], [rr.gamma_m], [rr.phi], [rr.gamma_rad]])
+    _write_csv(os.path.join(out_dir, "rates.csv"),
+               ["gamma1", "gamma2", "nbar", "gamma_s", "gamma_n", "gamma_m",
+                "phi", "Gamma"],
+               [[rr.gamma1], [rr.gamma2], [rr.nbar], [rr.gamma_s],
+                [rr.gamma_n], [rr.gamma_m], [rr.phi], [rr.gamma_rad]])
     meta = {"mode": cfg.mode, "engine": cfg.engine}
     if cfg.mode == "physical":
         meta["displacement_factor"] = displacement_factor(cfg.bath)
@@ -441,16 +452,12 @@ def _cmd_rates(cfg, out_dir):
 def _cmd_squeezing(cfg, out_dir):
     rr = cfg.resolved_rates()
     desc = map_to_squeezing(rr)
-    try:
-        threshold = quantum_threshold(rr.gamma1, rr.gamma2)
-    except ValueError:
-        threshold = math.nan  # a vanishing rate never reaches the quantum regime
-    write_csv(os.path.join(out_dir, "squeezing.csv"),
-              ["regime", "gamma_eff", "N", "M_abs", "Ns", "Nb", "quantum",
-               "nbar_threshold"],
-              [[desc.regime], [desc.gamma_eff], [desc.n_photons],
-               [desc.m_abs], [desc.n_squeezed], [desc.n_background],
-               [desc.quantum], [threshold]])
+    _write_csv(os.path.join(out_dir, "squeezing.csv"),
+               ["regime", "gamma_eff", "N", "M_abs", "Ns", "Nb", "quantum",
+                "nbar_threshold"],
+               [[desc.regime], [desc.gamma_eff], [desc.n_photons],
+                [desc.m_abs], [desc.n_squeezed], [desc.n_background],
+                [desc.quantum], [quantum_threshold(rr.gamma1, rr.gamma2)]])
     return 0
 
 
@@ -496,8 +503,8 @@ def _cmd_decay(cfg, out_dir):
             oracle.bloch_to_rho(state0), oracle.build_liouvillian(rr), t_grid))
 
     def write(stem, state):
-        write_csv(stem + ".csv", ["t", "sx", "sy", "sz"],
-                  [t_grid, state.sx, state.sy, state.sz])
+        _write_csv(stem + ".csv", ["t", "sx", "sy", "sz"],
+                   [t_grid, state.sx, state.sy, state.sz])
 
     return _run_engines(cfg, out_dir, "decay", analytic, numeric, write,
                         _bloch_deviation, DECAY_TOL)
@@ -517,16 +524,16 @@ def _cmd_steady(cfg, out_dir):
 
     def write(stem, state):
         plus, minus = dressed_populations(state)
-        write_csv(stem + ".csv", ["sx", "sy", "sz", "rho_plus", "rho_minus"],
-                  [[state.sx], [state.sy], [state.sz], [plus], [minus]])
+        _write_csv(stem + ".csv", ["sx", "sy", "sz", "rho_plus", "rho_minus"],
+                   [[state.sx], [state.sy], [state.sz], [plus], [minus]])
 
     return _run_engines(cfg, out_dir, "steady", analytic, numeric, write,
                         _bloch_deviation, STEADY_TOL)
 
 
 def _write_spectrum(stem, result):
-    write_csv(stem + ".csv", ["delta_omega", "S_in"],
-              [result.omega_grid, result.incoherent])
+    _write_csv(stem + ".csv", ["delta_omega", "S_in"],
+               [result.omega_grid, result.incoherent])
     write_meta(stem + ".meta",
                {"engine": result.engine,
                 "coherent_weight": result.coherent_weight,
@@ -585,9 +592,9 @@ def _cmd_sweep(cfg, out_dir):
         columns = [desc.regime, desc.gamma_eff, desc.n_photons, desc.m_abs,
                    desc.n_squeezed, desc.n_background, desc.quantum]
     # A column the swept parameter does not reach is one repeated value.
-    write_csv(os.path.join(out_dir, "sweep.csv"), header,
-              [np.arange(values.size), values,
-               *(np.broadcast_to(c, values.shape) for c in columns)])
+    _write_csv(os.path.join(out_dir, "sweep.csv"), header,
+               [np.arange(values.size), values,
+                *(np.broadcast_to(c, values.shape) for c in columns)])
     return 0
 
 
@@ -597,8 +604,8 @@ def _cmd_figure(cfg, out_dir, fig):
         ratio_grid = np.linspace(1.0, cfg.ratio_max, cfg.ratio_points + 1)[1:]
         dataset = (figure3_dataset if fig == "fig3" else figure4_dataset)(
             nbar_grid, ratio_grid)
-        write_csv(os.path.join(out_dir, fig + ".csv"),
-                  ["nbar", "ratio", "value"], dataset.T)
+        _write_csv(os.path.join(out_dir, fig + ".csv"),
+                   ["nbar", "ratio", "value"], dataset.T)
         return 0
     if fig == "fig5":
         if cfg.mode != "direct":
@@ -613,8 +620,8 @@ def _cmd_figure(cfg, out_dir, fig):
             omega_grid=_omega_grid(cfg),
             render_delta=cfg.render_delta,
             render_width=cfg.render_width if cfg.render_width > 0 else None)
-        write_csv(os.path.join(out_dir, "fig5.csv"),
-                  ["sx0", "delta_omega", "S_in"], dataset.T)
+        _write_csv(os.path.join(out_dir, "fig5.csv"),
+                   ["sx0", "delta_omega", "S_in"], dataset.T)
         return 0
     raise ConfigError(f"unknown figure {fig!r} (expected one of {FIGURES})")
 

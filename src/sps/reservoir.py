@@ -21,9 +21,6 @@ REGIME_ORDINARY = "ordinary"   # gamma_2 > gamma_1: net damping
 REGIME_INVERTED = "inverted"   # gamma_1 > gamma_2: net pumping
 REGIME_PERFECT = "perfect"     # gamma_1 = gamma_2: one quadrature decoherence-free
 
-#: Relative tolerance below which gamma_1 and gamma_2 count as equal; avoids
-#: catastrophic cancellation in 1/(gamma_s - gamma_n).
-EQUAL_RATE_RTOL = 1e-9
 #: Every engine counts a rate <= RATE_FLOOR*gamma_z (the largest rate) as zero.
 RATE_FLOOR = 1e-10
 
@@ -111,9 +108,8 @@ class ReservoirRates:
 
     @property
     def is_perfect(self):
-        """True when gamma_1 = gamma_2 within the regime tolerance."""
-        return _scalar(np.abs(self.gamma1 - self.gamma2) <= EQUAL_RATE_RTOL
-                       * np.maximum(self.gamma1, self.gamma2))
+        """True when gamma_1 == gamma_2 exactly (elementwise)."""
+        return _scalar(np.equal(self.gamma1, self.gamma2))
 
 
 @dataclass(frozen=True)
@@ -167,7 +163,7 @@ def map_to_squeezing(rates):
     Ordinary regime (gamma_2 > gamma_1): gamma/2 = gamma_s - gamma_n,
     N = gamma_n/(gamma_s - gamma_n), |M| = gamma_m/(gamma_s - gamma_n).
     Inverted regime mirrors the mapping under gamma_s <-> gamma_n.  The
-    perfect regime (gamma_1 = gamma_2) is the N -> inf limit of a maximally
+    perfect regime (gamma_1 == gamma_2) is the N -> inf limit of a maximally
     correlated field and is reported with inf sentinels (Nb -> 0 there).
     gamma_s - gamma_n is evaluated as gamma_2 - gamma_1, its value without
     cancellation.  Array-valued rates give array fields.
@@ -183,11 +179,11 @@ def map_to_squeezing(rates):
         n_photons = np.where(ordinary, gamma_n, gamma_s) / half_gamma
         gamma_eff = 2.0 * half_gamma
         m_abs = gamma_m / half_gamma
-        # Split N into maximally squeezed and thermal background parts.
+        # Split N = Ns + Nb; w**2 - u**2 = 1/4 gives Nb without a subtraction.
         u = 2.0 * np.sqrt(gamma1 * gamma2) / gamma_eff
         w = (gamma1 + gamma2) / gamma_eff
         root = np.sqrt(4.0 * nbar * (nbar + 1.0) * (u * u) + w * w)
-        n_background = (2.0 * nbar + 1.0) * w - root
+        n_background = nbar * (nbar + 1.0) / ((2.0 * nbar + 1.0) * w + root)
         quantum = m_abs > n_photons
 
     values = {
@@ -197,7 +193,7 @@ def map_to_squeezing(rates):
         "n_photons": np.where(perfect, math.inf, n_photons),
         "m_abs": np.where(perfect, math.inf, m_abs),
         "n_squeezed": np.where(perfect, math.inf, root - 0.5),
-        "n_background": np.where(perfect, 0.0, np.maximum(n_background, 0.0)),
+        "n_background": np.where(perfect, 0.0, n_background),
         "quantum": perfect | quantum,
     }
     return SqueezingDescriptor(**{k: _scalar(v) for k, v in values.items()})
@@ -207,11 +203,11 @@ def quantum_threshold(gamma1, gamma2):
     """Largest nbar at which the reservoir correlations are quantum (|M| > N).
 
     Returns sqrt(gamma1)/(sqrt(gamma2)-sqrt(gamma1)) for gamma2 > gamma1 and
-    the mirrored expression otherwise; +inf for gamma1 = gamma2 (quantum at
-    every nbar).
+    the mirrored expression otherwise (0 when one rate is 0); +inf for
+    gamma1 = gamma2 (quantum at every nbar).
     """
-    _check_rule("gamma1", "> 0", gamma1)
-    _check_rule("gamma2", "> 0", gamma2)
+    _check_rule("gamma1", ">= 0", gamma1)
+    _check_rule("gamma2", ">= 0", gamma2)
     if gamma1 == gamma2:
         return math.inf
     r1, r2 = math.sqrt(gamma1), math.sqrt(gamma2)
@@ -252,9 +248,9 @@ def _quantum_ratio(desc):
 
 
 def _background_ratio(desc):
-    denom = desc.m_abs - desc.n_squeezed
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(denom > 0.0, desc.n_background / denom, np.nan)
+    # (|M| + 1/2)**2 - (Ns + 1/2)**2 = |M| turns Nb/(|M| - Ns) into a sum.
+    nb = desc.n_background
+    return nb + nb * ((1.0 + desc.n_squeezed) / desc.m_abs)
 
 
 def figure3_dataset(nbar_grid, ratio_grid):
@@ -270,7 +266,6 @@ def figure4_dataset(nbar_grid, ratio_grid):
     """Table of Nb/(|M| - Ns) over (nbar, gamma2/gamma1), ordinary regime.
 
     The ratio exceeds 1 exactly where the background overwhelms the quantum
-    correlations, i.e. for nbar > 1/(sqrt(gamma2/gamma1) - 1).  Points where
-    the denominator degenerates (|M| = Ns = 0) are emitted as NaN.
+    correlations, i.e. for nbar > 1/(sqrt(gamma2/gamma1) - 1).
     """
     return _ratio_grid_table(_background_ratio, nbar_grid, ratio_grid)

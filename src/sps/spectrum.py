@@ -206,14 +206,11 @@ def pole_decomposition(rates, omega, phi_choice, sx0=0.0):
 
     res_plus = numerator(z_plus) / (z_plus - z_minus)
     res_minus = numerator(z_minus) / (z_minus - z_plus)
-    # The pole with negative imaginary part peaks at delta = +Omega.
-    if z_plus.imag < z_minus.imag:
-        upper, res_upper, lower, res_lower = z_plus, res_plus, z_minus, res_minus
-    else:
-        upper, res_upper, lower, res_lower = z_minus, res_minus, z_plus, res_plus
+    # The pole with negative imaginary part peaks at delta = +Omega; the
+    # principal root has imag >= 0, so that pole is z_minus.
     return {
-        "z_upper": upper, "residue_upper": res_upper,
-        "z_lower": lower, "residue_lower": res_lower,
+        "z_upper": z_minus, "residue_upper": res_minus,
+        "z_lower": z_plus, "residue_lower": res_plus,
         "z_central": -triple.gamma_x, "weight_central": cx0,
     }
 

@@ -350,6 +350,10 @@ class TestArrayPath:
 
     @given(point=driven_points, critical=st.booleans(), state=bloch_states(),
            times=st.lists(st.floats(0.0, 50.0), max_size=4))
+    # Perfect regime at Gamma = 0: gamma_z - gamma_y rounds to -8.9e-16.
+    @example(point=(1.84375, None, 0.39966502237142987, 0.0, 0.0, 0.0,
+                    HALF_PI),
+             critical=True, state=BlochVector(0.1, -0.2, 0.3), times=[])
     @settings(max_examples=100, deadline=None)
     def test_driven_evolution_array_equals_scalar(self, point, critical, state,
                                                   times):
@@ -357,8 +361,8 @@ class TestArrayPath:
         rates = reservoir_rates(g1, g1 if g2 is None else g2, nbar,
                                 phi1=phi, phi2=phi, gamma_rad=gamma_rad)
         triple = damping_triple(rates, phi)
-        if critical:  # a defective (Sy, Sz) block: q = 0
-            omega = 0.5 * (triple.gamma_z - triple.gamma_y)
+        if critical:  # a defective (Sy, Sz) block: q = 0, up to rounding
+            omega = max(0.0, 0.5 * (triple.gamma_z - triple.gamma_y))
         # |q|: half the eigenvalue splitting of the (Sy, Sz) block.
         q = math.sqrt(abs(0.25 * (triple.gamma_z - triple.gamma_y) ** 2
                           - omega * omega))

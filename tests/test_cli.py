@@ -782,9 +782,10 @@ class TestSubcommands:
         assert compare.endswith("status=pass\n")
 
     @pytest.mark.parametrize("gamma2,code", [
-        ("1.0000000005", 0), ("1.000000002", 2)])
+        ("1", 0), ("1.0000000005", 2), ("1.000000002", 2)])
     def test_fig5_perfect_regime_tolerance(self, tmp_path, capsys, gamma2, code):
-        # fig5 accepts what ReservoirRates.is_perfect calls perfect.
+        # fig5 accepts what ReservoirRates.is_perfect calls perfect:
+        # gamma2 == gamma1, with no tolerance.
         text = (f"[rates]\ngamma1 = 1\ngamma2 = {gamma2}\nnbar = 0.5\n"
                 "phi = pi/2\n[run]\nOmega = 20\nsx0_points = 3\n"
                 "omega_points = 5\n")
@@ -795,6 +796,43 @@ class TestSubcommands:
         if code:
             assert "config error" in capsys.readouterr().err
             assert not (tmp_path / "fig5.csv").exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("fig", ["fig3", "fig4"])
+    def test_figure_next_to_ratio_one_is_finite(self, tmp_path, fig):
+        # Ratios 1 + 5e-13 and 1 + 1e-12 are ordinary points, not perfect.
+        (tmp_path / "cfg").write_text(
+            "[rates]\ngamma1 = 1\ngamma2 = 2\n[run]\n"
+            "ratio_max = 1.000000000001\nratio_points = 2\nnbar_points = 2\n")
+        assert run_cli(["figure", fig, "--config", tmp_path / "cfg",
+                        "--out", tmp_path]) == 0
+        table = np.loadtxt(tmp_path / f"{fig}.csv", delimiter=",", skiprows=1)
+        assert table.shape == (4, 3) and np.isfinite(table).all()
+
+    def test_squeezing_threshold_of_a_vanishing_rate(self, tmp_path):
+        (tmp_path / "cfg").write_text(
+            "[rates]\ngamma1 = 0\ngamma2 = 1\nnbar = 0.5\n")
+        assert run_cli(["squeezing", "--config", tmp_path / "cfg",
+                        "--out", tmp_path]) == 0
+        header, row = (tmp_path / "squeezing.csv").read_text().splitlines()
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert cells["nbar_threshold"] == "0" and cells["quantum"] == "false"
+
+    def test_nan_output_fails_the_run(self, tmp_path, capsys):
+        # A rendering width whose square underflows makes S_in 0/0 at
+        # delta = 0; the run fails before fig5.csv is written.
+        (tmp_path / "cfg").write_text(
+            "[rates]\ngamma1 = 1\ngamma2 = 1\nnbar = 0.5\nphi = pi/2\n"
+            "[run]\nOmega = 20\nsx0_points = 3\nomega_points = 5\n"
+            "render_delta = true\nrender_width = 5e-324\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert run_cli(["figure", "fig5", "--config", tmp_path / "cfg",
+                            "--out", out]) == 1
+        assert capsys.readouterr().err == \
+            "sps: error: fig5.csv: column 'S_in' holds NaN\n"
+        assert os.listdir(tmp_path) == ["cfg"]  # nor its output directory
 
     @pytest.mark.parametrize("text,command", [
         ((PRESETS / "physical.cfg").read_text(), ["spectrum"]),

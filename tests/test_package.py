@@ -1,5 +1,6 @@
 """The package's public names: what ``sps/__init__.py`` imports is what
-``sps.__all__`` exports; and the layering of its modules."""
+``sps.__all__`` exports; the layering of its modules; and the one place
+of each check."""
 
 import ast
 from pathlib import Path
@@ -67,3 +68,15 @@ def test_one_range_check():
              if path.name != "reservoir.py"
              for message in _range_messages(path)]
     assert found == []
+
+
+def test_one_nan_check():
+    # cli._write_csv refuses a NaN column; every CSV a run writes passes it.
+    callers = [f"{path.stem}.{func.name}"
+               for path in Path(sps.__file__).parent.glob("*.py")
+               for func in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(func, ast.FunctionDef)
+               for node in ast.walk(func)
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+               and node.func.id == "write_csv"]
+    assert callers == ["cli._write_csv"]

@@ -43,9 +43,9 @@ SCALAR_CHECKS = {
     "thermal_occupation-temperature": (
         "temperature", ">= 0", lambda v: thermal_occupation(1.0, v)),
     "quantum_threshold-gamma1": (
-        "gamma1", "> 0", lambda v: quantum_threshold(v, 2.0)),
+        "gamma1", ">= 0", lambda v: quantum_threshold(v, 2.0)),
     "quantum_threshold-gamma2": (
-        "gamma2", "> 0", lambda v: quantum_threshold(1.0, v)),
+        "gamma2", ">= 0", lambda v: quantum_threshold(1.0, v)),
     "external_squeezed_decay-n_photons": (
         "n_photons", ">= 0",
         lambda v: external_squeezed_decay(STATE, v, 0.0, 1.0, 1.0)),

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sps.reservoir import (
@@ -15,12 +15,15 @@ from sps.reservoir import (
     REGIME_ORDINARY,
     REGIME_PERFECT,
     ReservoirRates,
+    _background_ratio,
+    _quantum_ratio,
     figure3_dataset,
     figure4_dataset,
     map_to_squeezing,
     quantum_threshold,
     reservoir_rates,
 )
+from squeezing_reference import ordinary_split
 
 rate_values = st.floats(1e-3, 50.0)
 nbar_values = st.floats(0.0, 5.0)
@@ -157,6 +160,7 @@ class TestMapToSqueezing:
         assert d12.m_abs == pytest.approx(d21.m_abs, rel=1e-12)
 
     @given(g1=rate_values, g2=rate_values, nbar=nbar_values)
+    @example(g1=0.001, g2=0.0010000000000000002, nbar=0.0)
     @settings(max_examples=200, deadline=None)
     def test_printed_lower_limit_matches_mapping(self, g1, g2, nbar):
         # |M| - N from the mapping equals the closed form
@@ -167,7 +171,11 @@ class TestMapToSqueezing:
         small, big = min(g1, g2), max(g1, g2)
         closed = (math.sqrt(small) - nbar * (math.sqrt(big) - math.sqrt(small))) / (
             math.sqrt(g1) + math.sqrt(g2))
-        assert d.m_abs - d.n_photons == pytest.approx(closed, abs=1e-10)
+        # Next to g1 == g2, |M| and N grow like 1/|g2 - g1|, and their
+        # difference keeps their rounding: at most 2.3 eps*N over 200 000
+        # draws, beyond the 1e-10 that covers every N below 1e5.
+        tol = 1e-10 + 4 * 2**-52 * d.n_photons
+        assert d.m_abs - d.n_photons == pytest.approx(closed, abs=tol)
 
 
 def _text(value):
@@ -210,13 +218,18 @@ class TestArrayPath:
         self.assert_matches_scalar(*(np.array(c) for c in zip(*points)))
 
     def test_sweep_across_equal_rates(self):
-        # Ordinary, perfect (exactly and within EQUAL_RATE_RTOL) and inverted.
-        g2 = np.concatenate([np.linspace(0.5, 1.5, 101),
-                             [1.0, 1.0 + 1e-12, 1.0 - 1e-12, 1.0 + 1e-6]])
+        # Ordinary, perfect (gamma2 == gamma1 only) and inverted; one ulp
+        # either side of 1 is a finite, non-perfect point.
+        near = [1.0 + 2**-52, 1.0 - 2**-53, 1.0 + 1e-12, 1.0 - 1e-12]
+        g2 = np.concatenate([np.linspace(0.5, 1.5, 101), [1.0, *near]])
         ones = np.ones_like(g2)
         self.assert_matches_scalar(ones, g2, 0.7 * ones, 0.0 * ones)
-        regimes = set(map_to_squeezing(reservoir_rates(1.0, g2, 0.7)).regime)
-        assert regimes == {REGIME_ORDINARY, REGIME_PERFECT, REGIME_INVERTED}
+        desc = map_to_squeezing(reservoir_rates(1.0, g2, 0.7))
+        assert set(desc.regime) == {REGIME_ORDINARY, REGIME_PERFECT,
+                                    REGIME_INVERTED}
+        assert ((desc.regime == REGIME_PERFECT) == (g2 == 1.0)).all()
+        for name in self.FIELDS:
+            assert np.isfinite(getattr(desc, name)[-len(near):]).all()
 
     def test_figure_grids_equal_scalar_route(self):
         nbar_grid, ratio_grid = np.linspace(0.0, 2.9, 8), np.linspace(1.1, 9.3, 7)
@@ -224,12 +237,8 @@ class TestArrayPath:
         fig4 = figure4_dataset(nbar_grid, ratio_grid)
         for row3, row4 in zip(fig3, fig4):
             d = map_to_squeezing(reservoir_rates(1.0, row3[1], row3[0]))
-            assert row3[2] == d.m_abs / d.n_photons
-            denom = d.m_abs - d.n_squeezed
-            if denom > 0.0:
-                assert row4[2] == d.n_background / denom
-            else:
-                assert math.isnan(row4[2])
+            assert row3[2] == _quantum_ratio(d)
+            assert row4[2] == _background_ratio(d)
 
 
 class TestQuantumThreshold:
@@ -252,9 +261,41 @@ class TestQuantumThreshold:
         above = map_to_squeezing(reservoir_rates(g1, g2, nbar_star * (1 + 1e-9)))
         assert below.quantum and not above.quantum
 
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            quantum_threshold(0.0, 1.0)
+    def test_vanishing_rate_limit(self):
+        # One rate 0: classical at every nbar, the formula's limit 0.
+        assert quantum_threshold(0.0, 1.0) == quantum_threshold(1.0, 0.0) == 0.0
+        assert not map_to_squeezing(reservoir_rates(0.0, 1.0, 0.0)).quantum
+
+    def test_rejects_negative(self):
+        for bad in (-5e-324, math.nan):
+            with pytest.raises(ValueError, match="gamma1 must be >= 0"):
+                quantum_threshold(bad, 1.0)
+
+
+#: Bounds against the decimal reference in the band gamma2/gamma1 in
+#: (1, 1 + 1e-3]: relative, and absolute for a subnormal value.  Over
+#: 30 000 draws (ratio - 1 from 2**-52 to 1e-3, nbar 0 and 1e-323 to 5) the
+#: worst was 4.4e-16 (|M|/N), 6.0e-16 (fig4) and 5.8e-16 (Nb) relative,
+#: and 2 ulp(0) absolute.
+NEAR_PERFECT_RTOL = 1e-15
+NEAR_PERFECT_ATOL = 4 * math.ulp(0.0)
+
+
+class TestNearPerfectBand:
+    @given(ratio=st.floats(1.0, 1.001, exclude_min=True),
+           nbar=st.one_of(st.just(0.0), st.floats(0.0, 5.0)))
+    @example(ratio=1.0 + 2**-52, nbar=0.5)
+    @example(ratio=1.0 + 1e-6, nbar=3.0)
+    @example(ratio=1.0 + 1e-12, nbar=1e-300)
+    @settings(max_examples=200, deadline=None)
+    def test_figures_and_split_match_decimal_reference(self, ratio, nbar):
+        got = (figure3_dataset([nbar], [ratio])[0, 2],
+               figure4_dataset([nbar], [ratio])[0, 2],
+               map_to_squeezing(reservoir_rates(1.0, ratio, nbar)).n_background)
+        for value, exact in zip(got, ordinary_split(ratio, nbar)):
+            assert math.isfinite(value)
+            assert abs(value - exact) <= (NEAR_PERFECT_RTOL * abs(exact)
+                                          + NEAR_PERFECT_ATOL)
 
 
 def _contour_crossing(dataset, ratio_grid, nbar_grid, target_ratio, level=1.0):
@@ -338,11 +379,8 @@ def _whole_mesh_tables(nbar_grid, ratio_grid):
     """fig3 and fig4 tables from one evaluation over the whole mesh."""
     nn, rr = np.meshgrid(nbar_grid, ratio_grid, indexing="ij")
     desc = map_to_squeezing(reservoir_rates(1.0, rr, nn))
-    denom = desc.m_abs - desc.n_squeezed
-    with np.errstate(divide="ignore", invalid="ignore"):
-        fig4 = np.where(denom > 0.0, desc.n_background / denom, np.nan)
     return [np.column_stack([nn.ravel(), rr.ravel(), value.ravel()])
-            for value in (desc.m_abs / desc.n_photons, fig4)]
+            for value in (_quantum_ratio(desc), _background_ratio(desc))]
 
 
 def _cli_grids(n_nbar, n_ratio):
