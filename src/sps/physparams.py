@@ -74,8 +74,8 @@ class PhononBathSpec:
     def __post_init__(self):
         _check_fields(self)
         if (self.temperature is None) == (self.nbar_override is None):
-            raise ValueError(
-                "PhononBathSpec needs exactly one of temperature / nbar_override")
+            raise ValueError("PhononBathSpec needs exactly one of temperature / "
+                             "nbar_override ([bath] keys temperature / nbar)")
 
     def occupation(self, omega):
         """Mean phonon number of the mode at ``omega`` (GHz)."""

@@ -101,7 +101,9 @@ class ReservoirRates:
         rhs = self.nbar * (self.nbar + 1.0) * (diff * diff)
         scale = np.maximum(np.maximum(self.gamma_s * self.gamma_n,
                                       self.gamma_m * self.gamma_m), np.abs(rhs))
-        if not np.all(np.abs(lhs - rhs) <= np.maximum(_IDENTITY_RTOL * scale, 1e-300)):
+        ok = np.abs(lhs - rhs) <= np.maximum(_IDENTITY_RTOL * scale, 1e-300)
+        if not np.all(ok):  # named by its first failing element
+            lhs, rhs = (_scalar(np.broadcast_to(x, ok.shape)[~ok][0]) for x in (lhs, rhs))
             raise ValueError(
                 f"inconsistent reservoir triple: gamma_s*gamma_n - gamma_m^2 = {lhs!r} "
                 f"but nbar(nbar+1)(gamma1-gamma2)^2 = {rhs!r}")

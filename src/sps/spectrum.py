@@ -63,13 +63,13 @@ def sum_rule(result):
 def rendered_incoherent(result, width):
     """Incoherent spectrum with the zero-width feature drawn as a Lorentzian.
 
-    Replaces the delta of weight w by w * 2*width/(width^2 + delta^2), which
-    carries the same integrated power.
+    Replaces the delta of weight w by 2w/(width*(1 + (delta/width)^2)), which
+    carries the same integrated power and is never NaN, at any width > 0.
     """
     _check_rule("width", "> 0", width)
-    delta = result.omega_grid
-    return result.incoherent + result.zero_width_weight * 2.0 * width / (
-        width * width + delta**2)
+    with np.errstate(over="ignore"):  # a peak beyond the float range is inf
+        return result.incoherent + 2.0 * result.zero_width_weight / (
+            width * (1.0 + (result.omega_grid / width) ** 2))
 
 
 def _fluctuation_moments(rates, omega, phi_choice, sx0):

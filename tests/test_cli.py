@@ -48,6 +48,8 @@ phi = pi/2
 Omega = 20
 """
 
+PHYSICAL = (PRESETS / "physical.cfg").read_text()
+
 
 def _declared(key, rule):
     """A config key with its declared rule, as the README's config table
@@ -100,6 +102,13 @@ class TestParseConfig:
         text = "[rates]\ngamma1 = fast\ngamma2 = 1\n"
         with pytest.raises(ConfigError, match="line 2.*unparseable"):
             parse_config(text)
+
+    @pytest.mark.parametrize("text,value", [
+        ("true", True), ("Yes", True), ("1", True), ("ON", True),
+        ("false", False), ("No", False), ("0", False), ("Off", False)])
+    def test_boolean_spellings(self, text, value):
+        cfg = parse_config(MINIMAL_DIRECT + f"render_delta = {text}\n")
+        assert cfg.render_delta is value
 
     def test_rejects_import_smuggling(self):
         with pytest.raises(ConfigError, match="unparseable"):
@@ -304,21 +313,19 @@ class TestDeclaredRanges:
     does: ``PhononBathSpec``/``DriveConfig`` for [bath]/[drive] and
     ``reservoir_rates`` for [rates]."""
 
-    PHYSICAL = (PRESETS / "physical.cfg").read_text()
-
     def _library(self, section, name, value):
         if section == "rates":
             cfg = parse_config(MINIMAL_DIRECT)
             rates = dict(gamma1=cfg.gamma1, gamma2=cfg.gamma2, nbar=cfg.nbar)
             return reservoir_rates(**{**rates, name: value})
-        base = getattr(parse_config(self.PHYSICAL), section)
+        base = getattr(parse_config(PHYSICAL), section)
         # temperature replaces the preset's nbar, its alternative.
         other = {"nbar_override": None} if name == "temperature" else {}
         return dataclasses.replace(base, **other, **{name: value})
 
     def _config(self, section, key, value):
         """The config with ``key = value`` and the line it is on."""
-        base = MINIMAL_DIRECT if section == "rates" else self.PHYSICAL
+        base = MINIMAL_DIRECT if section == "rates" else PHYSICAL
         target = "nbar" if key == "temperature" else key
         text, count = re.subn(rf"^{target} = .*$", f"{key} = {value!r}", base,
                               flags=re.M)
@@ -595,6 +602,63 @@ def run_cli(args):
     return main([str(a) for a in args])
 
 
+#: (config text, subcommand, line number or None, message fragment) of a
+#: run that stops with a config error.
+CONFIG_ERRORS = [
+    pytest.param(PHYSICAL, ["spectrum"], None,
+                 "spectrum needs a resonant drive", id="spectrum-undriven"),
+    pytest.param(MINIMAL_DIRECT + "sweep_param = nbar\nsweep_points = 1\n",
+                 ["sweep"], 11, "sweep_points must be >= 2, got '1'",
+                 id="sweep-one-point"),
+    pytest.param("[rates]\ngamma1 = 1\ngamma2 = 2\n[run]\nOmega = 20\n",
+                 ["figure", "fig5"], None, "fig5 needs the perfect regime",
+                 id="fig5-imperfect"),
+    pytest.param(PHYSICAL, ["figure", "fig5"], None,
+                 "fig5 needs the direct-rate mode", id="fig5-physical"),
+    pytest.param("[rates]\ngamma1 = 1\ngamma2 = 1\nphi = 1\n[run]\nOmega = 20\n",
+                 ["steady"], None,
+                 "driven analysis supports phi in {0, pi/2} only",
+                 id="steady-phi"),
+    pytest.param(MINIMAL_DIRECT + "t_points = 2.5\n", ["decay"], 10,
+                 "expected an integer, got '2.5'", id="integer"),
+    pytest.param(MINIMAL_DIRECT + "render_delta = maybe\n", ["figure", "fig5"],
+                 10, "expected a boolean, got 'maybe'", id="boolean"),
+    pytest.param(MINIMAL_DIRECT + "[plot]\n", ["rates"], 10,
+                 "unknown section [plot]", id="unknown-section"),
+    pytest.param(MINIMAL_DIRECT + "[rates]\n", ["rates"], 10,
+                 "duplicate section [rates]", id="duplicate-section"),
+    pytest.param(MINIMAL_DIRECT + "Omega 20\n", ["rates"], 10,
+                 "expected key = value, got 'Omega 20'", id="no-equals-sign"),
+    pytest.param("gamma1 = 1\n" + MINIMAL_DIRECT, ["rates"], 1,
+                 "key outside of any section", id="key-outside-section"),
+    pytest.param(PHYSICAL.partition("[drive]")[0], ["rates"], None,
+                 "physical mode needs a [drive] section",
+                 id="physical-without-drive"),
+    pytest.param(MINIMAL_DIRECT + "[drive]\nomega1 = 1\nomega2 = 1\n"
+                 "detuning = 1\n", ["rates"], None,
+                 "[drive] requires the physical mode ([bath])",
+                 id="drive-without-bath"),
+    pytest.param(PHYSICAL.replace("[drive]", "temperature = 2\n[drive]"),
+                 ["rates"], None, "[bath] keys temperature / nbar",
+                 id="bath-temperature-and-nbar"),
+    pytest.param(re.sub(r"^nbar = .*$", "", PHYSICAL, flags=re.M), ["rates"],
+                 None, "[bath] keys temperature / nbar",
+                 id="bath-neither-temperature-nor-nbar"),
+    pytest.param(PHYSICAL + "sweep_param = phi\nsweep_points = 2\n", ["sweep"],
+                 None, "sweep supports the direct-rate mode only",
+                 id="sweep-physical"),
+    pytest.param(MINIMAL_DIRECT + "sweep_param = nbar\n", ["sweep"], None,
+                 "sweep needs sweep_param/sweep_start/sweep_stop/sweep_points",
+                 id="sweep-without-points"),
+    pytest.param(MINIMAL_DIRECT + "sweep_points = 3\n", ["sweep"], None,
+                 "sweep needs sweep_param/sweep_start/sweep_stop/sweep_points",
+                 id="sweep-without-param"),
+    pytest.param(MINIMAL_DIRECT.replace("Omega = 20", "Omega = 0"),
+                 ["figure", "fig5"], None, "fig5 needs Omega > 0",
+                 id="fig5-undriven"),
+]
+
+
 class TestSubcommands:
     def test_rates_physical(self, tmp_path):
         code = run_cli(["rates", "--config", PRESETS / "physical.cfg",
@@ -818,39 +882,78 @@ class TestSubcommands:
         cells = dict(zip(header.split(","), row.split(",")))
         assert cells["nbar_threshold"] == "0" and cells["quantum"] == "false"
 
-    def test_nan_output_fails_the_run(self, tmp_path, capsys):
-        # A rendering width whose square underflows makes S_in 0/0 at
-        # delta = 0; the run fails before fig5.csv is written.
-        (tmp_path / "cfg").write_text(
-            "[rates]\ngamma1 = 1\ngamma2 = 1\nnbar = 0.5\nphi = pi/2\n"
-            "[run]\nOmega = 20\nsx0_points = 3\nomega_points = 5\n"
-            "render_delta = true\nrender_width = 5e-324\n")
+    def test_nan_output_fails_the_run(self, tmp_path, capsys, monkeypatch):
+        # No known input makes a dataset hold NaN, so a stand-in does: the
+        # run fails before fig3.csv is written.
+        monkeypatch.setattr(cli, "figure3_dataset",
+                            lambda *grids: np.array([[0.0, 2.0, np.nan]]))
+        (tmp_path / "cfg").write_text(MINIMAL_DIRECT)
         out = tmp_path / "out"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            assert run_cli(["figure", "fig5", "--config", tmp_path / "cfg",
-                            "--out", out]) == 1
+        assert run_cli(["figure", "fig3", "--config", tmp_path / "cfg",
+                        "--out", out]) == 1
         assert capsys.readouterr().err == \
-            "sps: error: fig5.csv: column 'S_in' holds NaN\n"
+            "sps: error: fig3.csv: column 'value' holds NaN\n"
         assert os.listdir(tmp_path) == ["cfg"]  # nor its output directory
 
-    @pytest.mark.parametrize("text,command", [
-        ((PRESETS / "physical.cfg").read_text(), ["spectrum"]),
-        (MINIMAL_DIRECT + "sweep_param = nbar\nsweep_points = 1\n", ["sweep"]),
-        ("[rates]\ngamma1 = 1\ngamma2 = 2\n[run]\nOmega = 20\n",
-         ["figure", "fig5"]),
-        ((PRESETS / "physical.cfg").read_text(), ["figure", "fig5"]),
-        ("[rates]\ngamma1 = 1\ngamma2 = 1\nphi = 1\n[run]\nOmega = 20\n",
-         ["steady"]),
-    ], ids=["spectrum-undriven", "sweep-one-point", "fig5-imperfect",
-            "fig5-physical", "steady-phi"])
+    @pytest.mark.parametrize("width,peak", [("1e-200", "4.9999999999999998e+199"),
+                                            ("5e-324", "inf")])
+    def test_fig5_narrow_rendering_width(self, tmp_path, capsys, width, peak):
+        # The squared width underflows: the delta peak is 2w/width, written
+        # as inf beyond the float range, and nothing else moves.
+        text = MINIMAL_DIRECT + "sx0_points = 3\nomega_points = 5\n"
+        tables = {}
+        for name, extra in (("plain", ""), ("drawn", "render_delta = true\n"
+                                                     f"render_width = {width}\n")):
+            (tmp_path / "cfg").write_text(text + extra)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert run_cli(["figure", "fig5", "--config", tmp_path / "cfg",
+                                "--out", tmp_path / name]) == 0
+            tables[name] = [row.split(",") for row in
+                            (tmp_path / name / "fig5.csv").read_text().splitlines()]
+        assert capsys.readouterr().err == ""
+        plain, drawn = tables["plain"], tables["drawn"]
+        assert drawn[8] == ["0", "0", peak]  # sx0 = 0, delta = 0
+        assert drawn[:8] + drawn[9:] == plain[:8] + plain[9:]
+        assert not any("nan" in cell for row in drawn for cell in row)
+
+    def test_overflowing_nbar_is_one_error_line(self, tmp_path, capsys):
+        # n(n+1) overflows, so the reservoir identity fails; the error names
+        # its first failing element, not the whole array.
+        (tmp_path / "cfg").write_text(MINIMAL_DIRECT + "nbar_max = 1e308\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert run_cli(["figure", "fig3", "--config", tmp_path / "cfg",
+                            "--out", tmp_path / "out"]) == 1
+        assert capsys.readouterr().err == (
+            "sps: error: inconsistent reservoir triple: gamma_s*gamma_n - "
+            "gamma_m^2 = nan but nbar(nbar+1)(gamma1-gamma2)^2 = inf\n")
+        assert os.listdir(tmp_path) == ["cfg"]
+
+    @pytest.mark.parametrize("command,keys,expected", [
+        ("decay", "t_max = 3\nt_points = 4\n", np.linspace(0.0, 3.0, 4)),
+        ("spectrum", "omega_span = 5\nomega_points = 5\n",
+         np.linspace(-5.0, 5.0, 5)),
+    ], ids=["t_max", "omega_span"])
+    def test_explicit_grid_is_written(self, tmp_path, command, keys, expected):
+        (tmp_path / "cfg").write_text(MINIMAL_DIRECT + keys)
+        assert run_cli([command, "--config", tmp_path / "cfg",
+                        "--out", tmp_path / "out"]) == 0
+        rows = (tmp_path / "out" / f"{command}.csv").read_text().splitlines()
+        assert [float(row.split(",")[0]) for row in rows[1:]] == expected.tolist()
+
+    @pytest.mark.parametrize("text,command,line,fragment", CONFIG_ERRORS)
     def test_config_error_leaves_no_output_directory(self, tmp_path, capsys,
-                                                     text, command):
+                                                     text, command, line,
+                                                     fragment):
         (tmp_path / "cfg").write_text(text)
         out = tmp_path / "out" / "nested"
         assert run_cli([*command, "--config", tmp_path / "cfg",
                         "--out", out]) == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        prefix = "sps: config error: " + (f"line {line}: " if line else "")
+        assert err.startswith(prefix) and err.count("\n") == 1, err
+        assert fragment in err and (line or "line " not in err), err
         assert os.listdir(tmp_path) == ["cfg"]
 
     def test_config_error_keeps_an_existing_directory(self, tmp_path):
@@ -880,6 +983,14 @@ class TestSubcommands:
         code = run_cli(["figure", "fig3", "--config", PRESETS / "fig5.cfg",
                         "--out", tmp_path])
         assert code == 0  # any preset works for fig3: it sweeps its own grid
+        # argparse guards main; run_subcommand checks its own arguments.
+        cfg = dataclasses.replace(parse_config(MINIMAL_DIRECT),
+                                  out=str(tmp_path / "new" / "nested"))
+        with pytest.raises(ConfigError, match="unknown subcommand 'nope'"):
+            run_subcommand("nope", cfg)
+        with pytest.raises(ConfigError, match="unknown figure 'fig6'"):
+            run_subcommand("figure", cfg, fig="fig6")
+        assert not (tmp_path / "new").exists()
 
 
 #: A direct-mode run that every engine of decay, steady and spectrum accepts.
@@ -1112,6 +1223,17 @@ class TestProcessEntry:
         before = state()
         assert run_cli([*self.ARGV, "--out", tmp_path]) == 0
         assert state() == before
+
+    def test_entry_in_process(self, tmp_path, monkeypatch):
+        frozen = []
+        monkeypatch.setattr(gc, "freeze", lambda: frozen.append(True))
+        monkeypatch.setattr(warnings, "formatwarning", warnings.formatwarning)
+        assert cli.run([str(arg) for arg in self.ARGV]
+                       + ["--out", str(tmp_path)]) == 0
+        assert frozen == [True]
+        assert warnings.formatwarning(UserWarning("far"), UserWarning,
+                                      "x.py", 1) == "sps: warning: far\n"
+        assert (tmp_path / "spectrum_compare.meta").exists()
 
     def test_entry_freezes_the_import_heap_and_matches_main(self, tmp_path):
         proc = run_python(ENTRY_PROBE, *self.ARGV, "--out", tmp_path / "entry")

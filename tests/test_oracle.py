@@ -3,6 +3,7 @@ forms, propagation, stationary states, the time-domain fluctuation
 correlation, the resolvent spectrum."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -262,6 +263,22 @@ class TestPropagate:
             propagate(np.diag([1.5, -0.5]).astype(complex),
                       np.zeros((4, 4), complex), np.linspace(0, 1, 3))
 
+    @pytest.mark.parametrize("rho0,message", [
+        (np.eye(3) / 3.0, r"expected a 2x2 matrix, got shape \(3, 3\)"),
+        (np.array([[0.5, 0.1], [0.0, 0.5]]), "not Hermitian"),
+    ], ids=["shape", "hermiticity"])
+    def test_rejects_malformed_initial_state(self, rho0, message):
+        with pytest.raises(ValueError, match=message):
+            propagate(rho0, np.zeros((4, 4), complex), [0.0])
+
+    @pytest.mark.parametrize("grid", [np.zeros((2, 2)), np.array([])],
+                             ids=["2d", "empty"])
+    def test_rejects_grid_shape(self, grid):
+        with pytest.raises(ValueError, match=re.escape(
+                f"t_grid needs shape (n,), n >= 1, got {grid.shape}")):
+            propagate(np.eye(2, dtype=complex) / 2, np.zeros((4, 4), complex),
+                      grid)
+
     def test_errors_print_python_numbers(self):
         # Near the perfect regime exp(L t) loses the trace at t ~ 1e11.
         rates = reservoir_rates(1.0, 1.0 + 1e-5, 0.5, phi1=HALF_PI, phi2=HALF_PI)
@@ -403,6 +420,12 @@ class TestNumericSpectrum:
         assert unlocked.params["kernel_dim"] == 1
         assert unlocked.zero_width_weight == 0.0
 
+    def test_nan_frequency_fails_the_residual_check(self):
+        rates = reservoir_rates(1.0, 2.0, 0.5)
+        with pytest.raises(PropagationError,
+                           match="residual nan exceeds nan at delta = nan"):
+            regression_spectrum(rates, 3.0, omega_grid=[0.0, math.nan])
+
     def test_rejects_undamped_dot(self):
         with pytest.raises(ValueError, match="undamped"):
             regression_spectrum(reservoir_rates(0.0, 0.0, 0.0), 1.0, sx0=0.2,
@@ -456,6 +479,20 @@ class TestExactLinearAlgebra:
         trace_row = vectorize(np.eye(2))
         assert np.abs(trace_row @ proj - trace_row).max() < 1e-13
         assert np.linalg.matrix_rank(proj) == dim
+
+    def test_projector_needs_a_kernel(self):
+        with pytest.raises(ValueError, match="no stationary modes"):
+            kernel_projector(-np.eye(4, dtype=complex))
+
+    def test_projector_checks_a_nearly_defective_kernel(self):
+        # The kernel vector is within 1e-12 of the eigenvector of rate 1e-12:
+        # W^H R ~ 1e-12, and P loses its identities to rounding.
+        jordan = np.diag([0.0, 1e-12, -1.0, -2.0])
+        jordan[0, 1] = 1.0
+        hadamard = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1],
+                             [1, -1, -1, 1]]) / 2.0
+        with pytest.raises(PropagationError, match="projector failed its checks"):
+            kernel_projector((hadamard @ jordan @ hadamard.T).astype(complex))
 
     def test_projector_rejects_non_semisimple_kernel(self):
         nilpotent = np.zeros((4, 4), dtype=complex)

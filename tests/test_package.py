@@ -3,6 +3,7 @@
 of each check."""
 
 import ast
+import re
 from pathlib import Path
 
 import sps
@@ -45,19 +46,26 @@ def test_layering():
         assert imports[base].isdisjoint({"bloch", "spectrum", "oracle"}), base
 
 
+#: Exception name -> the text by which a message of it reads like a range
+#: check.  A ConfigError may say that a section "must be present".
+_RANGE_FORMS = {"ValueError": re.compile(" must be "),
+                "ConfigError": re.compile(" must be (>|one of)")}
+
+
 def _range_messages(path):
-    """The literal text of each ``raise ValueError(...)`` in the module at
-    ``path`` that reads like a range check (``" must be "``)."""
+    """The literal text of each ``raise ValueError(...)`` or
+    ``raise ConfigError(...)`` in the module at ``path`` that reads like a
+    range check."""
     found = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
                 and isinstance(node.exc.func, ast.Name)
-                and node.exc.func.id == "ValueError"):
+                and node.exc.func.id in _RANGE_FORMS):
             text = "".join(part.value for arg in node.exc.args
                            for part in ast.walk(arg)
                            if isinstance(part, ast.Constant)
                            and isinstance(part.value, str))
-            if " must be " in text:
+            if _RANGE_FORMS[node.exc.func.id].search(text):
                 found.append(f"{path.name}:{node.lineno}: {text}")
     return found
 

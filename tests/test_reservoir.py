@@ -1,5 +1,6 @@
 """Reservoir triple, squeezing mapping, regime classification, ratio datasets."""
 
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -88,6 +89,16 @@ class TestReservoirRates:
         with pytest.raises(ValueError, match="inconsistent"):
             ReservoirRates(gamma_s=1.0, gamma_n=1.0, gamma_m=0.9, phi=0.0,
                            gamma_rad=0.0, gamma1=1.0, gamma2=1.0, nbar=0.0)
+
+    def test_inconsistent_array_names_its_first_failing_element(self):
+        good = reservoir_rates(1.0, np.array([2.0, 3.0, 4.0]), 0.5)
+        gamma_m = good.gamma_m * np.array([1.0, 1.1, 1.2])
+        with pytest.raises(ValueError) as err:
+            dataclasses.replace(good, gamma_m=gamma_m)
+        lhs = float(good.gamma_s[1] * good.gamma_n[1] - gamma_m[1] ** 2)
+        assert str(err.value) == (
+            f"inconsistent reservoir triple: gamma_s*gamma_n - gamma_m^2 = "
+            f"{lhs!r} but nbar(nbar+1)(gamma1-gamma2)^2 = 3.0")
 
     @given(g1=rate_values, g2=rate_values, nbar=nbar_values)
     @settings(max_examples=300, deadline=None)

@@ -167,6 +167,12 @@ class TestExactSpectrum:
                  + poles["weight_central"] / (z - poles["z_central"]))
         assert np.abs(result.incoherent - 2.0 * np.real(total)).max() < 1e-12
 
+    def test_pole_decomposition_rejects_coincident_poles(self):
+        # gamma_y = 1, gamma_z = 10: Omega = 4.5 is exactly critical.
+        rates = reservoir_rates(1.0, 4.0, 0.0)
+        with pytest.raises(ValueError, match="poles coincide"):
+            pole_decomposition(rates, 4.5, 0.0)
+
 
 class TestStrongFieldSpectrum:
     def test_phi_zero_equal_height_triplet(self):
@@ -339,6 +345,13 @@ class TestFigure5Table:
         assert table.shape == expected.shape
         assert table.tobytes() == expected.tobytes()
 
+    def test_default_grid(self):
+        sx0_grid = np.array([-0.5, 0.2])
+        table = figure5_dataset(sx0_grid=sx0_grid, omega=OMEGA)
+        expected = figure5_dataset(sx0_grid=sx0_grid, omega=OMEGA,
+                                   omega_grid=default_omega_grid(OMEGA))
+        assert table.tobytes() == expected.tobytes()
+
     def test_empty_sx0_grid_gives_empty_table(self):
         table = figure5_dataset(sx0_grid=np.array([]),
                                 omega_grid=np.linspace(-40.0, 40.0, 11))
@@ -357,6 +370,28 @@ class TestFigure5Table:
 
 
 class TestRenderedIncoherent:
+    @pytest.mark.parametrize("width", [5e-324, 1e-310, 1e-200, 1e-160, 1e-3,
+                                       1.0, 7.0, 1e300])
+    def test_any_positive_width_is_finite_or_an_inf_peak(self, width):
+        grid = np.array([-40.0, -1e-300, 0.0, 1e-300, 3.0, 40.0])
+        result = exact_incoherent_spectrum(LOCKED, OMEGA, HALF_PI, sx0=0.0,
+                                           omega_grid=grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            drawn = rendered_incoherent(result, width)
+        assert not np.isnan(drawn).any()
+        assert (drawn - result.incoherent >= 0.0).all()
+        # At delta = 0 the Lorentzian is 2w/width: inf where that overflows.
+        with np.errstate(over="ignore"):
+            peak = 2.0 * result.zero_width_weight / np.float64(width)
+        assert drawn[2] == peak + result.incoherent[2]
+
+    def test_unit_width_keeps_the_textbook_form(self):
+        result = exact_incoherent_spectrum(LOCKED, OMEGA, HALF_PI, sx0=0.1)
+        delta, weight = result.omega_grid, result.zero_width_weight
+        textbook = result.incoherent + weight * 2.0 * 1.0 / (1.0 * 1.0 + delta**2)
+        assert rendered_incoherent(result, 1.0).tobytes() == textbook.tobytes()
+
     def test_rejects_bad_width(self):
         result = exact_incoherent_spectrum(LOCKED, OMEGA, HALF_PI, sx0=0.0)
         with pytest.raises(ValueError):

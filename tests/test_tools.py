@@ -1,6 +1,8 @@
-"""tools/compare_outputs.py: run-by-run output comparison of two trees."""
+"""tools/compare_outputs.py: run-by-run output comparison of two trees;
+tools/unreached_lines.py: the source lines a test run never executes."""
 
 import importlib.util
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -57,3 +59,27 @@ def test_directory_made_by_one_side_is_reported(tmp_path):
     lines = proc.stdout.splitlines()
     assert lines[:2] == ["x.cfg rates:", "    out/: written by the parent only"]
     assert lines[-1] == "differ: 4 of 4 runs"
+
+
+UNREACHED = ROOT / "tools" / "unreached_lines.py"
+
+
+def test_unreached_lines_names_the_branch_never_taken(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "mod.py").write_text(
+        "def sign(x):\n"
+        "    if x < 0:\n"
+        "        return -1\n"
+        "    return 1\n")
+    (tmp_path / "test_mod.py").write_text(
+        "from pkg.mod import sign\n\n\n"
+        "def test_positive():\n"
+        "    assert sign(2) == 1\n")
+    proc = subprocess.run(
+        [sys.executable, str(UNREACHED), "--source", str(package), "-q",
+         "-p", "no:cacheprovider", str(tmp_path / "test_mod.py")],
+        capture_output=True, text=True, timeout=120, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-2:] == [
+        os.path.join("pkg", "mod.py") + ":3: return -1", "unreached: 1"]
