@@ -61,6 +61,14 @@ class ConfigError(ValueError):
         super().__init__(message)
 
 
+def _config_error(check, *args, line=None):
+    """``check(*args)``, with a ValueError it raises made a ConfigError."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise ConfigError(str(exc), line) from None
+
+
 _SWEEP_PARAMS = ("gamma1", "gamma2", "nbar", "phi", "Omega", "sx0")
 _SWEEP_QUANTITIES = ("steady", "squeezing")
 
@@ -210,10 +218,8 @@ def parse_config(text):
             raise ConfigError(f"duplicate key {key!r} in section [{current}]", lineno)
         parsed = _parse_value(declared.type.removesuffix(" | None"), value,
                               lineno)
-        try:
-            _check_rule(key, declared.metadata["rule"], parsed, repr(value))
-        except ValueError as exc:
-            raise ConfigError(str(exc), lineno) from None
+        _config_error(_check_rule, key, declared.metadata["rule"], parsed,
+                      repr(value), line=lineno)
         sections[current][key] = parsed
 
     return _build_config(sections)
@@ -247,19 +253,24 @@ def _build_config(sections):
             elif f.default is MISSING:
                 raise ConfigError(
                     f"missing required key {key!r} in section [{section}]")
-    if has_bath:
-        try:  # parsing checked each key's range; this is their relation
-            bath, drive = _take(PhononBathSpec, values), _take(DriveConfig, values)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+    if has_bath:  # parsing checked each key's range; this is their relation
+        bath = _config_error(_take, PhononBathSpec, values)
+        drive = _config_error(_take, DriveConfig, values)
         values.update(bath=bath, drive=drive, gamma1=None, gamma2=None,
                       phi=drive.phi)
     cfg = RunConfig(mode="physical" if has_bath else "direct", **values)
-    if (cfg.sweep_param == "phi" and cfg.sweep_quantity == "steady"
-            and cfg.sweep_points >= 2):
-        _phi_choice(np.linspace(cfg.sweep_start, cfg.sweep_stop,
-                                cfg.sweep_points))
+    if cfg.sweep_param and cfg.sweep_points:
+        swept = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_points)
+        _config_error(_check_rule, cfg.sweep_param,
+                      _swept_field(cfg).metadata["rule"], swept)
+        if cfg.sweep_param == "phi" and cfg.sweep_quantity == "steady":
+            _phi_choice(swept)
     return cfg
+
+
+def _swept_field(cfg):
+    """The RunConfig field that declares ``cfg.sweep_param``."""
+    return (_KEYS["rates"] | _KEYS["run"])[cfg.sweep_param]
 
 
 def parse_config_file(path):
@@ -407,10 +418,7 @@ def write_meta(path, entries):
 
 def _phi_choice(phi):
     """The driven-system phase 0 or pi/2 (elementwise), else ConfigError."""
-    try:
-        return _check_phi_choice(phi)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return _config_error(_check_phi_choice, phi)
 
 
 def _time_grid(cfg, rates):
@@ -422,10 +430,16 @@ def _time_grid(cfg, rates):
     return np.linspace(0.0, t_max, cfg.t_points)
 
 
-def _omega_grid(cfg):
+def _spectrum_drive(cfg, command):
+    """The phase choice and frequency grid of a spectrum ``command`` runs,
+    after its check that the laser drives the dot."""
+    phi_choice = _phi_choice(cfg.phi)
+    if cfg.laser_omega <= 0:
+        raise ConfigError(f"{command} needs a resonant drive: set Omega > 0")
     if cfg.omega_span > 0:
-        return np.linspace(-cfg.omega_span, cfg.omega_span, cfg.omega_points)
-    return default_omega_grid(cfg.laser_omega, cfg.omega_points)
+        return phi_choice, np.linspace(-cfg.omega_span, cfg.omega_span,
+                                       cfg.omega_points)
+    return phi_choice, default_omega_grid(cfg.laser_omega, cfg.omega_points)
 
 
 # ----------------------------------------------------------------------
@@ -550,10 +564,7 @@ def _spectrum_deviation(analytic, numeric):
 
 def _cmd_spectrum(cfg, out_dir):
     rr = cfg.resolved_rates()
-    phi_choice = _phi_choice(cfg.phi)
-    if cfg.laser_omega <= 0:
-        raise ConfigError("spectrum needs a resonant drive: set Omega > 0")
-    grid = _omega_grid(cfg)
+    phi_choice, grid = _spectrum_drive(cfg, "spectrum")
 
     def analytic():
         return exact_incoherent_spectrum(rr, cfg.laser_omega, phi_choice,
@@ -574,8 +585,7 @@ def _cmd_sweep(cfg, out_dir):
     if not (cfg.sweep_param and cfg.sweep_points):
         raise ConfigError("sweep needs sweep_param/sweep_start/sweep_stop/sweep_points")
     values = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_points)
-    swept = replace(cfg, **{
-        (_KEYS["rates"] | _KEYS["run"])[cfg.sweep_param].name: values})
+    swept = replace(cfg, **{_swept_field(cfg).name: values})
     rr = swept.resolved_rates()
     if cfg.sweep_quantity == "steady":
         state = driven_steady_state(rr, swept.laser_omega,
@@ -605,18 +615,15 @@ def _cmd_figure(cfg, out_dir, fig):
                    ["nbar", "ratio", "value"], dataset.T)
         return 0
     if fig == "fig5":
-        if cfg.mode != "direct":
-            raise ConfigError("fig5 needs the direct-rate mode")
-        if not cfg.resolved_rates().is_perfect:
+        rr = cfg.resolved_rates()
+        if not rr.is_perfect:
             raise ConfigError("fig5 needs the perfect regime (gamma1 = gamma2)")
-        if cfg.laser_omega <= 0:
-            raise ConfigError("fig5 needs Omega > 0")
+        phi_choice, grid = _spectrum_drive(cfg, "fig5")
         dataset = figure5_dataset(
-            sx0_grid=np.linspace(-0.5, 0.5, cfg.sx0_points),
-            gamma0=cfg.gamma1, nbar=cfg.nbar, omega=cfg.laser_omega,
-            omega_grid=_omega_grid(cfg),
-            render_delta=cfg.render_delta,
-            render_width=cfg.render_width if cfg.render_width > 0 else None)
+            rr, cfg.laser_omega, phi_choice,
+            np.linspace(-0.5, 0.5, cfg.sx0_points), omega_grid=grid,
+            render_width=(cfg.render_width or rr.gamma1) if cfg.render_delta
+            else None)
         _write_csv(os.path.join(out_dir, "fig5.csv"),
                    ["sx0", "delta_omega", "S_in"], dataset.T)
         return 0

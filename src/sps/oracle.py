@@ -318,6 +318,4 @@ def regression_spectrum(rates, omega, sx0=0.0, sy0=0.0, sz0=0.0, *,
         omega_grid=omega_grid,
         incoherent=-2.0 * resolved[:, 1].real,
         zero_width_weight=float(x0_kernel[1].real),
-        engine="numeric",
-        params={"omega": omega, "phi": rates.phi, "sx0": sx0,
-                "kernel_dim": kernel_dim})
+        engine="numeric")

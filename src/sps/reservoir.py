@@ -96,12 +96,13 @@ class ReservoirRates:
 
     def __post_init__(self):
         _check_fields(self)
-        lhs = self.gamma_s * self.gamma_n - self.gamma_m * self.gamma_m
-        diff = self.gamma1 - self.gamma2
-        rhs = self.nbar * (self.nbar + 1.0) * (diff * diff)
-        scale = np.maximum(np.maximum(self.gamma_s * self.gamma_n,
-                                      self.gamma_m * self.gamma_m), np.abs(rhs))
-        ok = np.abs(lhs - rhs) <= np.maximum(_IDENTITY_RTOL * scale, 1e-300)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf, NaN fail
+            lhs = self.gamma_s * self.gamma_n - self.gamma_m * self.gamma_m
+            diff = self.gamma1 - self.gamma2
+            rhs = self.nbar * (self.nbar + 1.0) * (diff * diff)
+            scale = np.maximum(np.maximum(self.gamma_s * self.gamma_n,
+                                          self.gamma_m * self.gamma_m), np.abs(rhs))
+            ok = np.abs(lhs - rhs) <= np.maximum(_IDENTITY_RTOL * scale, 1e-300)
         if not np.all(ok):  # named by its first failing element
             lhs, rhs = (_scalar(np.broadcast_to(x, ok.shape)[~ok][0]) for x in (lhs, rhs))
             raise ValueError(
@@ -149,13 +150,13 @@ def reservoir_rates(gamma1, gamma2, nbar, phi1=0.0, phi2=0.0, gamma_rad=0.0):
     gamma1, gamma2, nbar, phi1, phi2, gamma_rad = np.broadcast_arrays(
         *(np.asarray(x, dtype=float)
           for x in (gamma1, gamma2, nbar, phi1, phi2, gamma_rad)))
-    with np.errstate(invalid="ignore"):  # a negative rate fails its check
-        gamma_m = (2.0 * nbar + 1.0) * np.sqrt(gamma1 * gamma2)
-    values = dict(gamma1=gamma1, gamma2=gamma2, nbar=nbar, gamma_rad=gamma_rad,
-                  gamma_s=gamma1 * nbar + gamma2 * (nbar + 1.0),
-                  gamma_n=gamma1 * (nbar + 1.0) + gamma2 * nbar,
-                  gamma_m=gamma_m,
-                  phi=((phi1 + phi2) % (2.0 * math.pi)) / 2.0)
+    # A negative rate fails its range check, an overflow the identity.
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = dict(gamma1=gamma1, gamma2=gamma2, nbar=nbar, gamma_rad=gamma_rad,
+                      gamma_s=gamma1 * nbar + gamma2 * (nbar + 1.0),
+                      gamma_n=gamma1 * (nbar + 1.0) + gamma2 * nbar,
+                      gamma_m=(2.0 * nbar + 1.0) * np.sqrt(gamma1 * gamma2),
+                      phi=((phi1 + phi2) % (2.0 * math.pi)) / 2.0)
     return ReservoirRates(**{k: _scalar(v) for k, v in values.items()})
 
 

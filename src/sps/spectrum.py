@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import _HALF_PI, damping_triple, driven_steady_state
-from .reservoir import _check_rule, reservoir_rates
+from .bloch import damping_triple, driven_steady_state
+from .reservoir import _check_rule
 
 DEFAULT_OMEGA_POINTS = 2001
 
@@ -41,7 +41,6 @@ class SpectrumResult:
     incoherent: np.ndarray
     zero_width_weight: float = 0.0
     engine: str = ""
-    params: dict = field(default_factory=dict)
 
 
 def default_omega_grid(omega, points=DEFAULT_OMEGA_POINTS):
@@ -103,7 +102,7 @@ def _lambda_rational(z, triple, omega, cx0, cy0, cz0):
     return val
 
 
-def exact_incoherent_spectrum(rates, omega, phi_choice, sx0=0.0, omega_grid=None):
+def exact_incoherent_spectrum(rates, omega, phi_choice, sx0=0.0, *, omega_grid):
     """Incoherent spectrum from the exact rational Lambda (no approximation).
 
     S_in(omega) = 2*Re{Lambda(-i*(omega-omega0))} on the grid.  In the
@@ -116,8 +115,6 @@ def exact_incoherent_spectrum(rates, omega, phi_choice, sx0=0.0, omega_grid=None
     if rates.gamma_s + rates.gamma_n + rates.gamma_rad == 0.0:
         # Its sideband poles sit on the axis: S_in is 0/0 at delta = +-Omega.
         raise ValueError("undamped dot: the correlation never decays")
-    if omega_grid is None:
-        omega_grid = default_omega_grid(omega)
     omega_grid = np.asarray(omega_grid, dtype=float)
     triple, steady, cx0, cy0, cz0 = _fluctuation_moments(
         rates, omega, phi_choice, sx0)
@@ -132,13 +129,10 @@ def exact_incoherent_spectrum(rates, omega, phi_choice, sx0=0.0, omega_grid=None
         omega_grid=omega_grid,
         incoherent=s_in,
         zero_width_weight=zero_width,
-        engine="exact",
-        params={"omega": omega, "phi": triple.phi_choice, "sx0": sx0,
-                "gamma_x": triple.gamma_x, "gamma_y": triple.gamma_y,
-                "gamma_z": triple.gamma_z})
+        engine="exact")
 
 
-def strong_field_spectrum(rates, omega, phi_choice, sx0=0.0, omega_grid=None):
+def strong_field_spectrum(rates, omega, phi_choice, sx0=0.0, *, omega_grid):
     """Three-Lorentzian strong-field spectrum (valid Omega >> damping rates).
 
     Central peak 1/2*(1-4*sx^2)*gamma_x/(gamma_x^2+delta^2); Rabi sidebands
@@ -148,8 +142,6 @@ def strong_field_spectrum(rates, omega, phi_choice, sx0=0.0, omega_grid=None):
     ground truth.
     """
     _check_rule("omega", "> 0", omega)
-    if omega_grid is None:
-        omega_grid = default_omega_grid(omega)
     omega_grid = np.asarray(omega_grid, dtype=float)
     triple = damping_triple(rates, phi_choice)
     gx, gy, gz = triple.gamma_x, triple.gamma_y, triple.gamma_z
@@ -178,9 +170,7 @@ def strong_field_spectrum(rates, omega, phi_choice, sx0=0.0, omega_grid=None):
         omega_grid=omega_grid,
         incoherent=central + upper + lower,
         zero_width_weight=zero_width,
-        engine="strong-field",
-        params={"omega": omega, "phi": triple.phi_choice, "sx0": sx0,
-                "gamma_x": gx, "gamma_y": gy, "gamma_z": gz})
+        engine="strong-field")
 
 
 def pole_decomposition(rates, omega, phi_choice, sx0=0.0):
@@ -215,31 +205,26 @@ def pole_decomposition(rates, omega, phi_choice, sx0=0.0):
     }
 
 
-def figure5_dataset(sx0_grid, gamma0=1.0, nbar=0.5, omega=20.0,
-                    omega_grid=None, render_delta=False, render_width=None):
+def figure5_dataset(rates, omega, phi_choice, sx0_grid, *, omega_grid,
+                    render_width=None):
     """Incoherent-spectrum surface over the initial coherence sx0.
 
-    Perfect-squeezing reservoir (gamma_1 = gamma_2 = gamma0) at phase pi/2,
-    resonant drive Omega; rows are (sx0, delta_omega, S_in) with sx0 as the
-    outer loop.  With ``render_delta`` the zero-width central feature is
-    drawn as a Lorentzian of width ``render_width`` (default gamma0), which
-    keeps its integrated power.  Each sx0 slice is written straight into the
-    table, so the memory beyond it is that of one spectrum.
+    Rows are (sx0, delta_omega, S_in) with sx0 as the outer loop; each sx0
+    block is ``exact_incoherent_spectrum(rates, omega, phi_choice, sx0,
+    omega_grid=omega_grid)``.  Given a ``render_width``, the zero-width
+    central feature is drawn as a Lorentzian of that width, which keeps its
+    integrated power.  Each sx0 slice is written straight into the table,
+    so the memory beyond it is that of one spectrum.
     """
     sx0_grid = np.asarray(sx0_grid, dtype=float)
-    if omega_grid is None:
-        omega_grid = default_omega_grid(omega)
     omega_grid = np.asarray(omega_grid, dtype=float)
-    rates = reservoir_rates(gamma0, gamma0, nbar, phi1=_HALF_PI, phi2=_HALF_PI)
-
-    width = gamma0 if render_width is None else render_width
     table = np.empty((sx0_grid.size * omega_grid.size, 3))
     surface = table.reshape(sx0_grid.size, omega_grid.size, 3)
     surface[:, :, 0] = sx0_grid[:, None]
     surface[:, :, 1] = omega_grid
     for sx0, cells in zip(sx0_grid, surface):
-        result = exact_incoherent_spectrum(rates, omega, _HALF_PI, sx0=sx0,
+        result = exact_incoherent_spectrum(rates, omega, phi_choice, sx0=sx0,
                                            omega_grid=omega_grid)
-        cells[:, 2] = (rendered_incoherent(result, width) if render_delta
-                       else result.incoherent)
+        cells[:, 2] = (result.incoherent if render_width is None
+                       else rendered_incoherent(result, render_width))
     return table

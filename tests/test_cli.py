@@ -614,7 +614,8 @@ CONFIG_ERRORS = [
                  ["figure", "fig5"], None, "fig5 needs the perfect regime",
                  id="fig5-imperfect"),
     pytest.param(PHYSICAL, ["figure", "fig5"], None,
-                 "fig5 needs the direct-rate mode", id="fig5-physical"),
+                 "fig5 needs a resonant drive: set Omega > 0",
+                 id="fig5-physical"),
     pytest.param("[rates]\ngamma1 = 1\ngamma2 = 1\nphi = 1\n[run]\nOmega = 20\n",
                  ["steady"], None,
                  "driven analysis supports phi in {0, pi/2} only",
@@ -654,9 +655,23 @@ CONFIG_ERRORS = [
                  "sweep needs sweep_param/sweep_start/sweep_stop/sweep_points",
                  id="sweep-without-param"),
     pytest.param(MINIMAL_DIRECT.replace("Omega = 20", "Omega = 0"),
-                 ["figure", "fig5"], None, "fig5 needs Omega > 0",
+                 ["figure", "fig5"], None,
+                 "fig5 needs a resonant drive: set Omega > 0",
                  id="fig5-undriven"),
+    pytest.param(MINIMAL_DIRECT + "sweep_param = Omega\nsweep_start = -1\n"
+                 "sweep_stop = 1\nsweep_points = 3\n", ["steady"], None,
+                 "Omega must be >= 0, got -1.0", id="sweep-negative-Omega"),
 ]
+
+
+#: Perfect-regime fig5 configs off the paper's reference point: with a
+#: radiative rate, at phase 0, and in the physical mode with equal Rabi
+#: frequencies.
+FIG5_CONFIGS = {
+    "Gamma": MINIMAL_DIRECT + "Gamma = 0.5\n",
+    "phi-zero": MINIMAL_DIRECT.replace("phi = pi/2", "phi = 0"),
+    "physical": PHYSICAL + "Omega = 20\n",
+}
 
 
 class TestSubcommands:
@@ -788,13 +803,14 @@ class TestSubcommands:
 
     def test_sweep_into_negative_rate_names_first_value(self, tmp_path,
                                                         capsys):
+        # The swept values are checked against gamma2's range at config time.
         (tmp_path / "cfg").write_text(
             MINIMAL_DIRECT + "sweep_param = gamma2\nsweep_start = -1\n"
             "sweep_stop = 1\nsweep_points = 5\n")
         assert run_cli(["sweep", "--config", tmp_path / "cfg",
-                        "--out", tmp_path]) == 1
+                        "--out", tmp_path]) == 2
         assert capsys.readouterr().err == (
-            "sps: error: gamma2 must be >= 0, got -1.0\n")
+            "sps: config error: gamma2 must be >= 0, got -1.0\n")
         assert not (tmp_path / "sweep.csv").exists()
 
     def test_undriven_perfect_phi_zero_fails_however_gamma_y_rounds(
@@ -861,6 +877,28 @@ class TestSubcommands:
             assert "config error" in capsys.readouterr().err
             assert not (tmp_path / "fig5.csv").exists()
 
+    @pytest.mark.parametrize("text", FIG5_CONFIGS.values(), ids=FIG5_CONFIGS)
+    def test_fig5_blocks_are_the_spectrum_at_each_sx0(self, tmp_path, text):
+        # fig5 is the spectrum subcommand over the sx0 grid: same rates,
+        # phase choice, drive and frequency grid.
+        text += "sx0_points = 5\nomega_points = 41\n"
+        (tmp_path / "cfg").write_text(text)
+        assert run_cli(["figure", "fig5", "--config", tmp_path / "cfg",
+                        "--out", tmp_path / "fig5"]) == 0
+        rows = [row.split(",", 1) for row in
+                (tmp_path / "fig5" / "fig5.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 5 * 41
+        for block in range(5):
+            cells = rows[block * 41:(block + 1) * 41]
+            sx0 = cells[0][0]
+            assert {row[0] for row in cells} == {sx0}
+            (tmp_path / "cfg").write_text(text + f"sx0 = {sx0}\n")
+            out = tmp_path / f"spectrum{block}"
+            assert run_cli(["spectrum", "--config", tmp_path / "cfg",
+                            "--out", out]) == 0
+            spectrum = (out / "spectrum.csv").read_text().splitlines()[1:]
+            assert [row[1] for row in cells] == spectrum
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("fig", ["fig3", "fig4"])
     def test_figure_next_to_ratio_one_is_finite(self, tmp_path, fig):
@@ -922,7 +960,7 @@ class TestSubcommands:
         # its first failing element, not the whole array.
         (tmp_path / "cfg").write_text(MINIMAL_DIRECT + "nbar_max = 1e308\n")
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error")
             assert run_cli(["figure", "fig3", "--config", tmp_path / "cfg",
                             "--out", tmp_path / "out"]) == 1
         assert capsys.readouterr().err == (

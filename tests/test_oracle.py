@@ -406,18 +406,19 @@ class TestNumericSpectrum:
         # and exactly 0 on a one-dimensional kernel.
         rates = reservoir_rates(1.0, 1.0, 0.5, phi1=HALF_PI, phi2=HALF_PI)
         lv = build_liouvillian(rates, omega=20.0, laser_on=True)
+        assert kernel_projector(lv)[1] == 2
         grid = np.linspace(-1.0, 1.0, 11)
         for sx0 in (-0.5, -0.2, 0.0, 0.3):
             result = regression_spectrum(rates, 20.0, sx0=sx0, omega_grid=grid)
-            assert result.params["kernel_dim"] == 2
             assert result.zero_width_weight == pytest.approx(
                 0.25 * (1.0 - 4.0 * sx0**2), abs=1e-14)
             rho_ss = stationary_state(lv, bloch_to_rho(BlochVector(sx0, 0.0, 0.0)))
             late = fluctuation_correlation(lv, rho_ss, np.array([0.0, 50.0]))[-1]
             assert late.real == pytest.approx(result.zero_width_weight, abs=1e-12)
-        unlocked = regression_spectrum(reservoir_rates(1.0, 3.0, 0.5), 8.0,
-                                       sx0=0.3, omega_grid=grid)
-        assert unlocked.params["kernel_dim"] == 1
+        rates = reservoir_rates(1.0, 3.0, 0.5)
+        unlocked = regression_spectrum(rates, 8.0, sx0=0.3, omega_grid=grid)
+        assert kernel_projector(
+            build_liouvillian(rates, omega=8.0, laser_on=True))[1] == 1
         assert unlocked.zero_width_weight == 0.0
 
     def test_nan_frequency_fails_the_residual_check(self):
@@ -585,7 +586,8 @@ class TestOracleAgainstClosedForms:
         exact = exact_incoherent_spectrum(rates, 20.0, HALF_PI, sx0=0.3,
                                           omega_grid=grid)
         numeric = regression_spectrum(rates, 20.0, sx0=0.3, omega_grid=grid)
-        assert numeric.params["kernel_dim"] == 1
+        assert kernel_projector(
+            build_liouvillian(rates, omega=20.0, laser_on=True))[1] == 1
         peak = np.abs(exact.incoherent).max()
         assert np.abs(exact.incoherent - numeric.incoherent).max() <= 1e-6 * peak
         assert numeric.zero_width_weight == exact.zero_width_weight == 0.0
@@ -601,7 +603,8 @@ class TestOracleAgainstClosedForms:
         exact = exact_incoherent_spectrum(rates, 20.0, HALF_PI, sx0=0.3,
                                           omega_grid=grid)
         numeric = regression_spectrum(rates, 20.0, sx0=0.3, omega_grid=grid)
-        assert numeric.params["kernel_dim"] == 2
+        assert kernel_projector(
+            build_liouvillian(rates, omega=20.0, laser_on=True))[1] == 2
         for result in (exact, numeric):
             assert result.zero_width_weight == pytest.approx(0.16, abs=1e-9)
         peak = np.abs(exact.incoherent).max()

@@ -56,7 +56,8 @@ SCALAR_CHECKS = {
     "rendered_incoherent-width": (
         "width", "> 0", lambda v: rendered_incoherent(LOCKED, v)),
     "strong_field_spectrum-omega": (
-        "omega", "> 0", lambda v: strong_field_spectrum(RATES, v, 0.0)),
+        "omega", "> 0", lambda v: strong_field_spectrum(
+            RATES, v, 0.0, omega_grid=LOCKED.omega_grid)),
 }
 #: The checks whose argument may be an array.
 ARRAY_CHECKS = {

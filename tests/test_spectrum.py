@@ -29,6 +29,7 @@ HALF_PI = math.pi / 2.0
 #: squeezing phase pi/2, drive Omega = 20 (gamma_y = gamma_z = 8).
 LOCKED = reservoir_rates(1.0, 1.0, 0.5, phi1=HALF_PI, phi2=HALF_PI)
 OMEGA = 20.0
+GRID = default_omega_grid(OMEGA)
 
 
 def strong_field_quiet(*args, **kwargs):
@@ -96,7 +97,8 @@ class TestLambdaLaplace:
 
 class TestExactSpectrum:
     def test_surviving_sideband_height(self):
-        result = exact_incoherent_spectrum(LOCKED, OMEGA, HALF_PI, sx0=0.5)
+        result = exact_incoherent_spectrum(LOCKED, OMEGA, HALF_PI, sx0=0.5,
+                                           omega_grid=GRID)
         at_plus = result.incoherent[np.argmin(np.abs(result.omega_grid - OMEGA))]
         assert at_plus == pytest.approx(1.0 / 16.0, abs=1e-12)
 
@@ -108,16 +110,16 @@ class TestExactSpectrum:
         assert abs(mirrored["residue_upper"]) < 1e-14
 
     def test_mirror_symmetry_in_sx0(self):
-        grid = default_omega_grid(OMEGA)
         plus = exact_incoherent_spectrum(LOCKED, OMEGA, HALF_PI, sx0=0.3,
-                                         omega_grid=grid)
+                                         omega_grid=GRID)
         minus = exact_incoherent_spectrum(LOCKED, OMEGA, HALF_PI, sx0=-0.3,
-                                          omega_grid=grid)
+                                          omega_grid=GRID)
         assert np.abs(plus.incoherent - minus.incoherent[::-1]).max() < 1e-12
 
     def test_delta_weights_in_locked_regime(self):
         for sx0 in (0.0, 0.3, 0.5):
-            result = exact_incoherent_spectrum(LOCKED, OMEGA, HALF_PI, sx0=sx0)
+            result = exact_incoherent_spectrum(LOCKED, OMEGA, HALF_PI, sx0=sx0,
+                                               omega_grid=GRID)
             assert result.coherent_weight == pytest.approx(sx0**2, abs=1e-15)
             assert result.zero_width_weight == pytest.approx(
                 0.25 * (1.0 - 4.0 * sx0**2), abs=1e-15)
@@ -126,7 +128,8 @@ class TestExactSpectrum:
         from sps.bloch import driven_steady_state
 
         rates = reservoir_rates(1.0, 3.0, 0.4)
-        result = exact_incoherent_spectrum(rates, OMEGA, HALF_PI, sx0=0.4)
+        result = exact_incoherent_spectrum(rates, OMEGA, HALF_PI, sx0=0.4,
+                                           omega_grid=GRID)
         assert result.zero_width_weight == 0.0
         steady = driven_steady_state(rates, OMEGA, HALF_PI, sx0=0.4)
         assert steady.sx == 0.0  # no locking away from the perfect regime
@@ -143,25 +146,24 @@ class TestExactSpectrum:
         for rates, phi in ((LOCKED, HALF_PI),
                            (reservoir_rates(1.0, 3.0, 0.4), 0.0),
                            (reservoir_rates(2.0, 0.7, 0.2), HALF_PI)):
-            result = exact_incoherent_spectrum(rates, OMEGA, phi, sx0=0.2)
+            result = exact_incoherent_spectrum(rates, OMEGA, phi, sx0=0.2,
+                                               omega_grid=GRID)
             assert result.incoherent.min() >= -1e-10
 
     def test_matches_oracle_spectrum(self):
-        grid = default_omega_grid(OMEGA)
         exact = exact_incoherent_spectrum(LOCKED, OMEGA, HALF_PI, sx0=0.5,
-                                          omega_grid=grid)
+                                          omega_grid=GRID)
         numeric = oracle.regression_spectrum(LOCKED, OMEGA, sx0=0.5,
-                                             omega_grid=grid)
+                                             omega_grid=GRID)
         peak = np.abs(exact.incoherent).max()
         assert np.abs(exact.incoherent - numeric.incoherent).max() / peak < 1e-9
 
     def test_equals_pole_decomposition_sum(self):
         # The sampled exact spectrum is the sum of its pole contributions.
         rates = reservoir_rates(1.0, 3.0, 0.4)
-        grid = default_omega_grid(OMEGA)
-        result = exact_incoherent_spectrum(rates, OMEGA, 0.0, omega_grid=grid)
+        result = exact_incoherent_spectrum(rates, OMEGA, 0.0, omega_grid=GRID)
         poles = pole_decomposition(rates, OMEGA, 0.0)
-        z = -1j * grid
+        z = -1j * GRID
         total = (poles["residue_upper"] / (z - poles["z_upper"])
                  + poles["residue_lower"] / (z - poles["z_lower"])
                  + poles["weight_central"] / (z - poles["z_central"]))
@@ -210,10 +212,10 @@ class TestStrongFieldSpectrum:
         assert hwhm(0.0) == pytest.approx(2.0 * hwhm(omega), rel=1e-3)
 
     def test_single_sideband_at_full_coherence(self):
-        result = strong_field_quiet(LOCKED, OMEGA, HALF_PI, sx0=0.5)
-        grid = result.omega_grid
-        at_plus = result.incoherent[np.argmin(np.abs(grid - OMEGA))]
-        at_minus = result.incoherent[np.argmin(np.abs(grid + OMEGA))]
+        result = strong_field_quiet(LOCKED, OMEGA, HALF_PI, sx0=0.5,
+                                    omega_grid=GRID)
+        at_plus = result.incoherent[np.argmin(np.abs(GRID - OMEGA))]
+        at_minus = result.incoherent[np.argmin(np.abs(GRID + OMEGA))]
         assert at_plus == pytest.approx(1.0 / 16.0, abs=1e-12)
         # the -Omega value is purely the surviving peak's Lorentzian tail
         gy_gz = 16.0
@@ -230,7 +232,7 @@ class TestStrongFieldSpectrum:
 
     def test_warns_outside_validity(self):
         with pytest.warns(UserWarning, match="strong-field"):
-            strong_field_spectrum(LOCKED, 5.0, HALF_PI)
+            strong_field_spectrum(LOCKED, 5.0, HALF_PI, omega_grid=GRID)
 
     def test_converges_to_exact_with_drive(self):
         # Sup-norm distance to the exact engine decreases monotonically
@@ -277,14 +279,16 @@ class TestFigure5Dataset:
     def test_shape_and_ordering(self):
         sx0_grid = np.array([-0.5, 0.0, 0.5])
         grid = np.linspace(-40.0, 40.0, 101)
-        data = figure5_dataset(sx0_grid=sx0_grid, omega_grid=grid)
+        data = figure5_dataset(LOCKED, OMEGA, HALF_PI, sx0_grid,
+                               omega_grid=grid)
         assert data.shape == (303, 3)
         assert np.allclose(np.unique(data[:, 0]), sx0_grid)
         assert np.allclose(data[:101, 0], -0.5)
 
     def test_zero_coherence_slice_symmetric(self):
         grid = np.linspace(-40.0, 40.0, 801)
-        data = figure5_dataset(sx0_grid=np.array([0.0]), omega_grid=grid)
+        data = figure5_dataset(LOCKED, OMEGA, HALF_PI, np.array([0.0]),
+                               omega_grid=grid)
         values = data[:, 2]
         assert np.abs(values - values[::-1]).max() < 1e-14
 
@@ -297,16 +301,19 @@ class TestFigure5Dataset:
             2.0 * res0["residue_upper"].real, rel=1e-12)
 
         grid = np.linspace(-40.0, 40.0, 801)
-        base = figure5_dataset(sx0_grid=np.array([0.0]), omega_grid=grid)
-        full = figure5_dataset(sx0_grid=np.array([0.5]), omega_grid=grid)
+        base = figure5_dataset(LOCKED, OMEGA, HALF_PI, np.array([0.0]),
+                               omega_grid=grid)
+        full = figure5_dataset(LOCKED, OMEGA, HALF_PI, np.array([0.5]),
+                               omega_grid=grid)
         idx = np.argmin(np.abs(grid - 20.0))
         assert full[idx, 2] == pytest.approx(2.0 * base[idx, 2], rel=5e-2)
 
     def test_render_flag_adds_power_preserving_lorentzian(self):
         grid = np.linspace(-40.0, 40.0, 4001)
-        plain = figure5_dataset(sx0_grid=np.array([0.0]), omega_grid=grid)
-        drawn = figure5_dataset(sx0_grid=np.array([0.0]), omega_grid=grid,
-                                render_delta=True)
+        plain = figure5_dataset(LOCKED, OMEGA, HALF_PI, np.array([0.0]),
+                                omega_grid=grid)
+        drawn = figure5_dataset(LOCKED, OMEGA, HALF_PI, np.array([0.0]),
+                                omega_grid=grid, render_width=1.0)
         extra = drawn[:, 2] - plain[:, 2]
         # Lorentzian of width gamma0 = 1 carrying weight 1/4
         expected = 0.25 * 2.0 * 1.0 / (1.0 + grid**2)
@@ -315,19 +322,22 @@ class TestFigure5Dataset:
     def test_continuity_in_sx0(self):
         sx0_grid = np.linspace(-0.5, 0.5, 21)
         grid = np.linspace(-40.0, 40.0, 201)
-        data = figure5_dataset(sx0_grid=sx0_grid, omega_grid=grid)
+        data = figure5_dataset(LOCKED, OMEGA, HALF_PI, sx0_grid,
+                               omega_grid=grid)
         surface = data[:, 2].reshape(21, 201)
         jumps = np.abs(np.diff(surface, axis=0)).max()
         assert jumps < 0.02  # rational in sx0, no slice-to-slice jumps
 
 
-def _concatenated_surface(sx0_grid, omega_grid, render_delta=False):
-    """figure5_dataset at its defaults, as one column_stack block per sx0."""
+def _concatenated_surface(sx0_grid, omega_grid, render_width):
+    """figure5_dataset at the reference point, as one column_stack block per
+    sx0."""
     blocks = []
     for sx0 in sx0_grid:
         result = exact_incoherent_spectrum(LOCKED, OMEGA, HALF_PI, sx0=sx0,
                                            omega_grid=omega_grid)
-        values = rendered_incoherent(result, 1.0) if render_delta else result.incoherent
+        values = (result.incoherent if render_width is None
+                  else rendered_incoherent(result, render_width))
         blocks.append(np.column_stack([
             np.full_like(omega_grid, sx0), omega_grid, values]))
     return np.concatenate(blocks, axis=0)
@@ -339,21 +349,15 @@ class TestFigure5Table:
     def test_bytes_equal_concatenated_blocks(self, shape, render_delta):
         sx0_grid = np.linspace(-0.5, 0.5, shape[0])
         grid = np.linspace(-40.0, 40.0, shape[1])
-        table = figure5_dataset(sx0_grid=sx0_grid, omega_grid=grid,
-                                render_delta=render_delta)
-        expected = _concatenated_surface(sx0_grid, grid, render_delta)
+        width = 1.0 if render_delta else None
+        table = figure5_dataset(LOCKED, OMEGA, HALF_PI, sx0_grid,
+                                omega_grid=grid, render_width=width)
+        expected = _concatenated_surface(sx0_grid, grid, width)
         assert table.shape == expected.shape
         assert table.tobytes() == expected.tobytes()
 
-    def test_default_grid(self):
-        sx0_grid = np.array([-0.5, 0.2])
-        table = figure5_dataset(sx0_grid=sx0_grid, omega=OMEGA)
-        expected = figure5_dataset(sx0_grid=sx0_grid, omega=OMEGA,
-                                   omega_grid=default_omega_grid(OMEGA))
-        assert table.tobytes() == expected.tobytes()
-
     def test_empty_sx0_grid_gives_empty_table(self):
-        table = figure5_dataset(sx0_grid=np.array([]),
+        table = figure5_dataset(LOCKED, OMEGA, HALF_PI, np.array([]),
                                 omega_grid=np.linspace(-40.0, 40.0, 11))
         assert table.shape == (0, 3)
 
@@ -362,7 +366,8 @@ class TestFigure5Table:
         grid = np.linspace(-40.0, 40.0, 4001)
         tracemalloc.start()
         try:
-            table = figure5_dataset(sx0_grid=sx0_grid, omega_grid=grid)
+            table = figure5_dataset(LOCKED, OMEGA, HALF_PI, sx0_grid,
+                                    omega_grid=grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -387,12 +392,14 @@ class TestRenderedIncoherent:
         assert drawn[2] == peak + result.incoherent[2]
 
     def test_unit_width_keeps_the_textbook_form(self):
-        result = exact_incoherent_spectrum(LOCKED, OMEGA, HALF_PI, sx0=0.1)
+        result = exact_incoherent_spectrum(LOCKED, OMEGA, HALF_PI, sx0=0.1,
+                                           omega_grid=GRID)
         delta, weight = result.omega_grid, result.zero_width_weight
         textbook = result.incoherent + weight * 2.0 * 1.0 / (1.0 * 1.0 + delta**2)
         assert rendered_incoherent(result, 1.0).tobytes() == textbook.tobytes()
 
     def test_rejects_bad_width(self):
-        result = exact_incoherent_spectrum(LOCKED, OMEGA, HALF_PI, sx0=0.0)
+        result = exact_incoherent_spectrum(LOCKED, OMEGA, HALF_PI, sx0=0.0,
+                                           omega_grid=GRID)
         with pytest.raises(ValueError):
             rendered_incoherent(result, 0.0)
