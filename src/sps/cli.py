@@ -112,7 +112,7 @@ class RunConfig:
     ratio_points: int = _key(201, ">= 1")
     sx0_points: int = _key(41, ">= 1")
     render_delta: bool = _key(False)
-    render_width: float = _key(0.0, ">= 0")    # 0 -> gamma1
+    render_width: float = _key(0.0, ">= 0")    # 0 -> gamma1 (none if 0)
     sweep_param: str = _key("", _SWEEP_PARAMS)
     sweep_start: float = _key(0.0)
     sweep_stop: float = _key(0.0)
@@ -622,8 +622,8 @@ def _cmd_figure(cfg, out_dir, fig):
         dataset = figure5_dataset(
             rr, cfg.laser_omega, phi_choice,
             np.linspace(-0.5, 0.5, cfg.sx0_points), omega_grid=grid,
-            render_width=(cfg.render_width or rr.gamma1) if cfg.render_delta
-            else None)
+            render_width=(cfg.render_width or rr.gamma1 or None)
+            if cfg.render_delta else None)
         _write_csv(os.path.join(out_dir, "fig5.csv"),
                    ["sx0", "delta_omega", "S_in"], dataset.T)
         return 0

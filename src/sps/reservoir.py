@@ -219,31 +219,33 @@ def quantum_threshold(gamma1, gamma2):
     return r2 / (r1 - r2)
 
 
-#: Mesh points evaluated per block by the ratio-grid datasets: the
-#: temporaries of ``map_to_squeezing`` stay below a megabyte however many
-#: points the grid has, and the table is the only allocation that grows.
+#: Mesh points evaluated per block by the figure datasets: the temporaries
+#: of one block stay below a megabyte however many points the grid has,
+#: and the table is the only allocation that grows.
 GRID_BLOCK_POINTS = 4096
 
 
-def _ratio_grid_table(value, nbar_grid, ratio_grid):
-    """Rows (nbar, ratio, value(descriptor at gamma1 = 1)), nbar-major.
-
-    The table is allocated once and its value column is filled
-    ``GRID_BLOCK_POINTS`` points at a time; every operation is elementwise,
-    so each cell equals that of one call over the whole mesh.
-    """
-    nbar_grid = np.asarray(nbar_grid, float).ravel()
-    ratio_grid = np.asarray(ratio_grid, float).ravel()
-    _check_rule("ratio", "> 1", ratio_grid)
-    table = np.empty((nbar_grid.size * ratio_grid.size, 3))
-    mesh = table.reshape(nbar_grid.size, ratio_grid.size, 3)
-    mesh[:, :, 0] = nbar_grid[:, None]
-    mesh[:, :, 1] = ratio_grid
+def _grid_table(value, outer, inner):
+    """Rows (outer, inner, value(rows)), outer-major.  The table is allocated
+    once and its value column filled ``GRID_BLOCK_POINTS`` rows at a time, so
+    for an elementwise ``value`` each cell equals that of a whole-mesh call."""
+    outer = np.asarray(outer, float).ravel()
+    inner = np.asarray(inner, float).ravel()
+    table = np.empty((outer.size * inner.size, 3))
+    mesh = table.reshape(outer.size, inner.size, 3)
+    mesh[:, :, 0] = outer[:, None]
+    mesh[:, :, 1] = inner
     for start in range(0, len(table), GRID_BLOCK_POINTS):
         rows = table[start:start + GRID_BLOCK_POINTS]
-        rows[:, 2] = value(map_to_squeezing(
-            reservoir_rates(1.0, rows[:, 1], rows[:, 0])))
+        rows[:, 2] = value(rows)
     return table
+
+
+def _ratio_grid_table(value, nbar_grid, ratio_grid):
+    """Rows (nbar, ratio, value(descriptor at gamma1 = 1)), nbar-major."""
+    _check_rule("ratio", "> 1", np.asarray(ratio_grid, float))
+    return _grid_table(lambda rows: value(map_to_squeezing(
+        reservoir_rates(1.0, rows[:, 1], rows[:, 0]))), nbar_grid, ratio_grid)
 
 
 def _quantum_ratio(desc):

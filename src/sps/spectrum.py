@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import damping_triple, driven_steady_state
-from .reservoir import _check_rule
+from .reservoir import _check_rule, _grid_table
 
 DEFAULT_OMEGA_POINTS = 2001
 
@@ -213,18 +213,11 @@ def figure5_dataset(rates, omega, phi_choice, sx0_grid, *, omega_grid,
     block is ``exact_incoherent_spectrum(rates, omega, phi_choice, sx0,
     omega_grid=omega_grid)``.  Given a ``render_width``, the zero-width
     central feature is drawn as a Lorentzian of that width, which keeps its
-    integrated power.  Each sx0 slice is written straight into the table,
-    so the memory beyond it is that of one spectrum.
+    integrated power.  The table is filled block by block, as fig3/fig4's.
     """
-    sx0_grid = np.asarray(sx0_grid, dtype=float)
-    omega_grid = np.asarray(omega_grid, dtype=float)
-    table = np.empty((sx0_grid.size * omega_grid.size, 3))
-    surface = table.reshape(sx0_grid.size, omega_grid.size, 3)
-    surface[:, :, 0] = sx0_grid[:, None]
-    surface[:, :, 1] = omega_grid
-    for sx0, cells in zip(sx0_grid, surface):
-        result = exact_incoherent_spectrum(rates, omega, phi_choice, sx0=sx0,
-                                           omega_grid=omega_grid)
-        cells[:, 2] = (result.incoherent if render_width is None
-                       else rendered_incoherent(result, render_width))
-    return table
+    def value(rows):
+        result = exact_incoherent_spectrum(rates, omega, phi_choice,
+                                           sx0=rows[:, 0], omega_grid=rows[:, 1])
+        return (result.incoherent if render_width is None
+                else rendered_incoherent(result, render_width))
+    return _grid_table(value, sx0_grid, omega_grid)

@@ -40,14 +40,11 @@ from sps.spectrum import (
 )
 
 from correlation import fluctuation_correlation
+from domain import HALF_PI, LOCKED
 from liouvillian_forms import build_liouvillian_decomposed, \
     build_qnd_liouvillian
 
-HALF_PI = math.pi / 2.0
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
-
-#: Perfect-squeezing reference point of the locked-spectrum criteria.
-LOCKED = reservoir_rates(1.0, 1.0, 0.5, phi1=HALF_PI, phi2=HALF_PI)
 OMEGA_REF = 20.0
 
 #: Driven-steady-state regression numbers, first confirmed against the

@@ -23,29 +23,9 @@ from sps.bloch import (
 )
 from sps.reservoir import RATE_FLOOR, reservoir_rates
 
-HALF_PI = math.pi / 2.0
-
-
-def bloch_states(max_radius=0.5):
-    """Strategy for physical Bloch vectors (uniform in a ball of radius 1/2)."""
-    return st.builds(
-        lambda u, costh, phi, r: BlochVector(
-            r * u * math.sqrt(1 - costh**2) * math.cos(phi),
-            r * u * math.sqrt(1 - costh**2) * math.sin(phi),
-            r * u * costh),
-        st.floats(0.0, 1.0), st.floats(-1.0, 1.0),
-        st.floats(0.0, 2.0 * math.pi), st.just(max_radius))
-
-
-#: One (gamma1, gamma2, nbar, Gamma, Omega, phi) point; gamma2 None means
-#: gamma2 = gamma1, the perfect regime.  A nonzero Omega is at least 0.01,
-#: so that the slowest rate of the driven pair stays far above rounding.
-reservoir_points = st.tuples(
-    st.floats(0.01, 30.0), st.one_of(st.none(), st.floats(0.01, 30.0)),
-    st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
-    st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
-    st.one_of(st.just(0.0), st.floats(0.01, 40.0)),
-    st.sampled_from((0.0, HALF_PI)))
+from domain import HALF_PI, LOCKED, Point, ROUNDED_CRITICAL, bloch_states, \
+    csv_text, drives, gamma_pairs, gammas, nbars, omegas, points, \
+    reservoirs, resolved_points, unequal_pairs
 
 
 class TestBlochVector:
@@ -65,7 +45,7 @@ class TestQuadrature:
     def test_phi_zero_selects_sy(self):
         assert quadrature(BlochVector(0.0, 0.5, 0.0), 0.0) == pytest.approx((0.5, 0.0))
 
-    @given(state=bloch_states(), phi=st.floats(0.0, 2.0 * math.pi))
+    @given(state=bloch_states, phi=st.floats(0.0, 2.0 * math.pi))
     @settings(max_examples=200, deadline=None)
     def test_involution(self, state, phi):
         # The quadrature map is a reflection: applying it twice at the same
@@ -123,12 +103,11 @@ class TestFreeEvolution:
         with pytest.raises(ValueError):
             free_evolution(BlochVector(0, 0, 0), rates, -1.0)
 
-    @given(point=reservoir_points)
+    @given(reservoir=reservoirs)
     @settings(max_examples=300, deadline=None)
-    def test_steady_inversion_formula(self, point):
-        g1, g2, nbar, gamma_rad, _, _ = point
-        rates = reservoir_rates(g1, g1 if g2 is None else g2, nbar,
-                                gamma_rad=gamma_rad)
+    def test_steady_inversion_formula(self, reservoir):
+        gamma1, gamma2, nbar, gamma_rad = reservoir
+        rates = reservoir_rates(gamma1, gamma2, nbar, gamma_rad=gamma_rad)
         s, n, half_rad = rates.gamma_s, rates.gamma_n, 0.5 * rates.gamma_rad
         assert free_steady_inversion(rates) == \
             -(s - n + half_rad) / (2.0 * (s + n + half_rad))
@@ -154,22 +133,18 @@ class TestDampingTriple:
         assert triple.gamma_y == pytest.approx(expected, rel=1e-12)
         assert triple.gamma_z == pytest.approx(expected, rel=1e-12)
 
-    @given(g1=st.floats(0.01, 10.0), g2=st.floats(0.01, 10.0),
-           nbar=st.floats(0.01, 4.0))
+    @given(pair=unequal_pairs, nbar=nbars)
     @settings(max_examples=200, deadline=None)
-    def test_unequal_rates_both_positive(self, g1, g2, nbar):
-        if abs(g1 - g2) < 1e-3 * max(g1, g2):
-            return
-        rates = reservoir_rates(g1, g2, nbar)
+    def test_unequal_rates_both_positive(self, pair, nbar):
+        rates = reservoir_rates(*pair, nbar)
         for phi in (0.0, HALF_PI):
             triple = damping_triple(rates, phi)
             assert triple.gamma_x > 0.0 and triple.gamma_y > 0.0
 
-    @given(g1=st.floats(0.01, 10.0), g2=st.floats(0.01, 10.0),
-           nbar=st.floats(0.0, 4.0))
+    @given(pair=gamma_pairs, nbar=nbars)
     @settings(max_examples=200, deadline=None)
-    def test_rate_sum_identity(self, g1, g2, nbar):
-        triple = damping_triple(reservoir_rates(g1, g2, nbar), 0.0)
+    def test_rate_sum_identity(self, pair, nbar):
+        triple = damping_triple(reservoir_rates(*pair, nbar), 0.0)
         assert triple.gamma_x + triple.gamma_y == pytest.approx(
             triple.gamma_z, rel=1e-12)
 
@@ -204,8 +179,8 @@ class TestDrivenSteadyState:
         state = driven_steady_state(rates, 5.0, 0.0, sx0=0.3)
         assert state.sx == 0.0 and state.sy == 0.0 and state.sz == 0.0
 
-    @given(gamma=st.floats(0.01, 30.0), nbar=st.floats(0.0, 3.0),
-           state=bloch_states(), t=st.floats(0.0, 1e3))
+    @given(gamma=gammas, nbar=nbars, state=bloch_states,
+           t=st.floats(0.0, 1e3))
     @settings(max_examples=300, deadline=None)
     def test_undriven_perfect_phi_zero_leaves_sy_undamped(self, gamma, nbar,
                                                           state, t):
@@ -216,12 +191,11 @@ class TestDrivenSteadyState:
             driven_steady_state(rates, 0.0, 0.0)
         assert driven_evolution(state, rates, 0.0, 0.0, t).sy == state.sy
 
-    @given(g1=st.floats(0.1, 5.0), g2=st.floats(0.1, 5.0),
-           nbar=st.floats(0.0, 2.0), omega=st.floats(0.1, 30.0))
+    @given(pair=gamma_pairs, nbar=nbars, omega=drives)
     @settings(max_examples=200, deadline=None)
-    def test_fixed_point_of_equations_of_motion(self, g1, g2, nbar, omega):
+    def test_fixed_point_of_equations_of_motion(self, pair, nbar, omega):
         for phi in (0.0, HALF_PI):
-            rates = reservoir_rates(g1, g2, nbar)
+            rates = reservoir_rates(*pair, nbar)
             triple = damping_triple(rates, phi)
             s = driven_steady_state(rates, omega, phi, sx0=0.2)
             rhs = np.array([
@@ -234,10 +208,6 @@ class TestDrivenSteadyState:
             assert np.abs(rhs).max() <= 1e-12 * scale
 
 
-def _text(value):
-    return "%.17g" % value
-
-
 def _edge_times(q):
     """t = 0 and the times just either side of |q t| = 1e-3 and 1e-6, where
     the 2x2 exponential switches to its near-defective series."""
@@ -246,24 +216,14 @@ def _edge_times(q):
     return [0.0] + [x * f / q for x in (1e-6, 1e-3) for f in (1 - 1e-9, 1 + 1e-9)]
 
 
-#: One (gamma1, gamma2, nbar, Gamma, Omega, sx0, phi) point; gamma2 None
-#: means gamma2 = gamma1, the perfect regime.
-driven_points = st.tuples(
-    st.floats(1e-3, 10.0), st.one_of(st.none(), st.floats(1e-3, 10.0)),
-    st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
-    st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
-    st.one_of(st.just(0.0), st.floats(0.0, 30.0)),
-    st.floats(-0.5, 0.5), st.sampled_from((0.0, HALF_PI)))
-
-
 class TestArrayPath:
     """Array calls equal the per-element scalar calls bit for bit, and an
     element the scalar call rejects makes the whole array call raise."""
 
     @staticmethod
-    def scalar_rows(points):
+    def scalar_rows(draws):
         rows = []
-        for g1, g2, nbar, gamma_rad, omega, sx0, phi in points:
+        for g1, g2, nbar, gamma_rad, omega, sx0, phi in draws:
             rates = reservoir_rates(g1, g2, nbar, phi1=phi, phi2=phi,
                                     gamma_rad=gamma_rad)
             triple = damping_triple(rates, phi)
@@ -272,13 +232,13 @@ class TestArrayPath:
                          triple.phi_choice, s.sx, s.sy, s.sz])
         return rows
 
-    def assert_matches_scalar(self, points):
+    def assert_matches_scalar(self, draws):
         g1, g2, nbar, gamma_rad, omega, sx0, phi = (
-            np.array(c, dtype=float) for c in zip(*points))
+            np.array(c, dtype=float) for c in zip(*draws))
         rates = reservoir_rates(g1, g2, nbar, phi1=phi, phi2=phi,
                                 gamma_rad=gamma_rad)
         try:
-            expected = self.scalar_rows(points)
+            expected = self.scalar_rows(draws)
         except ValueError:
             with pytest.raises(ValueError):
                 driven_steady_state(rates, omega, phi, sx0=sx0)
@@ -287,14 +247,13 @@ class TestArrayPath:
         s = driven_steady_state(rates, omega, phi, sx0=sx0)
         got = np.column_stack([triple.gamma_x, triple.gamma_y, triple.gamma_z,
                                triple.phi_choice, s.sx, s.sy, s.sz])
-        assert [[_text(v) for v in row] for row in got] == \
-            [[_text(v) for v in row] for row in expected]
+        assert [[csv_text(v) for v in row] for row in got] == \
+            [[csv_text(v) for v in row] for row in expected]
 
-    @given(points=st.lists(driven_points, min_size=1, max_size=16))
+    @given(draws=st.lists(points, min_size=1, max_size=16))
     @settings(max_examples=300, deadline=None)
-    def test_steady_array_equals_scalar(self, points):
-        self.assert_matches_scalar([
-            (g1, g1 if g2 is None else g2, *rest) for g1, g2, *rest in points])
+    def test_steady_array_equals_scalar(self, draws):
+        self.assert_matches_scalar(draws)
 
     def test_sweep_across_equal_rates(self):
         g2 = np.concatenate([np.linspace(0.5, 1.5, 101),
@@ -332,38 +291,30 @@ class TestArrayPath:
             expected = [evolve(t) for t in times]
         fields = ("sx", "sy", "sz")
         assert all(type(getattr(s, f)) is float for s in expected for f in fields)
-        assert [[_text(v) for v in getattr(got, f)] for f in fields] == \
-            [[_text(getattr(s, f)) for s in expected] for f in fields]
+        assert [[csv_text(v) for v in getattr(got, f)] for f in fields] == \
+            [[csv_text(getattr(s, f)) for s in expected] for f in fields]
         for bad in (-1e-300, math.nan):
             with pytest.raises(ValueError, match="t must be >= 0"):
                 evolve(np.array([*times, bad]))
 
-    @given(point=driven_points, state=bloch_states(),
+    @given(point=points, state=bloch_states,
            times=st.lists(st.floats(0.0, 50.0), max_size=4))
     @settings(max_examples=60, deadline=None)
     def test_free_evolution_array_equals_scalar(self, point, state, times):
-        g1, g2, nbar, gamma_rad, _, _, phi = point
-        rates = reservoir_rates(g1, g1 if g2 is None else g2, nbar,
-                                phi1=phi, phi2=phi, gamma_rad=gamma_rad)
+        rates = point.rates()
         self.assert_trajectory_matches_scalar(
             lambda t: free_evolution(state, rates, t), _edge_times(1.0) + times)
 
-    @given(point=driven_points, critical=st.booleans(), state=bloch_states(),
+    @given(point=points, state=bloch_states,
            times=st.lists(st.floats(0.0, 50.0), max_size=4))
-    # Perfect regime at Gamma = 0: gamma_z - gamma_y rounds to -8.9e-16.
-    @example(point=(1.84375, None, 0.39966502237142987, 0.0, 0.0, 0.0,
-                    HALF_PI),
-             critical=True, state=BlochVector(0.1, -0.2, 0.3), times=[])
+    @example(point=ROUNDED_CRITICAL, state=BlochVector(0.1, -0.2, 0.3),
+             times=[])
     @settings(max_examples=100, deadline=None)
-    def test_driven_evolution_array_equals_scalar(self, point, critical, state,
-                                                  times):
-        g1, g2, nbar, gamma_rad, omega, _, phi = point
-        rates = reservoir_rates(g1, g1 if g2 is None else g2, nbar,
-                                phi1=phi, phi2=phi, gamma_rad=gamma_rad)
+    def test_driven_evolution_array_equals_scalar(self, point, state, times):
+        rates, omega, phi = point.rates(), point.omega, point.phi
         triple = damping_triple(rates, phi)
-        if critical:  # a defective (Sy, Sz) block: q = 0, up to rounding
-            omega = max(0.0, 0.5 * (triple.gamma_z - triple.gamma_y))
-        # |q|: half the eigenvalue splitting of the (Sy, Sz) block.
+        # |q|: half the eigenvalue splitting of the (Sy, Sz) block, 0 up to
+        # rounding at the critical drive.
         q = math.sqrt(abs(0.25 * (triple.gamma_z - triple.gamma_y) ** 2
                           - omega * omega))
         self.assert_trajectory_matches_scalar(
@@ -373,7 +324,7 @@ class TestArrayPath:
     @given(n=st.one_of(st.just(0.0), st.floats(0.0, 100.0)),
            squeeze=st.floats(0.0, 1.0),
            gamma=st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
-           state=bloch_states(),
+           state=bloch_states,
            times=st.lists(st.floats(0.0, 50.0), max_size=4))
     @settings(max_examples=60, deadline=None)
     def test_external_decay_array_equals_scalar(self, n, squeeze, gamma, state,
@@ -400,14 +351,12 @@ class TestDrivenEvolution:
         s0 = BlochVector(0.1, -0.2, 0.3)
         assert driven_evolution(s0, self.RATES, 2.5, 0.0, 0.0) == s0
 
-    @given(point=reservoir_points, state=bloch_states())
-    @example(point=(2.0, 1.0, 0.3, 0.0, 2.5, 0.0),
+    @given(point=resolved_points, state=bloch_states)
+    @example(point=Point(2.0, 1.0, 0.3, 0.0, 2.5, 0.0, 0.0),
              state=BlochVector(0.1, -0.2, 0.3))
     @settings(max_examples=300, deadline=None)
     def test_long_time_reaches_steady_state(self, point, state):
-        g1, g2, nbar, gamma_rad, omega, phi = point
-        rates = reservoir_rates(g1, g1 if g2 is None else g2, nbar,
-                                gamma_rad=gamma_rad)
+        rates, omega, phi = point.rates(), point.omega, point.phi
         triple = damping_triple(rates, phi)
         # Omega = 0 with a vanishing gamma_y leaves <Sy> undamped.
         assume(omega > 0 or triple.gamma_y > RATE_FLOOR * triple.gamma_z)
@@ -444,18 +393,16 @@ class TestDrivenEvolution:
             assert np.abs(ana - num).max() < 1e-8
 
     def test_coherence_locked_trajectory(self):
-        rates = reservoir_rates(1.0, 1.0, 0.5, phi1=HALF_PI, phi2=HALF_PI)
         s0 = BlochVector(0.35, 0.1, -0.2)
         for t in np.linspace(0.0, 10.0, 11):
-            state = driven_evolution(s0, rates, 20.0, HALF_PI, t)
+            state = driven_evolution(s0, LOCKED, 20.0, HALF_PI, t)
             assert state.sx == s0.sx  # exactly locked, not merely slow
 
-    @given(state=bloch_states(), g1=st.floats(0.1, 4.0), g2=st.floats(0.1, 4.0),
-           nbar=st.floats(0.0, 2.0), omega=st.floats(0.0, 25.0),
+    @given(state=bloch_states, pair=gamma_pairs, nbar=nbars, omega=omegas,
            t=st.floats(0.0, 50.0))
     @settings(max_examples=300, deadline=None)
-    def test_bloch_sphere_containment(self, state, g1, g2, nbar, omega, t):
-        rates = reservoir_rates(g1, g2, nbar)
+    def test_bloch_sphere_containment(self, state, pair, nbar, omega, t):
+        rates = reservoir_rates(*pair, nbar)
         for phi in (0.0, HALF_PI):
             out = driven_evolution(state, rates, omega, phi, t)
             norm2 = out.sx**2 + out.sy**2 + out.sz**2

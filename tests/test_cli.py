@@ -665,12 +665,17 @@ CONFIG_ERRORS = [
 
 
 #: Perfect-regime fig5 configs off the paper's reference point: with a
-#: radiative rate, at phase 0, and in the physical mode with equal Rabi
-#: frequencies.
+#: radiative rate, at phase 0, in the physical mode with equal Rabi
+#: frequencies, and a radiatively damped dot without a reservoir asking for
+#: the automatic rendering width gamma1 = 0 (it has no zero-width feature,
+#: so nothing is drawn).
 FIG5_CONFIGS = {
     "Gamma": MINIMAL_DIRECT + "Gamma = 0.5\n",
     "phi-zero": MINIMAL_DIRECT.replace("phi = pi/2", "phi = 0"),
     "physical": PHYSICAL + "Omega = 20\n",
+    "no-reservoir-rendered": MINIMAL_DIRECT.replace(
+        "gamma1 = 1\ngamma2 = 1", "gamma1 = 0\ngamma2 = 0")
+    + "Gamma = 1\nrender_delta = true\n",
 }
 
 

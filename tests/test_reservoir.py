@@ -24,10 +24,9 @@ from sps.reservoir import (
     quantum_threshold,
     reservoir_rates,
 )
+from domain import csv_text, gamma_pairs, nbars, near_perfect_ratios, \
+    reservoirs
 from squeezing_reference import ordinary_split
-
-rate_values = st.floats(1e-3, 50.0)
-nbar_values = st.floats(0.0, 5.0)
 
 
 class TestReservoirRates:
@@ -100,9 +99,10 @@ class TestReservoirRates:
             f"inconsistent reservoir triple: gamma_s*gamma_n - gamma_m^2 = "
             f"{lhs!r} but nbar(nbar+1)(gamma1-gamma2)^2 = 3.0")
 
-    @given(g1=rate_values, g2=rate_values, nbar=nbar_values)
+    @given(pair=gamma_pairs, nbar=nbars)
     @settings(max_examples=300, deadline=None)
-    def test_determinant_identity(self, g1, g2, nbar):
+    def test_determinant_identity(self, pair, nbar):
+        g1, g2 = pair
         r = reservoir_rates(g1, g2, nbar)
         lhs = r.gamma_s * r.gamma_n - r.gamma_m**2
         rhs = nbar * (nbar + 1.0) * (g1 - g2) ** 2
@@ -146,10 +146,10 @@ class TestMapToSqueezing:
         assert d.m_abs**2 - d.n_photons * (d.n_photons + 1.0) == pytest.approx(
             -0.75, rel=1e-6)
 
-    @given(g1=rate_values, g2=rate_values, nbar=nbar_values)
+    @given(pair=gamma_pairs, nbar=nbars)
     @settings(max_examples=300, deadline=None)
-    def test_correlation_and_split_identities(self, g1, g2, nbar):
-        d = map_to_squeezing(reservoir_rates(g1, g2, nbar))
+    def test_correlation_and_split_identities(self, pair, nbar):
+        d = map_to_squeezing(reservoir_rates(*pair, nbar))
         if d.regime == REGIME_PERFECT:
             return
         n, m = d.n_photons, d.m_abs
@@ -158,9 +158,10 @@ class TestMapToSqueezing:
         assert abs(d.n_squeezed + d.n_background - n) <= 1e-12 * scale
         assert abs(d.n_squeezed * (d.n_squeezed + 1.0) - m**2) <= 1e-12 * scale
 
-    @given(g1=rate_values, g2=rate_values, nbar=nbar_values)
+    @given(pair=gamma_pairs, nbar=nbars)
     @settings(max_examples=200, deadline=None)
-    def test_exchange_symmetry(self, g1, g2, nbar):
+    def test_exchange_symmetry(self, pair, nbar):
+        g1, g2 = pair
         d12 = map_to_squeezing(reservoir_rates(g1, g2, nbar))
         d21 = map_to_squeezing(reservoir_rates(g2, g1, nbar))
         if d12.regime == REGIME_PERFECT:
@@ -170,12 +171,13 @@ class TestMapToSqueezing:
         assert d12.n_photons == pytest.approx(d21.n_photons, rel=1e-12)
         assert d12.m_abs == pytest.approx(d21.m_abs, rel=1e-12)
 
-    @given(g1=rate_values, g2=rate_values, nbar=nbar_values)
-    @example(g1=0.001, g2=0.0010000000000000002, nbar=0.0)
+    @given(pair=gamma_pairs, nbar=nbars)
+    @example(pair=(0.001, 0.0010000000000000002), nbar=0.0)
     @settings(max_examples=200, deadline=None)
-    def test_printed_lower_limit_matches_mapping(self, g1, g2, nbar):
+    def test_printed_lower_limit_matches_mapping(self, pair, nbar):
         # |M| - N from the mapping equals the closed form
         # [sqrt(g_small) - nbar(sqrt(g_big)-sqrt(g_small))]/(sqrt(g1)+sqrt(g2)).
+        g1, g2 = pair
         d = map_to_squeezing(reservoir_rates(g1, g2, nbar))
         if d.regime == REGIME_PERFECT:
             return
@@ -187,17 +189,6 @@ class TestMapToSqueezing:
         # draws, beyond the 1e-10 that covers every N below 1e5.
         tol = 1e-10 + 4 * 2**-52 * d.n_photons
         assert d.m_abs - d.n_photons == pytest.approx(closed, abs=tol)
-
-
-def _text(value):
-    return "%.17g" % value
-
-
-#: One (gamma1, gamma2, nbar, Gamma) point; gamma2 None means gamma2 = gamma1.
-reservoir_points = st.tuples(
-    st.floats(1e-3, 20.0), st.one_of(st.none(), st.floats(1e-3, 20.0)),
-    st.one_of(st.just(0.0), st.floats(0.0, 4.0)),
-    st.one_of(st.just(0.0), st.floats(0.0, 2.0)))
 
 
 class TestArrayPath:
@@ -214,19 +205,17 @@ class TestArrayPath:
                                 gamma_rad=float(gamma_rad[i]))
             d = map_to_squeezing(r)
             for name in ("gamma_s", "gamma_n", "gamma_m", "phi"):
-                assert _text(getattr(rates, name)[i]) == _text(getattr(r, name))
+                assert csv_text(getattr(rates, name)[i]) == csv_text(getattr(r, name))
             for name in self.FIELDS:
-                assert _text(getattr(desc, name)[i]) == _text(getattr(d, name))
+                assert csv_text(getattr(desc, name)[i]) == csv_text(getattr(d, name))
             assert desc.regime[i] == d.regime
             assert desc.quantum[i] == d.quantum
             assert rates.is_perfect[i] == r.is_perfect
 
-    @given(points=st.lists(reservoir_points, min_size=1, max_size=16))
+    @given(draws=st.lists(reservoirs, min_size=1, max_size=16))
     @settings(max_examples=200, deadline=None)
-    def test_squeezing_array_equals_scalar(self, points):
-        points = [(g1, g1 if g2 is None else g2, n, gr)
-                  for g1, g2, n, gr in points]
-        self.assert_matches_scalar(*(np.array(c) for c in zip(*points)))
+    def test_squeezing_array_equals_scalar(self, draws):
+        self.assert_matches_scalar(*(np.array(c) for c in zip(*draws)))
 
     def test_sweep_across_equal_rates(self):
         # Ordinary, perfect (gamma2 == gamma1 only) and inverted; one ulp
@@ -293,8 +282,7 @@ NEAR_PERFECT_ATOL = 4 * math.ulp(0.0)
 
 
 class TestNearPerfectBand:
-    @given(ratio=st.floats(1.0, 1.001, exclude_min=True),
-           nbar=st.one_of(st.just(0.0), st.floats(0.0, 5.0)))
+    @given(ratio=near_perfect_ratios, nbar=nbars)
     @example(ratio=1.0 + 2**-52, nbar=0.5)
     @example(ratio=1.0 + 1e-6, nbar=3.0)
     @example(ratio=1.0 + 1e-12, nbar=1e-300)

@@ -22,12 +22,9 @@ from sps.spectrum import (
 )
 
 from correlation import fluctuation_correlation
+from domain import HALF_PI, LOCKED
 
-HALF_PI = math.pi / 2.0
-
-#: Perfect-squeezing reference point used throughout: gamma0 = 1, nbar = 0.5,
-#: squeezing phase pi/2, drive Omega = 20 (gamma_y = gamma_z = 8).
-LOCKED = reservoir_rates(1.0, 1.0, 0.5, phi1=HALF_PI, phi2=HALF_PI)
+#: The drive of the reference point used throughout, with LOCKED.
 OMEGA = 20.0
 GRID = default_omega_grid(OMEGA)
 
