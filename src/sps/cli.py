@@ -551,7 +551,8 @@ def _write_spectrum(stem, result):
                {"engine": result.engine,
                 "coherent_weight": result.coherent_weight,
                 "zero_width_weight": result.zero_width_weight,
-                "sum_rule": sum_rule(result)})
+                "sum_rule": sum_rule(result),
+                "fluctuation_total": result.fluctuation_total})
 
 
 def _spectrum_deviation(analytic, numeric):

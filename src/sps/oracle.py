@@ -317,5 +317,6 @@ def regression_spectrum(rates, omega, sx0=0.0, sy0=0.0, sz0=0.0, *,
         coherent_weight=float(abs(expect(SP, rho_ss)) ** 2),
         omega_grid=omega_grid,
         incoherent=-2.0 * resolved[:, 1].real,
+        fluctuation_total=float(x0[1].real),  # C(0) = tr(S- X0)
         zero_width_weight=float(x0_kernel[1].real),
         engine="numeric")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
@@ -24,11 +25,15 @@ REGIME_PERFECT = "perfect"     # gamma_1 = gamma_2: one quadrature decoherence-f
 #: Every engine counts a rate <= RATE_FLOOR*gamma_z (the largest rate) as zero.
 RATE_FLOOR = 1e-10
 
-_IDENTITY_RTOL = 1e-12
 
+#: The closed forms multiply two rates (gamma_s*gamma_n, gamma_m**2) and
+#: map_to_squeezing 4*nbar by nbar+1: a triple below the square root of the
+#: largest float, and nbar below half of it, keep each product finite.
+_TRIPLE_RULE = f"< {math.sqrt(sys.float_info.max)!r}"
+_NBAR_RULE = f"< {math.sqrt(sys.float_info.max) / 2.0!r}"
 
 #: The relations a declared range may use.
-_RELATIONS = {">=": operator.ge, ">": operator.gt}
+_RELATIONS = {">=": operator.ge, ">": operator.gt, "<": operator.lt}
 
 
 def _scalar(value):
@@ -77,37 +82,39 @@ def _check_fields(instance):
 class ReservoirRates:
     """Effective-reservoir triple plus provenance.
 
-    gamma_s, gamma_n, gamma_m are in GHz, phi is the squeezing phase in
-    radians, gamma_rad the radiative rate of the dot outside the engineered
-    reservoir.  The constructor checks the inputs (gamma1, gamma2, nbar,
-    gamma_rad), then the triple, against their declared ranges, and
-    enforces the exact determinant identity
-    gamma_s*gamma_n - gamma_m**2 = nbar*(nbar+1)*(gamma1-gamma2)**2.
+    gamma1, gamma2 (GHz) are the drive-induced rates, nbar the phonon
+    occupation, gamma_rad the radiative rate of the dot outside the
+    engineered reservoir and phi the squeezing phase in radians.  The
+    triple (GHz) is derived from them:
+
+    gamma_s = gamma1*nbar + gamma2*(nbar+1)
+    gamma_n = gamma1*(nbar+1) + gamma2*nbar
+    gamma_m = (2*nbar+1)*sqrt(gamma1*gamma2)
+
+    The constructor checks the inputs, then the triple, against their
+    declared ranges, and then nbar against its bound (_NBAR_RULE).
     """
 
     gamma1: float = _declare(rule=">= 0")
     gamma2: float = _declare(rule=">= 0")
     nbar: float = _declare(rule=">= 0")
     gamma_rad: float = _declare(rule=">= 0")
-    gamma_s: float = _declare(rule=">= 0")
-    gamma_n: float = _declare(rule=">= 0")
-    gamma_m: float = _declare(rule=">= 0")
     phi: float
+    gamma_s: float = field(init=False, metadata={"rule": _TRIPLE_RULE})
+    gamma_n: float = field(init=False, metadata={"rule": _TRIPLE_RULE})
+    gamma_m: float = field(init=False, metadata={"rule": _TRIPLE_RULE})
 
     def __post_init__(self):
+        gamma1, gamma2, nbar = self.gamma1, self.gamma2, self.nbar
+        # A negative input fails its range check, an overflow the bound.
+        with np.errstate(over="ignore", invalid="ignore"):
+            triple = dict(gamma_s=gamma1 * nbar + gamma2 * (nbar + 1.0),
+                          gamma_n=gamma1 * (nbar + 1.0) + gamma2 * nbar,
+                          gamma_m=(2.0 * nbar + 1.0) * np.sqrt(gamma1 * gamma2))
+        for name, value in triple.items():
+            object.__setattr__(self, name, _scalar(value))
         _check_fields(self)
-        with np.errstate(over="ignore", invalid="ignore"):  # inf, NaN fail
-            lhs = self.gamma_s * self.gamma_n - self.gamma_m * self.gamma_m
-            diff = self.gamma1 - self.gamma2
-            rhs = self.nbar * (self.nbar + 1.0) * (diff * diff)
-            scale = np.maximum(np.maximum(self.gamma_s * self.gamma_n,
-                                          self.gamma_m * self.gamma_m), np.abs(rhs))
-            ok = np.abs(lhs - rhs) <= np.maximum(_IDENTITY_RTOL * scale, 1e-300)
-        if not np.all(ok):  # named by its first failing element
-            lhs, rhs = (_scalar(np.broadcast_to(x, ok.shape)[~ok][0]) for x in (lhs, rhs))
-            raise ValueError(
-                f"inconsistent reservoir triple: gamma_s*gamma_n - gamma_m^2 = {lhs!r} "
-                f"but nbar(nbar+1)(gamma1-gamma2)^2 = {rhs!r}")
+        _check_rule("nbar", _NBAR_RULE, nbar)
 
     @property
     def is_perfect(self):
@@ -136,12 +143,9 @@ class SqueezingDescriptor:
 
 
 def reservoir_rates(gamma1, gamma2, nbar, phi1=0.0, phi2=0.0, gamma_rad=0.0):
-    """Build the reservoir triple from the two drive-induced rates.
-
-    gamma_s = gamma1*nbar + gamma2*(nbar+1)
-    gamma_n = gamma1*(nbar+1) + gamma2*nbar
-    gamma_m = (2*nbar+1)*sqrt(gamma1*gamma2)
-    phi     = (phi1 + phi2)/2, with 2*phi reduced to [0, 2*pi)
+    """Build the reservoir from the two drive-induced rates, at squeezing
+    phase phi = (phi1 + phi2)/2 with 2*phi reduced to [0, 2*pi); the triple
+    is derived by ReservoirRates.
 
     Array arguments broadcast together into array fields; scalar arguments
     give Python floats.  An input out of the range that ReservoirRates
@@ -150,14 +154,9 @@ def reservoir_rates(gamma1, gamma2, nbar, phi1=0.0, phi2=0.0, gamma_rad=0.0):
     gamma1, gamma2, nbar, phi1, phi2, gamma_rad = np.broadcast_arrays(
         *(np.asarray(x, dtype=float)
           for x in (gamma1, gamma2, nbar, phi1, phi2, gamma_rad)))
-    # A negative rate fails its range check, an overflow the identity.
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = dict(gamma1=gamma1, gamma2=gamma2, nbar=nbar, gamma_rad=gamma_rad,
-                      gamma_s=gamma1 * nbar + gamma2 * (nbar + 1.0),
-                      gamma_n=gamma1 * (nbar + 1.0) + gamma2 * nbar,
-                      gamma_m=(2.0 * nbar + 1.0) * np.sqrt(gamma1 * gamma2),
-                      phi=((phi1 + phi2) % (2.0 * math.pi)) / 2.0)
-    return ReservoirRates(**{k: _scalar(v) for k, v in values.items()})
+    with np.errstate(over="ignore", invalid="ignore"):  # phi has no range
+        phi = ((phi1 + phi2) % (2.0 * math.pi)) / 2.0
+    return ReservoirRates(*map(_scalar, (gamma1, gamma2, nbar, gamma_rad, phi)))
 
 
 def map_to_squeezing(rates):

@@ -34,11 +34,15 @@ class SpectrumResult:
     frequency, GHz) in 1/GHz.  ``coherent_weight`` is the elastic weight
     |<S+>_s|^2 and ``zero_width_weight`` the non-decaying fluctuation weight
     that appears when gamma_x = 0; both multiply 2*pi*delta(omega-omega0).
+    ``fluctuation_total`` is the exact total incoherent power
+    <dS+ dS->_s = 1/2 + s_z - s_x^2 - s_y^2 of the engine's steady state,
+    which :func:`sum_rule` approaches as the grid resolves every peak.
     """
 
     coherent_weight: float
     omega_grid: np.ndarray
     incoherent: np.ndarray
+    fluctuation_total: float
     zero_width_weight: float = 0.0
     engine: str = ""
 
@@ -128,6 +132,7 @@ def exact_incoherent_spectrum(rates, omega, phi_choice, sx0=0.0, *, omega_grid):
         coherent_weight=steady.sx**2 + steady.sy**2,
         omega_grid=omega_grid,
         incoherent=s_in,
+        fluctuation_total=(cx0 - 1j * cy0).real,
         zero_width_weight=zero_width,
         engine="exact")
 
@@ -143,13 +148,14 @@ def strong_field_spectrum(rates, omega, phi_choice, sx0=0.0, *, omega_grid):
     """
     _check_rule("omega", "> 0", omega)
     omega_grid = np.asarray(omega_grid, dtype=float)
-    triple = damping_triple(rates, phi_choice)
+    triple, steady, cx0, cy0, _ = _fluctuation_moments(
+        rates, omega, phi_choice, sx0)
     gx, gy, gz = triple.gamma_x, triple.gamma_y, triple.gamma_z
     if omega < 10.0 * max(gy, gz):
         warnings.warn(
             f"strong-field formula used at Omega = {omega} < 10*max(gamma_y, "
             f"gamma_z) = {10.0 * max(gy, gz)}; accuracy degrades", stacklevel=2)
-    sx = driven_steady_state(rates, omega, phi_choice, sx0=sx0).sx
+    sx = steady.sx
 
     delta = omega_grid
     zero_width = 0.0
@@ -169,6 +175,7 @@ def strong_field_spectrum(rates, omega, phi_choice, sx0=0.0, *, omega_grid):
         coherent_weight=sx**2,
         omega_grid=omega_grid,
         incoherent=central + upper + lower,
+        fluctuation_total=(cx0 - 1j * cy0).real,
         zero_width_weight=zero_width,
         engine="strong-field")
 

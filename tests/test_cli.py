@@ -759,6 +759,26 @@ class TestSubcommands:
                    (tmp_path / "spectrum_analytic.meta").read_text().splitlines())
         assert float(ana["coherent_weight"]) == pytest.approx(0.25)
 
+    def test_spectrum_meta_reports_exact_fluctuation_total(self, tmp_path):
+        # Near the perfect regime the central peak is far narrower than the
+        # grid step: both engines' sum_rule misses it by six orders, while
+        # fluctuation_total is each engine's exact <dS+ dS->_s.
+        (tmp_path / "cfg").write_text(
+            MINIMAL_DIRECT.replace("gamma2 = 1", "gamma2 = 1.0001")
+            + "sx0 = 0.3\nengine = both\n")
+        assert run_cli(["spectrum", "--config", tmp_path / "cfg",
+                        "--out", tmp_path / "out"]) == 0
+        metas = [dict(line.split("=", 1) for line in
+                      (tmp_path / "out" / f"spectrum_{engine}.meta")
+                      .read_text().splitlines())
+                 for engine in ("analytic", "numeric")]
+        totals = [float(meta["fluctuation_total"]) for meta in metas]
+        assert totals[0] == pytest.approx(0.49999827578106715, abs=1e-15)
+        assert abs(totals[1] - totals[0]) <= 1e-13
+        for meta in metas:
+            assert list(meta)[-2:] == ["sum_rule", "fluctuation_total"]
+            assert float(meta["sum_rule"]) == pytest.approx(636649.6, rel=1e-5)
+
     def test_spectrum_needs_drive(self, tmp_path, capsys):
         (tmp_path / "cfg").write_text("[rates]\ngamma1 = 1\ngamma2 = 2\n")
         assert run_cli(["spectrum", "--config", tmp_path / "cfg",
@@ -960,18 +980,45 @@ class TestSubcommands:
         assert drawn[:8] + drawn[9:] == plain[:8] + plain[9:]
         assert not any("nan" in cell for row in drawn for cell in row)
 
-    def test_overflowing_nbar_is_one_error_line(self, tmp_path, capsys):
-        # n(n+1) overflows, so the reservoir identity fails; the error names
-        # its first failing element, not the whole array.
-        (tmp_path / "cfg").write_text(MINIMAL_DIRECT + "nbar_max = 1e308\n")
+    @staticmethod
+    def _one_error_line(tmp_path, capsys, command, text, got):
+        (tmp_path / "cfg").write_text(text)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert run_cli(["figure", "fig3", "--config", tmp_path / "cfg",
+            assert run_cli([*command, "--config", tmp_path / "cfg",
                             "--out", tmp_path / "out"]) == 1
-        assert capsys.readouterr().err == (
-            "sps: error: inconsistent reservoir triple: gamma_s*gamma_n - "
-            "gamma_m^2 = nan but nbar(nbar+1)(gamma1-gamma2)^2 = inf\n")
+        assert capsys.readouterr().err == f"sps: error: {got}\n"
         assert os.listdir(tmp_path) == ["cfg"]
+
+    def test_overflowing_nbar_is_one_error_line(self, tmp_path, capsys):
+        # gamma_s overflows in the first block; the error names its first
+        # failing element, not the whole array.
+        self._one_error_line(
+            tmp_path, capsys, ["figure", "fig3"],
+            MINIMAL_DIRECT + "nbar_max = 1e308\n",
+            "gamma_s must be < 1.3407807929942596e+154, got 1.0223880597014925e+306")
+
+    @pytest.mark.parametrize("command,rates,got", [
+        (["figure", "fig4"], "gamma1 = 1\ngamma2 = 1\nnbar = 0.5",
+         "gamma_s must be < 1.3407807929942596e+154, got 1.0223880597014925e+198"),
+        (["squeezing"], "gamma1 = 1\ngamma2 = 1\nnbar = 1e200",
+         "gamma_s must be < 1.3407807929942596e+154, got 2e+200"),
+        (["spectrum"], "gamma1 = 1\ngamma2 = 1\nnbar = 1e200",
+         "gamma_s must be < 1.3407807929942596e+154, got 2e+200"),
+        (["spectrum", "--engine", "both"], "gamma1 = 1\ngamma2 = 1\nnbar = 1e200",
+         "gamma_s must be < 1.3407807929942596e+154, got 2e+200"),
+        (["squeezing"], "gamma1 = 1e-300\ngamma2 = 1e-300\nnbar = 1e200",
+         "nbar must be < 6.703903964971298e+153, got 1e+200"),
+    ], ids=["fig4", "squeezing", "spectrum", "spectrum-both",
+            "squeezing-small-rates"])
+    def test_finite_nbar_past_the_bound_is_one_error_line(self, tmp_path, capsys,
+                                                           command, rates, got):
+        # At nbar = 1e200 the triple is finite but gamma_s*gamma_n is not (or,
+        # under tiny rates, nbar*(nbar+1)): the run stops before a closed
+        # form overflows.
+        text = MINIMAL_DIRECT.replace("gamma1 = 1\ngamma2 = 1\nnbar = 0.5", rates)
+        self._one_error_line(tmp_path, capsys, command,
+                             text + "nbar_max = 1e200\n", got)
 
     @pytest.mark.parametrize("command,keys,expected", [
         ("decay", "t_max = 3\nt_points = 4\n", np.linspace(0.0, 3.0, 4)),
@@ -1185,6 +1232,7 @@ def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
 import sps
+assert "sps.cli" not in sys.modules and "argparse" not in sys.modules
 from sps.cli import main
 assert not scipy_modules(), scipy_modules()
 for sub in ("steady", "spectrum"):
@@ -1219,7 +1267,8 @@ include_B = true
 class TestImportCost:
     def test_no_scipy_loaded_at_runtime(self, tmp_path):
         # Neither import sps nor any command in either input mode may load
-        # scipy: <B> and the oracle are numpy only.
+        # scipy: <B> and the oracle are numpy only.  Nor may import sps load
+        # the CLI or argparse, which only a command needs.
         direct, physical = tmp_path / "direct.cfg", tmp_path / "physical.cfg"
         direct.write_text(MINIMAL_DIRECT + "engine = both\nsx0 = 0.3\n")
         physical.write_text(PHYSICAL_THERMAL)

@@ -33,7 +33,8 @@ RATES = reservoir_rates(1.0, 2.0, 0.5)
 STATE = BlochVector(0.1, 0.2, -0.3)
 BATH = PhononBathSpec(alpha=0.03, omega_c=2.0, temperature=4.0)
 LOCKED = SpectrumResult(coherent_weight=0.0, omega_grid=np.linspace(-1, 1, 5),
-                        incoherent=np.zeros(5), zero_width_weight=0.2)
+                        incoherent=np.zeros(5), fluctuation_total=0.2,
+                        zero_width_weight=0.2)
 
 #: (name, rule, call of the library with that one argument varied); the
 #: other arguments are valid.

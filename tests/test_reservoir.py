@@ -55,10 +55,9 @@ class TestReservoirRates:
         with pytest.raises(ValueError):
             reservoir_rates(1.0, 1.0, -0.5)
 
-    @pytest.mark.parametrize("name", ["gamma_s", "gamma_m", "nbar", "gamma_rad"])
+    @pytest.mark.parametrize("name", ["nbar", "gamma_rad"])
     def test_constructor_rejects_nan(self, name):
-        fields = dict(gamma_s=1.0, gamma_n=1.0, gamma_m=1.0, phi=0.0,
-                      gamma_rad=0.0, gamma1=1.0, gamma2=1.0, nbar=0.0)
+        fields = dict(phi=0.0, gamma_rad=0.0, gamma1=1.0, gamma2=1.0, nbar=0.0)
         fields[name] = math.nan
         with pytest.raises(ValueError, match=f"{name} must be >= 0, got nan"):
             ReservoirRates(**fields)
@@ -75,6 +74,16 @@ class TestReservoirRates:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="gamma2 must be >= 0, got -1.0"):
                 reservoir_rates(1.0, -1.0, 0.5)
+            # A triple whose products would overflow names its first
+            # failing element (inf), not a later one (inf*0 = nan).
+            with pytest.raises(ValueError, match=r"^gamma_s must be < "
+                               r"1\.3407807929942596e\+154, got inf$"):
+                reservoir_rates(np.array([1.0, 1.0, math.inf]), 1.0,
+                                np.array([0.5, 1e308, 0.0]))
+            # nbar*(nbar+1) overflows under rates too small to lift the triple.
+            with pytest.raises(ValueError, match=r"^nbar must be < "
+                               r"6\.703903964971298e\+153, got 1e\+200$"):
+                reservoir_rates(1e-300, 2e-300, 1e200)
 
     def test_array_fields_broadcast(self):
         r = reservoir_rates(1.0, np.array([2.0, 4.0]), 0.0)
@@ -84,20 +93,9 @@ class TestReservoirRates:
         s = reservoir_rates(1.0, 4.0, 0.0)
         assert type(s.gamma_s) is float and type(s.is_perfect) is bool
 
-    def test_constructor_rejects_inconsistent_triple(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            ReservoirRates(gamma_s=1.0, gamma_n=1.0, gamma_m=0.9, phi=0.0,
-                           gamma_rad=0.0, gamma1=1.0, gamma2=1.0, nbar=0.0)
-
-    def test_inconsistent_array_names_its_first_failing_element(self):
-        good = reservoir_rates(1.0, np.array([2.0, 3.0, 4.0]), 0.5)
-        gamma_m = good.gamma_m * np.array([1.0, 1.1, 1.2])
-        with pytest.raises(ValueError) as err:
-            dataclasses.replace(good, gamma_m=gamma_m)
-        lhs = float(good.gamma_s[1] * good.gamma_n[1] - gamma_m[1] ** 2)
-        assert str(err.value) == (
-            f"inconsistent reservoir triple: gamma_s*gamma_n - gamma_m^2 = "
-            f"{lhs!r} but nbar(nbar+1)(gamma1-gamma2)^2 = 3.0")
+    def test_triple_cannot_be_passed_in(self):
+        with pytest.raises(ValueError, match="gamma_m is declared with init=False"):
+            dataclasses.replace(reservoir_rates(1.0, 2.0, 0.5), gamma_m=0.9)
 
     @given(pair=gamma_pairs, nbar=nbars)
     @settings(max_examples=300, deadline=None)

@@ -258,6 +258,8 @@ class TestSumRules:
             result = strong_field_quiet(LOCKED, OMEGA, HALF_PI, sx0=sx0,
                                         omega_grid=wide_grid(OMEGA, 8.0))
             assert sum_rule(result) == pytest.approx(0.5 - sx0**2, abs=1e-3)
+            assert result.fluctuation_total == pytest.approx(0.5 - sx0**2,
+                                                             abs=1e-15)
 
     def test_exact_engine_matches_fluctuation_strength(self):
         # General (unlocked) case: total power equals <dS+ dS->_ss from the
@@ -270,6 +272,7 @@ class TestSumRules:
         result = exact_incoherent_spectrum(rates, omega, 0.0,
                                            omega_grid=wide_grid(omega, 9.0))
         assert sum_rule(result) == pytest.approx(c0, abs=1e-3)
+        assert result.fluctuation_total == pytest.approx(c0, abs=1e-13)
 
 
 class TestFigure5Dataset:
