@@ -285,10 +285,9 @@ def parse_config_file(path):
 #: Rows that :func:`write_csv` formats with one ``%`` operation: enough to
 #: spread the per-operation cost, which is flat per cell from 256 rows up,
 #: few enough that a chunk's cells and text stay near a megabyte or below.
-#: It is also the most values a float column's text memo holds, unless the
-#: column's period is longer.
 CSV_CHUNK_ROWS = 1024
-#: The longest period of a float column whose texts :func:`write_csv` memoizes.
+#: The most distinct values a float column's text memo holds; a column
+#: takes one where its first 2*CSV_MEMO_PERIOD rows repeat (:func:`_memoizes`).
 CSV_MEMO_PERIOD = 4 * CSV_CHUNK_ROWS
 
 
@@ -322,31 +321,31 @@ def format_value(value):
     return conversion % (array.tolist(),)
 
 
-def _period(array):
-    """The period with which float cells ``array`` start, as a constant or a
-    grid axis of an outer product does: the rows before the first value
-    recurs (a NaN never does), if it recurs within ``CSV_MEMO_PERIOD`` rows
-    and those rows then repeat bit for bit; else 0."""
-    head = array[:2 * CSV_MEMO_PERIOD]
-    recurs = np.flatnonzero(head[1:CSV_MEMO_PERIOD + 1] == head[:1])
-    if recurs.size == 0:
-        return 0
-    period = int(recurs[0]) + 1
-    repeats = head[period:2 * period].tobytes() == head[:period].tobytes()
-    return period if repeats else 0
-
-
-def _memo_texts(part, memo, cap):
-    """Texts of the float cells ``part`` from ``memo``, which maps a float64
-    bit pattern (it fixes the ``%.17g`` text) to its text and gains the
-    values it lacks; None instead when it would then hold more than ``cap``
-    values."""
+def _memo_keys(part):
+    """The float64 bit patterns of float cells ``part``; each fixes a
+    ``%.17g`` text."""
     if part.dtype != np.float64:
         with np.errstate(over="ignore", invalid="ignore"):  # as float() does
             part = part.astype(np.float64)
-    keys = part.view(np.uint64).tolist()
+    return part.view(np.uint64)
+
+
+def _memoizes(array):
+    """Whether float cells ``array`` repeat enough to memoize their texts:
+    their first ``2 * CSV_MEMO_PERIOD`` rows hold at most half as many
+    distinct bit patterns, as a constant or a grid axis of an outer product
+    does."""
+    head = np.sort(_memo_keys(array[:2 * CSV_MEMO_PERIOD]))
+    return 2 * (1 + np.count_nonzero(head[1:] != head[:-1])) <= head.size
+
+
+def _memo_texts(part, memo):
+    """Texts of the float cells ``part`` from ``memo``, which maps a bit
+    pattern of :func:`_memo_keys` to its text and gains the values it lacks;
+    None instead when it would then hold more than CSV_MEMO_PERIOD values."""
+    keys = _memo_keys(part).tolist()
     missing = [key for key in dict.fromkeys(keys) if key not in memo]
-    if len(memo) + len(missing) > cap:
+    if len(memo) + len(missing) > CSV_MEMO_PERIOD:
         return None
     if missing:
         values = np.array(missing, dtype=np.uint64).view(np.float64).tolist()
@@ -360,10 +359,10 @@ def write_csv(path, header, columns):
 
     A column holds one kind of value and is formatted by the rule of its
     dtype; rows are formatted ``CSV_CHUNK_ROWS`` at a time by one ``%``.
-    A float column that starts periodic (see :func:`_period`) formats each
-    distinct value once and reuses its text, as long as it holds no more
-    distinct values than its period or ``CSV_CHUNK_ROWS``, whichever is
-    larger; the bytes are the same as formatting every cell.
+    A float column that starts repetitive (see :func:`_memoizes`) formats
+    each distinct value once and reuses its text, as long as it holds no
+    more than ``CSV_MEMO_PERIOD`` distinct values; the bytes are the same as
+    formatting every cell.
     """
     columns = [_column(values) for values in columns]
     if len(columns) != len(header):
@@ -375,10 +374,9 @@ def write_csv(path, header, columns):
                          f"shapes {shapes}")
     n_rows = columns[0][1].size if columns else 0
     width = len(columns)
-    periods = [_period(array) if conversion == "%.17g" else 0
-               for conversion, array in columns]
     # Per column: its text memo, or None for the plain path.
-    memos = [{} if period else None for period in periods]
+    memos = [{} if conversion == "%.17g" and _memoizes(array) else None
+             for conversion, array in columns]
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(",".join(header) + "\n")
         for start in range(0, n_rows, CSV_CHUNK_ROWS):
@@ -387,8 +385,7 @@ def write_csv(path, header, columns):
             row = []
             for j, (conversion, array) in enumerate(columns):
                 part = array[start:start + chunk]
-                texts = None if memos[j] is None else _memo_texts(
-                    part, memos[j], max(periods[j], CSV_CHUNK_ROWS))
+                texts = None if memos[j] is None else _memo_texts(part, memos[j])
                 if texts is None:
                     memos[j] = None
                     texts = part.tolist()

@@ -3,7 +3,8 @@
 Builds the full 4x4 Liouvillian superoperator L and answers every question
 with exact linear algebra on it.  Propagation applies exp(L (t_k - t_0))
 at every sample (Pade-13 scaling and squaring, Higham 2005).  The
-t -> infinity state is P vec(rho_0), with P the spectral projector onto
+t -> infinity state is P vec(rho_0) of a required, checked rho_0 (it keeps
+part of rho_0 wherever the dot locks), with P the spectral projector onto
 ker L built from SVD null vectors (not from an eigendecomposition: L is
 defective at a critically damped sideband pair), whose modes are those of
 rate at most the closed forms' RATE_FLOOR*gamma_z.  The regression-theorem
@@ -34,6 +35,8 @@ I2 = np.eye(2, dtype=complex)
 
 #: Relative bound on the projector identities and solve residuals.
 _RESIDUAL_TOL = 1e-8
+#: Absolute bound on a density matrix's Hermiticity, trace and positivity errors.
+_STATE_TOL = 1e-10
 #: Samples per batched matrix exponential (bounds the working memory).
 _CHUNK = 4096
 
@@ -44,10 +47,6 @@ _PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
            670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
            960960.0, 16380.0, 182.0, 1.0)
 _THETA13 = 5.371920351148152
-
-
-class DegenerateSteadyStateError(ValueError):
-    """The Liouvillian kernel is more than one-dimensional."""
 
 
 class PropagationError(RuntimeError):
@@ -71,16 +70,6 @@ def dissipator(c):
             - 0.5 * sandwich(cdc, I2) - 0.5 * sandwich(I2, cdc))
 
 
-def hamiltonian_superop(h):
-    """Superoperator of the coherent part rho -> -i [h, rho]."""
-    return -1j * (sandwich(h, I2) - sandwich(I2, h))
-
-
-def expect(op, rho):
-    """Expectation value tr(rho @ op)."""
-    return complex(np.trace(rho @ op))
-
-
 def bloch_to_rho(state):
     """Density matrix of a Bloch vector: rho = I/2 + 2(sx Sx + sy Sy + sz Sz)."""
     return np.array([[0.5 + state.sz, state.sx - 1j * state.sy],
@@ -96,16 +85,16 @@ def rho_to_bloch(rho):
     return BlochVector(*(map(float, fields) if rho.ndim == 2 else fields))
 
 
-def assert_density_matrix(rho, tol=1e-10):
-    """Raise unless rho is Hermitian, unit-trace and positive to ``tol``."""
+def assert_density_matrix(rho):
+    """Raise unless rho is Hermitian, unit-trace and positive to _STATE_TOL."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {rho.shape}")
-    if np.abs(rho - rho.conj().T).max() > tol:
+    if np.abs(rho - rho.conj().T).max() > _STATE_TOL:
         raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(rho) - 1.0) > tol:
+    if abs(np.trace(rho) - 1.0) > _STATE_TOL:
         raise ValueError(f"density matrix trace {complex(np.trace(rho))!r} != 1")
-    if np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min() < -tol:
+    if np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min() < -_STATE_TOL:
         raise ValueError("density matrix has a negative eigenvalue")
 
 
@@ -134,7 +123,8 @@ def build_liouvillian(rates, *, omega=0.0, laser_on=False):
     if rates.gamma_rad > 0.0:
         lv = lv + rates.gamma_rad * dissipator(SM)
     if laser_on and omega != 0.0:
-        lv = lv + hamiltonian_superop(0.5 * omega * (SP + SM))
+        v = 0.5 * omega * (SP + SM)
+        lv = lv + -1j * (sandwich(v, I2) - sandwich(I2, v))
     return lv
 
 
@@ -188,22 +178,15 @@ def _projected_state(liouvillian, proj, rho0):
     return rho
 
 
-def stationary_state(liouvillian, rho0=None):
+def stationary_state(liouvillian, rho0):
     """t -> infinity limit of exp(L t) rho0: the kernel projection P vec(rho0).
 
-    ``rho0`` may be omitted when the kernel is one-dimensional, where the
-    limit is the unique steady state.  A degenerate kernel (e.g. coherence
-    locking) makes the limit depend on rho0, and omitting it then raises
-    :class:`DegenerateSteadyStateError`.
+    rho0 is checked as :func:`propagate` checks it.  The limit is the
+    unique steady state where the kernel is one-dimensional; a larger
+    kernel (coherence locking) keeps part of rho0.
     """
-    proj, kernel_dim = kernel_projector(liouvillian)
-    if rho0 is None:
-        if kernel_dim > 1:
-            raise DegenerateSteadyStateError(
-                f"steady-state manifold is {kernel_dim}-dimensional: "
-                f"the limit depends on rho0")
-        rho0 = 0.5 * I2
-    return _projected_state(liouvillian, proj, rho0)
+    assert_density_matrix(rho0)
+    return _projected_state(liouvillian, kernel_projector(liouvillian)[0], rho0)
 
 
 def _expm(stack):
@@ -253,15 +236,15 @@ def propagate(rho0, liouvillian, t_grid):
     """Propagate a density matrix along ``t_grid``; returns (len(t), 2, 2).
 
     Each sample is exp(L (t_k - t_0)) applied to rho0, so no error
-    accumulates along the grid; trace and Hermiticity are checked to 1e-10
-    at every sample.
+    accumulates along the grid; trace and Hermiticity are checked to
+    _STATE_TOL (1e-10) at every sample.
     """
     assert_density_matrix(rho0)
     traj = _propagate_vec(vectorize(rho0), liouvillian, t_grid)
     rhos = traj.reshape(-1, 2, 2)
     traces = np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0)
     herm = np.abs(rhos - np.conj(np.swapaxes(rhos, 1, 2))).max()
-    if traces.max() > 1e-10 or herm > 1e-10:
+    if traces.max() > _STATE_TOL or herm > _STATE_TOL:
         raise PropagationError(
             f"propagation broke invariants: max trace error {float(traces.max())!r}, "
             f"max Hermiticity error {float(herm)!r}")
@@ -294,7 +277,8 @@ def regression_spectrum(rates, omega, sx0=0.0, sy0=0.0, sz0=0.0, *,
     proj, kernel_dim = kernel_projector(lv)
     rho_ss = _projected_state(lv, proj, bloch_to_rho(BlochVector(sx0, sy0, sz0)))
     # The regression initial value X0 = rho_ss S+ - <S+>_ss rho_ss.
-    x0 = vectorize(rho_ss @ SP - expect(SP, rho_ss) * rho_ss)
+    s_plus = complex(np.trace(rho_ss @ SP))
+    x0 = vectorize(rho_ss @ SP - s_plus * rho_ss)
     # A one-dimensional kernel gives P = |rho_ss>><tr| and tr X0 = 0.
     x0_kernel = proj @ x0 if kernel_dim > 1 else np.zeros(4, dtype=complex)
     rhs = x0 - x0_kernel
@@ -314,7 +298,7 @@ def regression_spectrum(rates, omega, sx0=0.0, sy0=0.0, sz0=0.0, *,
             f"{float(bound[worst])!r} at delta = {float(omega_grid[worst])!r}")
 
     return SpectrumResult(
-        coherent_weight=float(abs(expect(SP, rho_ss)) ** 2),
+        coherent_weight=float(abs(s_plus) ** 2),
         omega_grid=omega_grid,
         incoherent=-2.0 * resolved[:, 1].real,
         fluctuation_total=float(x0[1].real),  # C(0) = tr(S- X0)

@@ -84,8 +84,8 @@ class ReservoirRates:
 
     gamma1, gamma2 (GHz) are the drive-induced rates, nbar the phonon
     occupation, gamma_rad the radiative rate of the dot outside the
-    engineered reservoir and phi the squeezing phase in radians.  The
-    triple (GHz) is derived from them:
+    engineered reservoir and phi the squeezing phase in radians, stored
+    reduced as (2*phi mod 2*pi)/2.  The triple (GHz) is derived from them:
 
     gamma_s = gamma1*nbar + gamma2*(nbar+1)
     gamma_n = gamma1*(nbar+1) + gamma2*nbar
@@ -99,19 +99,21 @@ class ReservoirRates:
     gamma2: float = _declare(rule=">= 0")
     nbar: float = _declare(rule=">= 0")
     gamma_rad: float = _declare(rule=">= 0")
-    phi: float
+    phi: float = _declare(rule=">= 0")
     gamma_s: float = field(init=False, metadata={"rule": _TRIPLE_RULE})
     gamma_n: float = field(init=False, metadata={"rule": _TRIPLE_RULE})
     gamma_m: float = field(init=False, metadata={"rule": _TRIPLE_RULE})
 
     def __post_init__(self):
         gamma1, gamma2, nbar = self.gamma1, self.gamma2, self.nbar
-        # A negative input fails its range check, an overflow the bound.
+        # A negative input fails its range check, an overflow the bound,
+        # and a phase that is not finite reduces to NaN, which fails its own.
         with np.errstate(over="ignore", invalid="ignore"):
-            triple = dict(gamma_s=gamma1 * nbar + gamma2 * (nbar + 1.0),
-                          gamma_n=gamma1 * (nbar + 1.0) + gamma2 * nbar,
-                          gamma_m=(2.0 * nbar + 1.0) * np.sqrt(gamma1 * gamma2))
-        for name, value in triple.items():
+            derived = dict(phi=np.asarray(2.0 * self.phi) % (2.0 * math.pi) / 2.0,
+                           gamma_s=gamma1 * nbar + gamma2 * (nbar + 1.0),
+                           gamma_n=gamma1 * (nbar + 1.0) + gamma2 * nbar,
+                           gamma_m=(2.0 * nbar + 1.0) * np.sqrt(gamma1 * gamma2))
+        for name, value in derived.items():
             object.__setattr__(self, name, _scalar(value))
         _check_fields(self)
         _check_rule("nbar", _NBAR_RULE, nbar)
@@ -144,8 +146,8 @@ class SqueezingDescriptor:
 
 def reservoir_rates(gamma1, gamma2, nbar, phi1=0.0, phi2=0.0, gamma_rad=0.0):
     """Build the reservoir from the two drive-induced rates, at squeezing
-    phase phi = (phi1 + phi2)/2 with 2*phi reduced to [0, 2*pi); the triple
-    is derived by ReservoirRates.
+    phase phi = (phi1 + phi2)/2; ReservoirRates reduces the phase and
+    derives the triple.
 
     Array arguments broadcast together into array fields; scalar arguments
     give Python floats.  An input out of the range that ReservoirRates
@@ -154,8 +156,8 @@ def reservoir_rates(gamma1, gamma2, nbar, phi1=0.0, phi2=0.0, gamma_rad=0.0):
     gamma1, gamma2, nbar, phi1, phi2, gamma_rad = np.broadcast_arrays(
         *(np.asarray(x, dtype=float)
           for x in (gamma1, gamma2, nbar, phi1, phi2, gamma_rad)))
-    with np.errstate(over="ignore", invalid="ignore"):  # phi has no range
-        phi = ((phi1 + phi2) % (2.0 * math.pi)) / 2.0
+    with np.errstate(over="ignore"):  # the sum's overflow fails phi's rule
+        phi = (phi1 + phi2) / 2.0
     return ReservoirRates(*map(_scalar, (gamma1, gamma2, nbar, gamma_rad, phi)))
 
 

@@ -202,7 +202,7 @@ def test_criterion_06_population_inversion():
     rates = reservoir_rates(4.0, 1.0, 0.5)
     analytic = free_steady_inversion(rates)
     numeric = oracle.rho_to_bloch(
-        oracle.stationary_state(build_liouvillian(rates))).sz
+        oracle.stationary_state(build_liouvillian(rates), np.eye(2) / 2)).sz
     ok = abs(analytic - 0.15) <= 1e-10 and abs(numeric - 0.15) <= 1e-10
     report(6, f"population inversion analytic {analytic:.12f}, "
               f"null-space {numeric:.12f}", ok)
@@ -213,7 +213,7 @@ def test_criterion_07_driven_steady_state():
     rates = reservoir_rates(2.0, 1.0, 0.0)
     analytic = driven_steady_state(rates, 2.0, 0.0)
     lv = build_liouvillian(rates, omega=2.0, laser_on=True)
-    numeric = oracle.rho_to_bloch(oracle.stationary_state(lv))
+    numeric = oracle.rho_to_bloch(oracle.stationary_state(lv, np.eye(2) / 2))
     # frozen values agree with the 5-decimal quotations -0.39766 / +0.03412
     # to 1e-5 (the sz quotation is rounded one ulp high; exact value is
     # (3 - 2 sqrt 2)/(22 - 12 sqrt 2) = 0.03411373...)
@@ -322,7 +322,7 @@ def test_criterion_10_sum_rule():
     rates = reservoir_rates(0.5, 1.0, 0.2)
     omega = 20.0
     lv = build_liouvillian(rates, omega=omega, laser_on=True)
-    rho_ss = oracle.stationary_state(lv)
+    rho_ss = oracle.stationary_state(lv, np.eye(2) / 2)
     state = oracle.rho_to_bloch(rho_ss)
     c0_algebra = (0.5 + state.sz) - (state.sx**2 + state.sy**2)
     corr0 = fluctuation_correlation(lv, rho_ss, np.linspace(0.0, 0.5, 3))[0]

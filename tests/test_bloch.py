@@ -449,7 +449,8 @@ class TestExternalSqueezedDecay:
         assert rates.gamma_s - rates.gamma_n == pytest.approx(gamma / 2.0)
         assert rates.gamma_n == pytest.approx(gamma / 2.0)          # = gamma*N/2
         assert rates.gamma_m == pytest.approx(gamma * math.sqrt(2.0) / 2.0)
-        rho_ss = oracle.stationary_state(oracle.build_liouvillian(rates))
+        rho_ss = oracle.stationary_state(oracle.build_liouvillian(rates),
+                                         np.eye(2) / 2)
         assert oracle.rho_to_bloch(rho_ss).sz == pytest.approx(-1.0 / 6.0, abs=1e-12)
 
         out = external_squeezed_decay(BlochVector(0.2, 0.1, 0.3),

@@ -527,7 +527,7 @@ class TestWriteCsv:
         columns = [pool[np.arange(n_rows) % pool.size],
                    np.broadcast_to(pool[1:2], (n_rows,)),
                    np.arange(n_rows) / 7.0]
-        assert [cli._period(column) for column in columns] == [pool.size, 1, 0]
+        assert [cli._memoizes(column) for column in columns] == [True, True, False]
         path = tmp_path / "t.csv"
         write_csv(path, *_headed(columns))
         assert path.read_bytes() == _per_row_reference(columns)
@@ -542,8 +542,22 @@ class TestWriteCsv:
         pool = _with_specials(np.arange(1, period + extra + 1) / 7.0)
         column = pool[np.r_[np.arange(2 * period) % period,
                             period + np.arange(extra)]]
-        assert cli._period(column) == (period if period <= CSV_MEMO_PERIOD
-                                       else 0)
+        # Two periods hold half as many distinct values as rows, up to
+        # the cap; one more value tips the balance.
+        assert cli._memoizes(column) == (period <= CSV_MEMO_PERIOD and not extra)
+        path = tmp_path / "t.csv"
+        write_csv(path, *_headed([column]))
+        assert path.read_bytes() == _per_row_reference([column])
+
+    def test_memo_dropped_past_its_cap(self, tmp_path):
+        # An outer grid axis (a value per block of rows, as fig3's nbar)
+        # repeats from its first rows but holds CSV_MEMO_PERIOD + 1 values.
+        column = np.repeat(np.arange(1, CSV_MEMO_PERIOD + 2) / 7.0, 2)
+        assert cli._memoizes(column)
+        memo = {}
+        assert cli._memo_texts(column[:2 * CSV_MEMO_PERIOD], memo) is not None
+        assert len(memo) == CSV_MEMO_PERIOD
+        assert cli._memo_texts(column[2 * CSV_MEMO_PERIOD:], memo) is None
         path = tmp_path / "t.csv"
         write_csv(path, *_headed([column]))
         assert path.read_bytes() == _per_row_reference([column])

@@ -15,7 +15,6 @@ from sps.bloch import BlochVector, damping_triple, driven_evolution, \
 from sps.oracle import (
     SM,
     SP,
-    DegenerateSteadyStateError,
     PropagationError,
     bloch_to_rho,
     build_liouvillian,
@@ -32,8 +31,8 @@ from sps.reservoir import RATE_FLOOR, reservoir_rates
 from sps.spectrum import exact_incoherent_spectrum, sum_rule
 
 from correlation import fluctuation_correlation
-from domain import HALF_PI, LOCKED, drives, floor_band_pairs, nbars, \
-    oracle_points, sx0s
+from domain import HALF_PI, LOCKED, bloch_states, drives, floor_band_pairs, \
+    nbars, oracle_points, sx0s
 from liouvillian_forms import SX, SY, build_liouvillian_decomposed, \
     build_qnd_liouvillian
 
@@ -88,7 +87,7 @@ class TestSuperoperatorStructure:
 class TestBuildLiouvillian:
     def test_pure_decay_steady_state(self):
         rates = reservoir_rates(0.0, 0.0, 0.0, gamma_rad=1.3)
-        rho = stationary_state(build_liouvillian(rates))
+        rho = stationary_state(build_liouvillian(rates), np.eye(2) / 2)
         assert np.allclose(rho, np.diag([0.0, 1.0]), atol=1e-12)
 
     def test_locked_kernel_is_two_dimensional(self):
@@ -96,12 +95,10 @@ class TestBuildLiouvillian:
         lv = build_liouvillian(rates, omega=5.0, laser_on=True)
         sv = np.linalg.svd(lv, compute_uv=False)
         assert sv[3] < 1e-10 and sv[2] < 1e-10 < sv[1]
-        with pytest.raises(DegenerateSteadyStateError):
-            stationary_state(lv)
 
     def test_inverted_null_vector_inversion(self):
         rates = reservoir_rates(4.0, 1.0, 0.5)
-        rho = stationary_state(build_liouvillian(rates))
+        rho = stationary_state(build_liouvillian(rates), np.eye(2) / 2)
         assert rho_to_bloch(rho).sz == pytest.approx(0.15, abs=1e-12)
 
     def test_drive_matches_bloch_equations(self):
@@ -159,8 +156,9 @@ class TestLiouvillianEquivalences:
             math.sqrt(desc.n_squeezed * (desc.n_squeezed + 1.0)), rel=1e-12)
 
         single_jump = desc.gamma_eff * oracle.dissipator(jump)
-        rho = stationary_state(single_jump)
-        assert np.abs(rho - stationary_state(reservoir_liouvillian(rates))).max() < 1e-12
+        rho = stationary_state(single_jump, np.eye(2) / 2)
+        assert np.abs(rho - stationary_state(reservoir_liouvillian(rates),
+                                             np.eye(2) / 2)).max() < 1e-12
         state = rho_to_bloch(rho)
         n = desc.n_photons
         assert state.sz == pytest.approx(-1.0 / (2.0 * (2.0 * n + 1.0)), abs=1e-12)
@@ -311,18 +309,34 @@ class TestStationaryStates:
         late = propagate(rho0, lv, np.array([0.0, 100.0]))[-1]
         assert np.abs(late - rho_inf).max() < 1e-9
 
-    def test_stationary_state_dispatch(self):
-        unique = build_liouvillian(reservoir_rates(1.0, 2.0, 0.3))
-        degenerate = build_liouvillian(
-            LOCKED,
-            omega=5.0, laser_on=True)
-        rho0 = bloch_to_rho(BlochVector(0.2, 0.0, 0.0))
-        assert np.allclose(stationary_state(unique),
-                           stationary_state(unique, rho0=rho0), atol=1e-12)
-        with pytest.raises(DegenerateSteadyStateError):
-            stationary_state(degenerate)
-        assert rho_to_bloch(stationary_state(degenerate, rho0=rho0)).sx == \
-            pytest.approx(0.2, abs=1e-12)
+    @given(point=oracle_points, a=bloch_states, b=bloch_states)
+    @settings(max_examples=150, deadline=None)
+    def test_property_limit_keeps_rho0_only_where_locked(self, point, a, b):
+        # The paper's claim: the limit depends on the initial coherence
+        # exactly where the dot locks.  Over 3 x 3000 draws the worst
+        # distances were 2.2e-16 (one-dimensional kernel, 7836 draws) and
+        # 2.8e-16 (locked, 1164 draws), about eps; 1e-14 leaves 36x.
+        lv = build_liouvillian(point.rates(), omega=point.omega, laser_on=True)
+        rho_a, rho_b = (stationary_state(lv, bloch_to_rho(s)) for s in (a, b))
+        if kernel_projector(lv)[1] == 1:
+            assert np.abs(rho_a - rho_b).max() <= 1e-14
+        else:  # <Sx> = Re rho_eg, read without the sphere check
+            assert abs(rho_a[0, 1].real - a.sx) <= 1e-14
+            assert abs(rho_b[0, 1].real - b.sx) <= 1e-14
+
+    def test_rejects_what_propagate_rejects(self):
+        # rho0 is required for every L, and checked as propagate checks it.
+        lv = build_liouvillian(LOCKED, omega=5.0, laser_on=True)
+        with pytest.raises(TypeError):
+            stationary_state(lv)
+        for rho0, message in ((np.eye(3) / 3, "expected a 2x2 matrix"),
+                              ([[0.5, 0.1], [0.0, 0.5]], "not Hermitian"),
+                              (np.diag([0.6, 0.6]), r"trace \(1.2\+0j\) != 1"),
+                              (np.diag([1.5, -0.5]), "negative eigenvalue")):
+            for solve in (lambda: stationary_state(lv, rho0),
+                          lambda: propagate(rho0, lv, [0.0])):
+                with pytest.raises(ValueError, match=message):
+                    solve()
 
     def test_rejects_nonstationary_state(self):
         # The one stationarity check: |L rho| at most 1e-10 of the
@@ -349,7 +363,7 @@ class TestTwoTimeCorrelation:
     def test_tau_zero_value(self):
         rates = reservoir_rates(1.0, 2.5, 0.4)
         lv = build_liouvillian(rates, omega=3.0, laser_on=True)
-        rho_ss = stationary_state(lv)
+        rho_ss = stationary_state(lv, np.eye(2) / 2)
         corr = fluctuation_correlation(lv, rho_ss, np.linspace(0.0, 1.0, 5))
         state = rho_to_bloch(rho_ss)
         expected = (0.5 + state.sz) - (state.sx**2 + state.sy**2)
@@ -358,7 +372,7 @@ class TestTwoTimeCorrelation:
     def test_decays_to_zero_for_unique_steady_state(self):
         rates = reservoir_rates(1.0, 2.5, 0.4)
         lv = build_liouvillian(rates, omega=3.0, laser_on=True)
-        rho_ss = stationary_state(lv)
+        rho_ss = stationary_state(lv, np.eye(2) / 2)
         corr = fluctuation_correlation(lv, rho_ss, np.linspace(0.0, 40.0, 801))
         assert abs(corr[-1]) < 1e-10 * abs(corr[0])
 
@@ -383,7 +397,7 @@ class TestNumericSpectrum:
         # C(tau) = w exp(-g tau) transforms to 2 w g/(g^2 + delta^2).
         lv = build_liouvillian(self.THERMAL)
         tau = np.linspace(0.0, 10.0, 11)
-        corr = fluctuation_correlation(lv, stationary_state(lv), tau)
+        corr = fluctuation_correlation(lv, stationary_state(lv, np.eye(2) / 2), tau)
         assert np.abs(corr - self.WEIGHT * np.exp(-self.G * tau)).max() < 1e-14
         grid = np.linspace(-12.0, 12.0, 401)
         result = regression_spectrum(self.THERMAL, 0.0, omega_grid=grid)
@@ -564,7 +578,7 @@ class TestOracleAgainstClosedForms:
         expected = driven_steady_state(rates, omega, 0.0).as_array()
         lv = build_liouvillian(rates, omega=omega, laser_on=True)
         rho0 = bloch_to_rho(BlochVector(0.2, -0.1, 0.3))
-        for rho in (stationary_state(lv), stationary_state(lv, rho0)):
+        for rho in (stationary_state(lv, np.eye(2) / 2), stationary_state(lv, rho0)):
             assert np.abs(rho_to_bloch(rho).as_array() - expected).max() <= 1e-12
 
         ts = np.linspace(0.0, 2.0, 21)

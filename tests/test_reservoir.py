@@ -48,6 +48,9 @@ class TestReservoirRates:
     def test_phase_average(self):
         r = reservoir_rates(1.0, 2.0, 0.0, phi1=0.4, phi2=0.8)
         assert r.phi == pytest.approx(0.6)
+        # The constructor reduces the phase the same way, to [0, pi).
+        assert ReservoirRates(1.0, 2.0, 0.0, 0.0, 7.0).phi == \
+            reservoir_rates(1.0, 2.0, 0.0, phi1=7.0, phi2=7.0).phi == 7.0 - 2.0 * math.pi
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -55,7 +58,7 @@ class TestReservoirRates:
         with pytest.raises(ValueError):
             reservoir_rates(1.0, 1.0, -0.5)
 
-    @pytest.mark.parametrize("name", ["nbar", "gamma_rad"])
+    @pytest.mark.parametrize("name", ["nbar", "gamma_rad", "phi"])
     def test_constructor_rejects_nan(self, name):
         fields = dict(phi=0.0, gamma_rad=0.0, gamma1=1.0, gamma2=1.0, nbar=0.0)
         fields[name] = math.nan
@@ -84,6 +87,11 @@ class TestReservoirRates:
             with pytest.raises(ValueError, match=r"^nbar must be < "
                                r"6\.703903964971298e\+153, got 1e\+200$"):
                 reservoir_rates(1e-300, 2e-300, 1e200)
+            # A phase that is not finite, or whose sum overflows, reduces
+            # to NaN and fails its rule.
+            for phi1, phi2 in ((math.inf, 0.0), (1e308, 1e308)):
+                with pytest.raises(ValueError, match="^phi must be >= 0, got nan$"):
+                    reservoir_rates(1.0, 2.0, 0.5, phi1=phi1, phi2=phi2)
 
     def test_array_fields_broadcast(self):
         r = reservoir_rates(1.0, np.array([2.0, 4.0]), 0.0)

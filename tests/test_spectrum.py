@@ -81,7 +81,7 @@ class TestLambdaLaplace:
         rates = reservoir_rates(1.0, 3.0, 0.4)
         omega = 8.0
         lv = oracle.build_liouvillian(rates, omega=omega, laser_on=True)
-        rho_ss = oracle.stationary_state(lv)
+        rho_ss = oracle.stationary_state(lv, np.eye(2) / 2)
         tau = np.linspace(0.0, 15.0, 40001)
         corr = fluctuation_correlation(lv, rho_ss, tau)
         deltas = np.array([0.0, 3.0, -8.0, 20.0])
@@ -267,7 +267,7 @@ class TestSumRules:
         rates = reservoir_rates(1.0, 3.0, 0.4)
         omega = 20.0
         lv = oracle.build_liouvillian(rates, omega=omega, laser_on=True)
-        state = oracle.rho_to_bloch(oracle.stationary_state(lv))
+        state = oracle.rho_to_bloch(oracle.stationary_state(lv, np.eye(2) / 2))
         c0 = (0.5 + state.sz) - (state.sx**2 + state.sy**2)
         result = exact_incoherent_spectrum(rates, omega, 0.0,
                                            omega_grid=wide_grid(omega, 9.0))
