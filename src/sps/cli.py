@@ -33,7 +33,7 @@ from .bloch import BlochVector, _check_phi_choice, _decay_rates, \
     dressed_populations, driven_steady_state, free_evolution
 from .physparams import DriveConfig, PhononBathSpec, displacement_factor, \
     phonon_rates
-from .reservoir import _check_rule, _declare, figure3_dataset, \
+from .reservoir import _TRIPLE_RULE, _check_rule, _declare, figure3_dataset, \
     figure4_dataset, map_to_squeezing, quantum_threshold, reservoir_rates
 from .spectrum import DEFAULT_OMEGA_POINTS, default_omega_grid, \
     exact_incoherent_spectrum, figure5_dataset, sum_rule
@@ -259,12 +259,17 @@ def _build_config(sections):
         values.update(bath=bath, drive=drive, gamma1=None, gamma2=None,
                       phi=drive.phi)
     cfg = RunConfig(mode="physical" if has_bath else "direct", **values)
+    omega = cfg.laser_omega
     if cfg.sweep_param and cfg.sweep_points:
         swept = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_points)
         _config_error(_check_rule, cfg.sweep_param,
                       _swept_field(cfg).metadata["rule"], swept)
         if cfg.sweep_param == "phi" and cfg.sweep_quantity == "steady":
-            _phi_choice(swept)
+            _phi_choice(_config_error(replace(cfg, phi=swept).resolved_rates))
+        if cfg.sweep_param == "Omega":
+            omega = np.append(omega, swept)
+    # Omega**2 enters the closed forms as gamma_s*gamma_n does.
+    _config_error(_check_rule, "Omega", _TRIPLE_RULE, omega)
     return cfg
 
 
@@ -286,9 +291,6 @@ def parse_config_file(path):
 #: spread the per-operation cost, which is flat per cell from 256 rows up,
 #: few enough that a chunk's cells and text stay near a megabyte or below.
 CSV_CHUNK_ROWS = 1024
-#: The most distinct values a float column's text memo holds; a column
-#: takes one where its first 2*CSV_MEMO_PERIOD rows repeat (:func:`_memoizes`).
-CSV_MEMO_PERIOD = 4 * CSV_CHUNK_ROWS
 
 
 def _column(values):
@@ -321,48 +323,14 @@ def format_value(value):
     return conversion % (array.tolist(),)
 
 
-def _memo_keys(part):
-    """The float64 bit patterns of float cells ``part``; each fixes a
-    ``%.17g`` text."""
-    if part.dtype != np.float64:
-        with np.errstate(over="ignore", invalid="ignore"):  # as float() does
-            part = part.astype(np.float64)
-    return part.view(np.uint64)
-
-
-def _memoizes(array):
-    """Whether float cells ``array`` repeat enough to memoize their texts:
-    their first ``2 * CSV_MEMO_PERIOD`` rows hold at most half as many
-    distinct bit patterns, as a constant or a grid axis of an outer product
-    does."""
-    head = np.sort(_memo_keys(array[:2 * CSV_MEMO_PERIOD]))
-    return 2 * (1 + np.count_nonzero(head[1:] != head[:-1])) <= head.size
-
-
-def _memo_texts(part, memo):
-    """Texts of the float cells ``part`` from ``memo``, which maps a bit
-    pattern of :func:`_memo_keys` to its text and gains the values it lacks;
-    None instead when it would then hold more than CSV_MEMO_PERIOD values."""
-    keys = _memo_keys(part).tolist()
-    missing = [key for key in dict.fromkeys(keys) if key not in memo]
-    if len(memo) + len(missing) > CSV_MEMO_PERIOD:
-        return None
-    if missing:
-        values = np.array(missing, dtype=np.uint64).view(np.float64).tolist()
-        memo.update(zip(missing, ("%.17g," * len(values) % tuple(values))
-                        .split(",")))
-    return list(map(memo.__getitem__, keys))
-
-
 def write_csv(path, header, columns):
     """Write equal-length ``columns`` (arrays or lists) as CSV under ``header``.
 
-    A column holds one kind of value and is formatted by the rule of its
-    dtype; rows are formatted ``CSV_CHUNK_ROWS`` at a time by one ``%``.
-    A float column that starts repetitive (see :func:`_memoizes`) formats
-    each distinct value once and reuses its text, as long as it holds no
-    more than ``CSV_MEMO_PERIOD`` distinct values; the bytes are the same as
-    formatting every cell.
+    A column holds one kind of value and every cell of it is formatted by
+    the rule of its dtype (see :func:`format_value`); rows are formatted
+    ``CSV_CHUNK_ROWS`` at a time by one ``%``.  A column of texts is
+    written as it is, so a caller whose column repeats a few values can
+    format each once and pass the texts.
     """
     columns = [_column(values) for values in columns]
     if len(columns) != len(header):
@@ -374,36 +342,30 @@ def write_csv(path, header, columns):
                          f"shapes {shapes}")
     n_rows = columns[0][1].size if columns else 0
     width = len(columns)
-    # Per column: its text memo, or None for the plain path.
-    memos = [{} if conversion == "%.17g" and _memoizes(array) else None
-             for conversion, array in columns]
+    row = ",".join(conversion for conversion, _ in columns) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(",".join(header) + "\n")
         for start in range(0, n_rows, CSV_CHUNK_ROWS):
             chunk = min(CSV_CHUNK_ROWS, n_rows - start)
             cells = [None] * (chunk * width)
-            row = []
-            for j, (conversion, array) in enumerate(columns):
-                part = array[start:start + chunk]
-                texts = None if memos[j] is None else _memo_texts(part, memos[j])
-                if texts is None:
-                    memos[j] = None
-                    texts = part.tolist()
-                else:
-                    conversion = "%s"
-                cells[j::width] = texts
-                row.append(conversion)
-            handle.write((",".join(row) + "\n") * chunk % tuple(cells))
+            for j, (_, array) in enumerate(columns):
+                cells[j::width] = array[start:start + chunk].tolist()
+            handle.write(row * chunk % tuple(cells))
 
 
-def _write_csv(path, header, columns):
-    """:func:`write_csv`, or a ValueError naming the file and the first float
-    column that holds NaN (inf, the perfect regime's sentinel, is written)."""
+def _check_nan(path, header, columns):
+    """A ValueError naming the file and the first float column that holds
+    NaN (inf, the perfect regime's sentinel, is written)."""
     for name, values in zip(header, columns):
         array = np.asarray(values)
         if array.dtype.kind == "f" and np.isnan(array).any():
             raise ValueError(f"{os.path.basename(path)}: column {name!r} "
                              f"holds NaN")
+
+
+def _write_csv(path, header, columns):
+    """:func:`write_csv` after :func:`_check_nan`."""
+    _check_nan(path, header, columns)
     write_csv(path, header, columns)
 
 
@@ -413,9 +375,10 @@ def write_meta(path, entries):
             handle.write(f"{key}={format_value(value)}\n")
 
 
-def _phi_choice(phi):
-    """The driven-system phase 0 or pi/2 (elementwise), else ConfigError."""
-    return _config_error(_check_phi_choice, phi)
+def _phi_choice(rr):
+    """The driven-system phase 0 or pi/2 of reservoir ``rr``'s reduced
+    phase (elementwise), else ConfigError."""
+    return _config_error(_check_phi_choice, rr.phi)
 
 
 def _time_grid(cfg, rates):
@@ -427,10 +390,10 @@ def _time_grid(cfg, rates):
     return np.linspace(0.0, t_max, cfg.t_points)
 
 
-def _spectrum_drive(cfg, command):
-    """The phase choice and frequency grid of a spectrum ``command`` runs,
-    after its check that the laser drives the dot."""
-    phi_choice = _phi_choice(cfg.phi)
+def _spectrum_drive(cfg, rr, command):
+    """The phase choice and frequency grid of a spectrum ``command`` runs on
+    reservoir ``rr``, after its check that the laser drives the dot."""
+    phi_choice = _phi_choice(rr)
     if cfg.laser_omega <= 0:
         raise ConfigError(f"{command} needs a resonant drive: set Omega > 0")
     if cfg.omega_span > 0:
@@ -522,7 +485,7 @@ def _cmd_decay(cfg, out_dir):
 
 def _cmd_steady(cfg, out_dir):
     rr = cfg.resolved_rates()
-    phi_choice = _phi_choice(cfg.phi)
+    phi_choice = _phi_choice(rr)
 
     def analytic():
         return driven_steady_state(rr, cfg.laser_omega, phi_choice, sx0=cfg.sx0)
@@ -562,7 +525,7 @@ def _spectrum_deviation(analytic, numeric):
 
 def _cmd_spectrum(cfg, out_dir):
     rr = cfg.resolved_rates()
-    phi_choice, grid = _spectrum_drive(cfg, "spectrum")
+    phi_choice, grid = _spectrum_drive(cfg, rr, "spectrum")
 
     def analytic():
         return exact_incoherent_spectrum(rr, cfg.laser_omega, phi_choice,
@@ -586,8 +549,8 @@ def _cmd_sweep(cfg, out_dir):
     swept = replace(cfg, **{_swept_field(cfg).name: values})
     rr = swept.resolved_rates()
     if cfg.sweep_quantity == "steady":
-        state = driven_steady_state(rr, swept.laser_omega,
-                                    _phi_choice(swept.phi), sx0=swept.sx0)
+        state = driven_steady_state(rr, swept.laser_omega, _phi_choice(rr),
+                                    sx0=swept.sx0)
         header = ["index", cfg.sweep_param, "sx", "sy", "sz"]
         columns = [state.sx, state.sy, state.sz]
     else:
@@ -605,27 +568,34 @@ def _cmd_sweep(cfg, out_dir):
 
 def _cmd_figure(cfg, out_dir, fig):
     if fig == "fig3" or fig == "fig4":
-        nbar_grid = np.linspace(0.0, cfg.nbar_max, cfg.nbar_points)
-        ratio_grid = np.linspace(1.0, cfg.ratio_max, cfg.ratio_points + 1)[1:]
+        header = ["nbar", "ratio", "value"]
+        outer = np.linspace(0.0, cfg.nbar_max, cfg.nbar_points)
+        inner = np.linspace(1.0, cfg.ratio_max, cfg.ratio_points + 1)[1:]
         dataset = (figure3_dataset if fig == "fig3" else figure4_dataset)(
-            nbar_grid, ratio_grid)
-        _write_csv(os.path.join(out_dir, fig + ".csv"),
-                   ["nbar", "ratio", "value"], dataset.T)
-        return 0
-    if fig == "fig5":
+            outer, inner)
+    elif fig == "fig5":
         rr = cfg.resolved_rates()
         if not rr.is_perfect:
             raise ConfigError("fig5 needs the perfect regime (gamma1 = gamma2)")
-        phi_choice, grid = _spectrum_drive(cfg, "fig5")
+        header = ["sx0", "delta_omega", "S_in"]
+        phi_choice, inner = _spectrum_drive(cfg, rr, "fig5")
+        outer = np.linspace(-0.5, 0.5, cfg.sx0_points)
         dataset = figure5_dataset(
-            rr, cfg.laser_omega, phi_choice,
-            np.linspace(-0.5, 0.5, cfg.sx0_points), omega_grid=grid,
+            rr, cfg.laser_omega, phi_choice, outer, omega_grid=inner,
             render_width=(cfg.render_width or rr.gamma1 or None)
             if cfg.render_delta else None)
-        _write_csv(os.path.join(out_dir, "fig5.csv"),
-                   ["sx0", "delta_omega", "S_in"], dataset.T)
-        return 0
-    raise ConfigError(f"unknown figure {fig!r} (expected one of {FIGURES})")
+    else:
+        raise ConfigError(f"unknown figure {fig!r} (expected one of {FIGURES})")
+    path = os.path.join(out_dir, fig + ".csv")
+    _check_nan(path, header[:2], [outer, inner])
+    # The table is outer-major over the grid: each axis value is formatted
+    # once, and its text repeated.
+    outer_texts, inner_texts = (
+        np.array(list(map(format_value, axis.tolist())), dtype=object)
+        for axis in (outer, inner))
+    _write_csv(path, header, [np.repeat(outer_texts, inner.size),
+                              np.tile(inner_texts, outer.size), dataset[:, 2]])
+    return 0
 
 
 _COMMANDS = {"rates": _cmd_rates, "squeezing": _cmd_squeezing,

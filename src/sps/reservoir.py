@@ -186,7 +186,11 @@ def map_to_squeezing(rates):
         # Split N = Ns + Nb; w**2 - u**2 = 1/4 gives Nb without a subtraction.
         u = 2.0 * np.sqrt(gamma1 * gamma2) / gamma_eff
         w = (gamma1 + gamma2) / gamma_eff
-        root = np.sqrt(4.0 * nbar * (nbar + 1.0) * (u * u) + w * w)
+        with np.errstate(over="ignore"):  # once nbar*u passes ~6.7e153
+            root = np.sqrt(4.0 * nbar * (nbar + 1.0) * (u * u) + w * w)
+        # There the same root without the squares; elsewhere the same bits.
+        root = np.where(np.isfinite(root), root,
+                        np.hypot(2.0 * u * np.sqrt(nbar * (nbar + 1.0)), w))
         n_background = nbar * (nbar + 1.0) / ((2.0 * nbar + 1.0) * w + root)
         quantum = m_abs > n_photons
 

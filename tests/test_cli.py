@@ -24,7 +24,6 @@ from sps import cli
 from sps.bloch import BlochVector, free_evolution
 from sps.cli import (
     CSV_CHUNK_ROWS,
-    CSV_MEMO_PERIOD,
     ConfigError,
     format_value,
     main,
@@ -408,8 +407,7 @@ def _as_dtype(values, dtype):
 
 
 def _with_specials(values):
-    """``values`` with the special floats after the first one, so the
-    first value is the one that marks a column's period."""
+    """``values`` with the special floats after the first one."""
     specials = _as_dtype(_SPECIAL_POOL, values.dtype)
     return np.concatenate([values[:1], specials, values[1:]])
 
@@ -417,10 +415,10 @@ def _with_specials(values):
 @st.composite
 def _float_phases(draw, n_rows):
     """A float column of two phases, each tiling its own pool of distinct
-    bit patterns (one pool holds -0.0, 0.0 and the NaNs): so the writer's
-    text memo is taken or not, then kept up to its bound or dropped in a
-    later chunk."""
-    chunk, longest = CSV_CHUNK_ROWS, CSV_MEMO_PERIOD
+    bit patterns (one pool holds -0.0, 0.0 and the NaNs), as a constant,
+    a grid axis or distinct values do, with the turn at or near a chunk
+    edge."""
+    chunk, longest = CSV_CHUNK_ROWS, 4096
     never = max(n_rows, 1)  # a pool size at which no value repeats
     head, tail = draw(st.sampled_from([
         (1, never), (2, never), (chunk // 2, never),  # repeats, then none
@@ -486,9 +484,9 @@ def _table(draw):
     chunk = CSV_CHUNK_ROWS
     n_rows = draw(st.sampled_from([0, 1, chunk - 1, chunk, chunk + 1,
                                    2 * chunk - 1, 2 * chunk, 2 * chunk + 1,
-                                   6 * chunk - 1, 2 * CSV_MEMO_PERIOD + 1]))
+                                   6 * chunk - 1, 8 * chunk + 1]))
     columns = [draw(_csv_column(n_rows)) for _ in range(draw(st.integers(0, 3)))]
-    # One column is always a float column in phases, for the text memo.
+    # One column is always a float column in phases.
     columns.insert(draw(st.integers(0, len(columns))),
                    draw(_float_phases(n_rows)))
     return columns
@@ -519,49 +517,6 @@ class TestWriteCsv:
             for cell in list(column[:3]) + list(column[-3:]):
                 assert format_value(cell) == _cell_text(cell)
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_memo_keeps_signed_zeros_and_nans_apart(self, tmp_path, dtype):
-        # Equal as values, -0.0 and 0.0 differ in bits and in text.
-        n_rows = 2 * CSV_CHUNK_ROWS + 1
-        pool = _with_specials(np.array([0.5], dtype=dtype))
-        columns = [pool[np.arange(n_rows) % pool.size],
-                   np.broadcast_to(pool[1:2], (n_rows,)),
-                   np.arange(n_rows) / 7.0]
-        assert [cli._memoizes(column) for column in columns] == [True, True, False]
-        path = tmp_path / "t.csv"
-        write_csv(path, *_headed(columns))
-        assert path.read_bytes() == _per_row_reference(columns)
-        assert path.read_text().splitlines()[2:4] == [
-            "-0,-0,0.14285714285714285", "0,-0,0.2857142857142857"]
-
-    @pytest.mark.parametrize("period,extra", [
-        (3001, 0), (3001, 1), (CSV_MEMO_PERIOD, 0), (CSV_MEMO_PERIOD + 1, 0)])
-    def test_long_period_memo(self, tmp_path, period, extra):
-        # An inner grid axis longer than a chunk, as fig5's delta_omega;
-        # ``extra`` new values follow two periods.
-        pool = _with_specials(np.arange(1, period + extra + 1) / 7.0)
-        column = pool[np.r_[np.arange(2 * period) % period,
-                            period + np.arange(extra)]]
-        # Two periods hold half as many distinct values as rows, up to
-        # the cap; one more value tips the balance.
-        assert cli._memoizes(column) == (period <= CSV_MEMO_PERIOD and not extra)
-        path = tmp_path / "t.csv"
-        write_csv(path, *_headed([column]))
-        assert path.read_bytes() == _per_row_reference([column])
-
-    def test_memo_dropped_past_its_cap(self, tmp_path):
-        # An outer grid axis (a value per block of rows, as fig3's nbar)
-        # repeats from its first rows but holds CSV_MEMO_PERIOD + 1 values.
-        column = np.repeat(np.arange(1, CSV_MEMO_PERIOD + 2) / 7.0, 2)
-        assert cli._memoizes(column)
-        memo = {}
-        assert cli._memo_texts(column[:2 * CSV_MEMO_PERIOD], memo) is not None
-        assert len(memo) == CSV_MEMO_PERIOD
-        assert cli._memo_texts(column[2 * CSV_MEMO_PERIOD:], memo) is None
-        path = tmp_path / "t.csv"
-        write_csv(path, *_headed([column]))
-        assert path.read_bytes() == _per_row_reference([column])
-
     @pytest.mark.parametrize("shape", ["distinct", "fig3", "fig5", "turns",
                                        "longest period"])
     def test_traced_peak_is_under_a_megabyte(self, tmp_path, shape):
@@ -576,7 +531,7 @@ class TestWriteCsv:
                      np.linspace(-40.0, 40.0, 3001)[rows % 3001], distinct[0]],
             # Constant in the first chunk, then never repeating.
             "turns": list(np.where(rows < CSV_CHUNK_ROWS, 0.5, distinct[:3])),
-            "longest period": [distinct[0][rows % CSV_MEMO_PERIOD]],
+            "longest period": [distinct[0][rows % 4096]],
         }[shape]
         path = tmp_path / "t.csv"
         tracemalloc.start()
@@ -675,6 +630,19 @@ CONFIG_ERRORS = [
     pytest.param(MINIMAL_DIRECT + "sweep_param = Omega\nsweep_start = -1\n"
                  "sweep_stop = 1\nsweep_points = 3\n", ["steady"], None,
                  "Omega must be >= 0, got -1.0", id="sweep-negative-Omega"),
+    # Omega**2 would overflow: refused before any engine runs.
+    pytest.param(MINIMAL_DIRECT.replace("Omega = 20", "Omega = 1e155"),
+                 ["steady", "--engine", "numeric"], None,
+                 "Omega must be < 1.3407807929942596e+154, got 1e+155",
+                 id="huge-Omega-steady-numeric"),
+    pytest.param(MINIMAL_DIRECT.replace("Omega = 20", "Omega = 1e155"),
+                 ["figure", "fig5"], None,
+                 "Omega must be < 1.3407807929942596e+154, got 1e+155",
+                 id="huge-Omega-fig5"),
+    pytest.param(MINIMAL_DIRECT + "sweep_param = Omega\nsweep_stop = 1e155\n"
+                 "sweep_points = 3\n", ["sweep"], None,
+                 "Omega must be < 1.3407807929942596e+154, got 5e+154",
+                 id="sweep-huge-Omega"),
 ]
 
 
@@ -949,6 +917,61 @@ class TestSubcommands:
                         "--out", tmp_path]) == 0
         table = np.loadtxt(tmp_path / f"{fig}.csv", delimiter=",", skiprows=1)
         assert table.shape == (4, 3) and np.isfinite(table).all()
+
+    @pytest.mark.parametrize("fig,name", [("fig3", "figure3_dataset"),
+                                          ("fig4", "figure4_dataset"),
+                                          ("fig5", "figure5_dataset")])
+    def test_figure_csv_is_its_dataset_written(self, tmp_path, monkeypatch,
+                                               fig, name):
+        # The axis texts, formatted once per grid value, are the bytes of
+        # the dataset written cell by cell.
+        made = []
+        dataset = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *args, **kwargs: made.append(
+            dataset(*args, **kwargs)) or made[-1])
+        (tmp_path / "cfg").write_text(
+            MINIMAL_DIRECT + "nbar_max = 1\nnbar_points = 4\nratio_max = 2\n"
+            "ratio_points = 3\nsx0_points = 3\nomega_points = 7\n")
+        assert run_cli(["figure", fig, "--config", tmp_path / "cfg",
+                        "--out", tmp_path / "out"]) == 0
+        written = (tmp_path / "out" / f"{fig}.csv").read_bytes()
+        header = written.decode().splitlines()[0].split(",")
+        write_csv(tmp_path / "reference.csv", header, made[0].T)
+        assert len(made) == 1 and len(made[0]) == (21 if fig == "fig5" else 12)
+        assert written == (tmp_path / "reference.csv").read_bytes()
+
+    def test_nan_frequency_axis_fails_the_run(self, tmp_path, capsys):
+        # The span overflows, so the frequency grid holds NaN; the check
+        # reads the axis before its texts are made.
+        (tmp_path / "cfg").write_text(MINIMAL_DIRECT + "omega_span = 1.7e308\n"
+                                      "sx0_points = 3\nomega_points = 5\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # numpy's linspace overflow
+            assert run_cli(["figure", "fig5", "--config", tmp_path / "cfg",
+                            "--out", tmp_path / "out"]) == 1
+        assert capsys.readouterr().err == \
+            "sps: error: fig5.csv: column 'delta_omega' holds NaN\n"
+        assert os.listdir(tmp_path) == ["cfg"]
+
+    def test_both_modes_accept_phi_pi(self, tmp_path):
+        # The reservoir sees 2*phi: phi = pi runs as phi = 0 in either mode.
+        direct = MINIMAL_DIRECT + "sx0 = 0.3\n"
+        physical = PHYSICAL + "Omega = 20\nsx0 = 0.3\n"
+        for name, zero, pi in (
+                ("direct", direct.replace("phi = pi/2", "phi = 0"),
+                 direct.replace("phi = pi/2", "phi = pi")),
+                ("physical", physical, physical.replace(
+                    "phi1 = 0\nphi2 = 0", "phi1 = pi\nphi2 = pi"))):
+            assert zero != pi
+            for phase, text in (("zero", zero), ("pi", pi)):
+                (tmp_path / "cfg").write_text(text)
+                for command in ("rates", "steady"):
+                    assert run_cli([command, "--config", tmp_path / "cfg",
+                                    "--out", tmp_path / name / phase]) == 0
+            assert _tree_bytes(tmp_path / name / "pi") == \
+                _tree_bytes(tmp_path / name / "zero")
+            rates = (tmp_path / name / "pi" / "rates.csv").read_text()
+            assert rates.splitlines()[1].split(",")[6] == "0"
 
     def test_squeezing_threshold_of_a_vanishing_rate(self, tmp_path):
         (tmp_path / "cfg").write_text(

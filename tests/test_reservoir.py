@@ -302,6 +302,20 @@ class TestNearPerfectBand:
             assert abs(value - exact) <= (NEAR_PERFECT_RTOL * abs(exact)
                                           + NEAR_PERFECT_ATOL)
 
+    @pytest.mark.filterwarnings("error")
+    def test_huge_nbar_matches_decimal_reference(self):
+        # nbar*u passes ~6.7e153 up to ratio ~1.16 (u = sqrt(ratio)/(ratio
+        # - 1)), where the root's square overflows; past it, it does not.
+        nbar = 1e153
+        ratios = np.append(1.0 + 2**-52, np.linspace(1.0, 10.0, 202)[1:])
+        got = (figure3_dataset([nbar], ratios)[:, 2],
+               figure4_dataset([nbar], ratios)[:, 2],
+               map_to_squeezing(reservoir_rates(1.0, ratios, nbar)).n_background)
+        exact = np.array([ordinary_split(ratio, nbar) for ratio in ratios]).T
+        for value, reference in zip(got, exact):
+            assert np.all(np.abs(value - reference)
+                          <= NEAR_PERFECT_RTOL * np.abs(reference))
+
 
 def _contour_crossing(dataset, ratio_grid, nbar_grid, target_ratio, level=1.0):
     """nbar at which the dataset value crosses ``level`` in the column whose
