@@ -33,8 +33,9 @@ from .bloch import BlochVector, _check_phi_choice, _decay_rates, \
     dressed_populations, driven_steady_state, free_evolution
 from .physparams import DriveConfig, PhononBathSpec, displacement_factor, \
     phonon_rates
-from .reservoir import _TRIPLE_RULE, _check_rule, _declare, figure3_dataset, \
-    figure4_dataset, map_to_squeezing, quantum_threshold, reservoir_rates
+from .reservoir import _BOUNDED, _NBAR_RULE, _check_rule, _declare, \
+    figure3_dataset, figure4_dataset, map_to_squeezing, quantum_threshold, \
+    reservoir_rates
 from .spectrum import DEFAULT_OMEGA_POINTS, default_omega_grid, \
     exact_incoherent_spectrum, figure5_dataset, sum_rule
 
@@ -82,7 +83,8 @@ class RunConfig:
     """Validated configuration for one CLI invocation.
 
     Its fields declare the [rates] and [run] config keys and [drive]'s
-    include_B.  A length or width of 0 selects its automatic value.
+    include_B.  A length or width of 0 selects its automatic value.  A rate,
+    frequency or time is bounded, so each grid built from it is finite.
     """
 
     mode: str                      # "physical" or "direct"
@@ -93,20 +95,20 @@ class RunConfig:
     # and its phi is the drive's.
     gamma1: float | None = _declare(rule=">= 0", section="rates")
     gamma2: float | None = _declare(rule=">= 0", section="rates")
-    nbar: float = _declare(0.0, ">= 0", section="rates")
+    nbar: float = _declare(0.0, _NBAR_RULE, section="rates")
     phi: float = _declare(0.0, section="rates")
     engine: str = _key("analytic", ENGINES)
     out: str = _key(".")
-    gamma_rad: float = _key(0.0, ">= 0", name="Gamma")
-    laser_omega: float = _key(0.0, ">= 0", name="Omega")
+    gamma_rad: float = _key(0.0, _BOUNDED, name="Gamma")
+    laser_omega: float = _key(0.0, _BOUNDED, name="Omega")
     sx0: float = _key(0.0)
     sy0: float = _key(0.0)
     sz0: float = _key(0.0)
-    t_max: float = _key(0.0, ">= 0")           # 0 -> auto
+    t_max: float = _key(0.0, _BOUNDED)         # 0 -> auto
     t_points: int = _key(201, ">= 1")
-    omega_span: float = _key(0.0, ">= 0")      # 0 -> auto (2*Omega)
+    omega_span: float = _key(0.0, _BOUNDED)    # 0 -> auto (2*Omega)
     omega_points: int = _key(DEFAULT_OMEGA_POINTS, ">= 1")
-    nbar_max: float = _key(3.0, ">= 0")
+    nbar_max: float = _key(3.0, _NBAR_RULE)
     nbar_points: int = _key(201, ">= 1")
     ratio_max: float = _key(10.0, "> 1")
     ratio_points: int = _key(201, ">= 1")
@@ -259,17 +261,12 @@ def _build_config(sections):
         values.update(bath=bath, drive=drive, gamma1=None, gamma2=None,
                       phi=drive.phi)
     cfg = RunConfig(mode="physical" if has_bath else "direct", **values)
-    omega = cfg.laser_omega
     if cfg.sweep_param and cfg.sweep_points:
         swept = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_points)
         _config_error(_check_rule, cfg.sweep_param,
                       _swept_field(cfg).metadata["rule"], swept)
         if cfg.sweep_param == "phi" and cfg.sweep_quantity == "steady":
             _phi_choice(_config_error(replace(cfg, phi=swept).resolved_rates))
-        if cfg.sweep_param == "Omega":
-            omega = np.append(omega, swept)
-    # Omega**2 enters the closed forms as gamma_s*gamma_n does.
-    _config_error(_check_rule, "Omega", _TRIPLE_RULE, omega)
     return cfg
 
 
@@ -353,19 +350,15 @@ def write_csv(path, header, columns):
             handle.write(row * chunk % tuple(cells))
 
 
-def _check_nan(path, header, columns):
-    """A ValueError naming the file and the first float column that holds
-    NaN (inf, the perfect regime's sentinel, is written)."""
+def _write_csv(path, header, columns):
+    """:func:`write_csv`, unless a float column holds NaN: then a ValueError
+    naming the file and the first such column (inf, the perfect regime's
+    sentinel, is written)."""
     for name, values in zip(header, columns):
         array = np.asarray(values)
         if array.dtype.kind == "f" and np.isnan(array).any():
             raise ValueError(f"{os.path.basename(path)}: column {name!r} "
                              f"holds NaN")
-
-
-def _write_csv(path, header, columns):
-    """:func:`write_csv` after :func:`_check_nan`."""
-    _check_nan(path, header, columns)
     write_csv(path, header, columns)
 
 
@@ -587,7 +580,6 @@ def _cmd_figure(cfg, out_dir, fig):
     else:
         raise ConfigError(f"unknown figure {fig!r} (expected one of {FIGURES})")
     path = os.path.join(out_dir, fig + ".csv")
-    _check_nan(path, header[:2], [outer, inner])
     # The table is outer-major over the grid: each axis value is formatted
     # once, and its text repeated.
     outer_texts, inner_texts = (

@@ -16,12 +16,14 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .reservoir import _check_fields, _check_rule, _declare
+from .reservoir import _BOUNDED, _NBAR_RULE, _check_fields, _check_rule, \
+    _declare
 
 HBAR = 1.054571817e-34  # J s, CODATA 2018
 KB = 1.380649e-23       # J/K, exact
@@ -40,6 +42,9 @@ THERMAL_CUTOFF = 60.0
 #: orders whose difference is the error estimate (the higher one is returned).
 QUAD_PANELS = 8
 QUAD_ORDERS = (16, 24)
+#: J(omega) takes omega_c to the third power, 1.84*omega_c**3 at its peak
+#: omega_c*sqrt(3/2): omega_c stays below half the largest float's cube root.
+_OMEGA_C_RULE = f"> 0 and < {sys.float_info.max ** (1.0 / 3.0) / 2.0!r}"
 
 
 class QuadratureError(RuntimeError):
@@ -66,9 +71,9 @@ class PhononBathSpec:
     """
 
     alpha: float = _declare(rule=">= 0", section="bath")
-    omega_c: float = _declare(rule="> 0", section="bath")
+    omega_c: float = _declare(rule=_OMEGA_C_RULE, section="bath")
     temperature: float | None = _declare(None, ">= 0", section="bath")
-    nbar_override: float | None = _declare(None, ">= 0", name="nbar",
+    nbar_override: float | None = _declare(None, _NBAR_RULE, name="nbar",
                                            section="bath")
 
     def __post_init__(self):
@@ -93,8 +98,10 @@ class DriveConfig:
     field declares its range and its ``[drive]`` config key.
     """
 
-    omega1_rabi: float = _declare(rule=">= 0", name="omega1", section="drive")
-    omega2_rabi: float = _declare(rule=">= 0", name="omega2", section="drive")
+    omega1_rabi: float = _declare(rule=_BOUNDED, name="omega1",
+                                  section="drive")
+    omega2_rabi: float = _declare(rule=_BOUNDED, name="omega2",
+                                  section="drive")
     phi1: float = _declare(0.0, section="drive")
     phi2: float = _declare(0.0, section="drive")
     detuning: float = _declare(rule="> 0", section="drive")

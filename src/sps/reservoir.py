@@ -26,11 +26,12 @@ REGIME_PERFECT = "perfect"     # gamma_1 = gamma_2: one quadrature decoherence-f
 RATE_FLOOR = 1e-10
 
 
-#: The closed forms multiply two rates (gamma_s*gamma_n, gamma_m**2) and
-#: map_to_squeezing 4*nbar by nbar+1: a triple below the square root of the
-#: largest float, and nbar below half of it, keep each product finite.
-_TRIPLE_RULE = f"< {math.sqrt(sys.float_info.max)!r}"
-_NBAR_RULE = f"< {math.sqrt(sys.float_info.max) / 2.0!r}"
+#: Rates, frequencies and times stay below B = sqrt(largest float)/16: the
+#: largest product, 4*(gamma_y*gamma_z + Omega**2) ~ 94*B**2 in spectrum's
+#: pole_decomposition, stays finite; nbar's bound does so for 4*nbar*(nbar+1).
+_TRIPLE_RULE = f"< {math.sqrt(sys.float_info.max) / 16.0!r}"
+_NBAR_RULE = f">= 0 and < {math.sqrt(sys.float_info.max) / 2.0!r}"
+_BOUNDED = f">= 0 and {_TRIPLE_RULE}"  # a rate, frequency or time given
 
 #: The relations a declared range may use.
 _RELATIONS = {">=": operator.ge, ">": operator.gt, "<": operator.lt}
@@ -43,30 +44,31 @@ def _scalar(value):
 
 def _declare(default=MISSING, rule=None, name=None, section=None):
     """A dataclass field that declares the rule of its value: a range such
-    as ``">= 0"`` or a tuple of allowed values.  A config key is declared
-    on its field too: ``section`` is its config section and ``name`` its
-    config name where that differs from the field's; it is required where
-    the field has no default, and its type is the field's annotation."""
+    as ``">= 0"`` or ``">= 0 and < 1"``, or a tuple of allowed values.  A
+    config key is declared on it too: ``section`` is its config section and
+    ``name`` its config name where that differs from the field's; it is
+    required where the field has no default, and typed by its annotation."""
     return field(default=default,
                  metadata={"rule": rule, "name": name, "section": section})
 
 
 def _check_rule(name, rule, value, got=None):
-    """Raise ValueError ``"<name> must be <rule>, got <got>"`` unless
-    ``value`` meets ``rule``, elementwise (NaN never does); ``got`` is
-    what the message shows: ``value``, or an array's first failing element,
-    unless given.  The one range check of every argument and field."""
+    """Raise ValueError ``"<name> must be <clause>, got <got>"`` at the
+    first clause of ``rule`` that ``value`` fails, elementwise (NaN fails
+    each); ``got`` is ``value``, or an array's first element failing that
+    clause, unless given.  The one range check of every argument and field."""
     if rule is None:
         return
-    if isinstance(rule, tuple):
-        ok, rule = value in rule, f"one of {rule}"
-    else:
-        relation, bound = rule.split()
-        ok = _RELATIONS[relation](value, float(bound))
-    if not np.all(ok):
-        if got is None:
-            got = _scalar(value[~ok].flat[0] if np.ndim(value) else value)
-        raise ValueError(f"{name} must be {rule}, got {got}")
+    for clause in [rule] if isinstance(rule, tuple) else rule.split(" and "):
+        if isinstance(clause, tuple):
+            ok, clause = value in clause, f"one of {clause}"
+        else:
+            relation, bound = clause.split()
+            ok = _RELATIONS[relation](value, float(bound))
+        if not np.all(ok):
+            if got is None:
+                got = _scalar(value[~ok].flat[0] if np.ndim(value) else value)
+            raise ValueError(f"{name} must be {clause}, got {got}")
 
 
 def _check_fields(instance):
@@ -92,13 +94,13 @@ class ReservoirRates:
     gamma_m = (2*nbar+1)*sqrt(gamma1*gamma2)
 
     The constructor checks the inputs, then the triple, against their
-    declared ranges, and then nbar against its bound (_NBAR_RULE).
+    declared ranges.
     """
 
     gamma1: float = _declare(rule=">= 0")
     gamma2: float = _declare(rule=">= 0")
-    nbar: float = _declare(rule=">= 0")
-    gamma_rad: float = _declare(rule=">= 0")
+    nbar: float = _declare(rule=_NBAR_RULE)
+    gamma_rad: float = _declare(rule=_BOUNDED)
     phi: float = _declare(rule=">= 0")
     gamma_s: float = field(init=False, metadata={"rule": _TRIPLE_RULE})
     gamma_n: float = field(init=False, metadata={"rule": _TRIPLE_RULE})
@@ -116,7 +118,6 @@ class ReservoirRates:
         for name, value in derived.items():
             object.__setattr__(self, name, _scalar(value))
         _check_fields(self)
-        _check_rule("nbar", _NBAR_RULE, nbar)
 
     @property
     def is_perfect(self):

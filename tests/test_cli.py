@@ -52,10 +52,14 @@ PHYSICAL = (PRESETS / "physical.cfg").read_text()
 
 def _declared(key, rule):
     """A config key with its declared rule, as the README's config table
-    shows it."""
+    shows it: each clause's bound to three significant digits."""
     if isinstance(rule, tuple):
         return f"{key} ∈ {{{', '.join(rule)}}}"
-    return f"{key} {rule}" if rule else key
+    if not rule:
+        return key
+    return f"{key} " + " and ".join(
+        f"{relation} {float(bound):.3g}"
+        for relation, bound in map(str.split, rule.split(" and ")))
 
 
 class TestParseConfig:
@@ -309,13 +313,14 @@ RANGED_KEYS = [(section, key, f.name, f.metadata["rule"])
 
 class TestDeclaredRanges:
     """The CLI rejects a value of a ranged key exactly when the library
-    does: ``PhononBathSpec``/``DriveConfig`` for [bath]/[drive] and
-    ``reservoir_rates`` for [rates]."""
+    does, at each clause of its rule: ``PhononBathSpec``/``DriveConfig``
+    for [bath]/[drive] and ``reservoir_rates`` for [rates]."""
 
     def _library(self, section, name, value):
         if section == "rates":
-            cfg = parse_config(MINIMAL_DIRECT)
-            rates = dict(gamma1=cfg.gamma1, gamma2=cfg.gamma2, nbar=cfg.nbar)
+            # With the other rates 0 the derived triple stays inside its
+            # bound, so only the varied key's own rule decides.
+            rates = dict(gamma1=0.0, gamma2=0.0, nbar=0.0)
             return reservoir_rates(**{**rates, name: value})
         base = getattr(parse_config(PHYSICAL), section)
         # temperature replaces the preset's nbar, its alternative.
@@ -339,23 +344,29 @@ class TestDeclaredRanges:
     @settings(max_examples=20, deadline=None)
     def test_cli_and_library_reject_the_same_values(self, section, key, name,
                                                     rule, offset):
-        bound = float(rule.split()[1])
-        for value in (bound, math.nextafter(bound, -math.inf),
-                      math.nextafter(bound, math.inf), bound + offset):
+        # At each clause's bound and one ulp on either side of it, and
+        # below the lower bound.
+        bounds = [float(clause.split()[1]) for clause in rule.split(" and ")]
+        for value in (*(edge for bound in bounds for edge in (
+                          bound, math.nextafter(bound, -math.inf),
+                          math.nextafter(bound, math.inf))),
+                      bounds[0] + offset):
             try:
                 self._library(section, name, value)
-                library_rejects = False
-            except ValueError:
-                library_rejects = True
+                clause = None
+            except ValueError as error:
+                clause = str(error).partition(" must be ")[2].rpartition(
+                    ", got ")[0]
+                assert clause in rule.split(" and "), error
             text, line = self._config(section, key, value)
-            if not library_rejects:
+            if clause is None:
                 parse_config(text)
                 continue
             with pytest.raises(ConfigError) as error:
                 parse_config(text)
             assert error.value.line == line
             assert str(error.value) == (
-                f"line {line}: {key} must be {rule}, got {repr(value)!r}")
+                f"line {line}: {key} must be {clause}, got {repr(value)!r}")
 
 
 def _cell_text(value):
@@ -630,20 +641,72 @@ CONFIG_ERRORS = [
     pytest.param(MINIMAL_DIRECT + "sweep_param = Omega\nsweep_start = -1\n"
                  "sweep_stop = 1\nsweep_points = 3\n", ["steady"], None,
                  "Omega must be >= 0, got -1.0", id="sweep-negative-Omega"),
-    # Omega**2 would overflow: refused before any engine runs.
+    # A rate, frequency, time or nbar past its bound would overflow a
+    # product or a grid: refused at its line before any engine runs.
     pytest.param(MINIMAL_DIRECT.replace("Omega = 20", "Omega = 1e155"),
-                 ["steady", "--engine", "numeric"], None,
-                 "Omega must be < 1.3407807929942596e+154, got 1e+155",
+                 ["steady", "--engine", "numeric"], 9,
+                 "Omega must be < 8.379879956214122e+152, got '1e155'",
                  id="huge-Omega-steady-numeric"),
     pytest.param(MINIMAL_DIRECT.replace("Omega = 20", "Omega = 1e155"),
-                 ["figure", "fig5"], None,
-                 "Omega must be < 1.3407807929942596e+154, got 1e+155",
+                 ["figure", "fig5"], 9,
+                 "Omega must be < 8.379879956214122e+152, got '1e155'",
                  id="huge-Omega-fig5"),
     pytest.param(MINIMAL_DIRECT + "sweep_param = Omega\nsweep_stop = 1e155\n"
                  "sweep_points = 3\n", ["sweep"], None,
-                 "Omega must be < 1.3407807929942596e+154, got 5e+154",
+                 "Omega must be < 8.379879956214122e+152, got 5e+154",
                  id="sweep-huge-Omega"),
+    pytest.param(PHYSICAL.replace("omega1 = 70", "omega1 = 1e155"), ["rates"],
+                 12, "omega1 must be < 8.379879956214122e+152, got '1e155'",
+                 id="huge-omega1"),
+    pytest.param(PHYSICAL.replace("omega2 = 70", "omega2 = 1e155"), ["steady"],
+                 13, "omega2 must be < 8.379879956214122e+152, got '1e155'",
+                 id="huge-omega2"),
+    pytest.param(PHYSICAL.replace("omega_c = 1500", "omega_c = 1e308"),
+                 ["rates"], 8,
+                 "omega_c must be < 2.821901547061144e+102, got '1e308'",
+                 id="huge-omega_c"),
+    pytest.param(PHYSICAL.replace("nbar = 0.5", "nbar = 1e200"), ["rates"], 9,
+                 "nbar must be < 6.703903964971298e+153, got '1e200'",
+                 id="huge-bath-nbar"),
+    pytest.param(MINIMAL_DIRECT.replace("nbar = 0.5", "nbar = 1e200"),
+                 ["squeezing"], 5,
+                 "nbar must be < 6.703903964971298e+153, got '1e200'",
+                 id="huge-rates-nbar"),
+    pytest.param(MINIMAL_DIRECT + "nbar_max = 1e200\n", ["figure", "fig4"], 10,
+                 "nbar_max must be < 6.703903964971298e+153, got '1e200'",
+                 id="huge-nbar_max"),
+    pytest.param(MINIMAL_DIRECT + "Gamma = 1e155\n", ["spectrum"], 10,
+                 "Gamma must be < 8.379879956214122e+152, got '1e155'",
+                 id="huge-Gamma"),
+    pytest.param(MINIMAL_DIRECT + "t_max = 1.7e308\n",
+                 ["decay", "--engine", "numeric"], 10,
+                 "t_max must be < 8.379879956214122e+152, got '1.7e308'",
+                 id="huge-t_max"),
+    # Every grid is a linspace of finite values inside these bounds, so no
+    # axis can hold NaN.
+    pytest.param(MINIMAL_DIRECT + "omega_span = 1.7e308\n", ["figure", "fig5"],
+                 10,
+                 "omega_span must be < 8.379879956214122e+152, got '1.7e308'",
+                 id="huge-omega_span"),
 ]
+
+#: Every float key physical.cfg sets, and every [rates] and [run] float key
+#: of a direct config: id -> (the base config, the key).
+_FLOAT_KEYS = {f"physical-{key}": (PHYSICAL + "Omega = 20\n", key)
+               for key in re.findall(r"^(\w+) = ", PHYSICAL, flags=re.M)
+               if key != "engine"} | {
+    f"direct-{key}": (
+        MINIMAL_DIRECT + "sweep_param = nbar\nsweep_stop = 1\nsweep_points = 3"
+        "\nt_points = 5\nomega_points = 5\nnbar_points = 3\nratio_points = 3"
+        "\nsx0_points = 3\n", key)
+    for section in ("rates", "run")
+    for key, f in cli._KEYS[section].items() if f.type.startswith("float")}
+#: Every command, and each engine of those that have two.
+_EVERY_RUN = [["rates"], ["squeezing"], ["sweep"],
+              *(["figure", fig] for fig in cli.FIGURES),
+              *([command, "--engine", engine]
+                for command in ("decay", "steady", "spectrum")
+                for engine in ("analytic", "numeric"))]
 
 
 #: Perfect-regime fig5 configs off the paper's reference point: with a
@@ -940,19 +1003,6 @@ class TestSubcommands:
         assert len(made) == 1 and len(made[0]) == (21 if fig == "fig5" else 12)
         assert written == (tmp_path / "reference.csv").read_bytes()
 
-    def test_nan_frequency_axis_fails_the_run(self, tmp_path, capsys):
-        # The span overflows, so the frequency grid holds NaN; the check
-        # reads the axis before its texts are made.
-        (tmp_path / "cfg").write_text(MINIMAL_DIRECT + "omega_span = 1.7e308\n"
-                                      "sx0_points = 3\nomega_points = 5\n")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # numpy's linspace overflow
-            assert run_cli(["figure", "fig5", "--config", tmp_path / "cfg",
-                            "--out", tmp_path / "out"]) == 1
-        assert capsys.readouterr().err == \
-            "sps: error: fig5.csv: column 'delta_omega' holds NaN\n"
-        assert os.listdir(tmp_path) == ["cfg"]
-
     def test_both_modes_accept_phi_pi(self, tmp_path):
         # The reservoir sees 2*phi: phi = pi runs as phi = 0 in either mode.
         direct = MINIMAL_DIRECT + "sx0 = 0.3\n"
@@ -1028,34 +1078,30 @@ class TestSubcommands:
         assert os.listdir(tmp_path) == ["cfg"]
 
     def test_overflowing_nbar_is_one_error_line(self, tmp_path, capsys):
-        # gamma_s overflows in the first block; the error names its first
-        # failing element, not the whole array.
+        # gamma_s passes its bound in the first block; the error names its
+        # first failing element, not the whole array.
         self._one_error_line(
             tmp_path, capsys, ["figure", "fig3"],
-            MINIMAL_DIRECT + "nbar_max = 1e308\n",
-            "gamma_s must be < 1.3407807929942596e+154, got 1.0223880597014925e+306")
+            MINIMAL_DIRECT + "nbar_max = 1e153\n",
+            "gamma_s must be < 8.379879956214122e+152, got 8.405970149253732e+152")
 
     @pytest.mark.parametrize("command,rates,got", [
         (["figure", "fig4"], "gamma1 = 1\ngamma2 = 1\nnbar = 0.5",
-         "gamma_s must be < 1.3407807929942596e+154, got 1.0223880597014925e+198"),
-        (["squeezing"], "gamma1 = 1\ngamma2 = 1\nnbar = 1e200",
-         "gamma_s must be < 1.3407807929942596e+154, got 2e+200"),
-        (["spectrum"], "gamma1 = 1\ngamma2 = 1\nnbar = 1e200",
-         "gamma_s must be < 1.3407807929942596e+154, got 2e+200"),
-        (["spectrum", "--engine", "both"], "gamma1 = 1\ngamma2 = 1\nnbar = 1e200",
-         "gamma_s must be < 1.3407807929942596e+154, got 2e+200"),
-        (["squeezing"], "gamma1 = 1e-300\ngamma2 = 1e-300\nnbar = 1e200",
-         "nbar must be < 6.703903964971298e+153, got 1e+200"),
-    ], ids=["fig4", "squeezing", "spectrum", "spectrum-both",
-            "squeezing-small-rates"])
+         "gamma_s must be < 8.379879956214122e+152, got 8.405970149253732e+152"),
+        (["squeezing"], "gamma1 = 1\ngamma2 = 1\nnbar = 1e153",
+         "gamma_s must be < 8.379879956214122e+152, got 2e+153"),
+        (["spectrum"], "gamma1 = 1\ngamma2 = 1\nnbar = 1e153",
+         "gamma_s must be < 8.379879956214122e+152, got 2e+153"),
+        (["spectrum", "--engine", "both"], "gamma1 = 1\ngamma2 = 1\nnbar = 1e153",
+         "gamma_s must be < 8.379879956214122e+152, got 2e+153"),
+    ], ids=["fig4", "squeezing", "spectrum", "spectrum-both"])
     def test_finite_nbar_past_the_bound_is_one_error_line(self, tmp_path, capsys,
                                                            command, rates, got):
-        # At nbar = 1e200 the triple is finite but gamma_s*gamma_n is not (or,
-        # under tiny rates, nbar*(nbar+1)): the run stops before a closed
-        # form overflows.
+        # At nbar = 1e153, inside its own bound, the triple passes its bound:
+        # the run stops before gamma_s*gamma_n overflows a closed form.
         text = MINIMAL_DIRECT.replace("gamma1 = 1\ngamma2 = 1\nnbar = 0.5", rates)
         self._one_error_line(tmp_path, capsys, command,
-                             text + "nbar_max = 1e200\n", got)
+                             text + "nbar_max = 1e153\n", got)
 
     @pytest.mark.parametrize("command,keys,expected", [
         ("decay", "t_max = 3\nt_points = 4\n", np.linspace(0.0, 3.0, 4)),
@@ -1082,6 +1128,23 @@ class TestSubcommands:
         assert err.startswith(prefix) and err.count("\n") == 1, err
         assert fragment in err and (line or "line " not in err), err
         assert os.listdir(tmp_path) == ["cfg"]
+
+    @pytest.mark.parametrize("base,key", _FLOAT_KEYS.values(),
+                             ids=_FLOAT_KEYS.keys())
+    def test_no_float_value_raises_out_of_main(self, tmp_path, base, key):
+        # What escapes main() is a traceback of the sps process; a value past
+        # a key's bound is one config error, and one past a product's bound
+        # is one error line (with numpy warnings before it for alpha and
+        # detuning).
+        text, count = re.subn(rf"^{key} = .*$", f"{key} = 1e308", base,
+                              flags=re.M)
+        (tmp_path / "cfg").write_text(text if count else
+                                      f"{base}{key} = 1e308\n")
+        for command in _EVERY_RUN:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                assert run_cli([*command, "--config", tmp_path / "cfg",
+                                "--out", tmp_path / "out"]) in (0, 1, 2)
 
     def test_config_error_keeps_an_existing_directory(self, tmp_path):
         (tmp_path / "cfg").write_text("[rates]\ngamma1 = 1\ngamma2 = 2\n")

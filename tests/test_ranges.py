@@ -1,7 +1,8 @@
 """Every range of a library argument is checked by ``reservoir._check_rule``:
-a value inside it passes, the last value outside it (one ulp past the
-bound) and NaN raise ``"<name> must be <rule>, got <value>"``, and an
-array argument names its first failing element."""
+a value inside it passes, the last value outside each clause (one ulp past
+its bound) and NaN raise ``"<name> must be <clause>, got <value>"`` for the
+first clause they fail, and an array argument names its first element
+failing that clause."""
 
 import math
 import operator
@@ -21,7 +22,8 @@ from sps.bloch import (
     free_evolution,
 )
 from sps.physparams import PhononBathSpec, spectral_density, thermal_occupation
-from sps.reservoir import figure3_dataset, quantum_threshold, reservoir_rates
+from sps.reservoir import _BOUNDED, _NBAR_RULE, figure3_dataset, \
+    quantum_threshold, reservoir_rates
 from sps.spectrum import (
     SpectrumResult,
     default_omega_grid,
@@ -69,6 +71,11 @@ ARRAY_CHECKS = {
         "gamma_y", ">= 0", lambda v: DampingTriple(1.0, v, 1.0, 0.0)),
     "DampingTriple-gamma_z": (
         "gamma_z", ">= 0", lambda v: DampingTriple(1.0, 1.0, v, 0.0)),
+    "reservoir_rates-nbar": (
+        "nbar", _NBAR_RULE, lambda v: reservoir_rates(0.0, 0.0, v)),
+    "reservoir_rates-gamma_rad": (
+        "gamma_rad", _BOUNDED,
+        lambda v: reservoir_rates(1.0, 2.0, 0.5, gamma_rad=v)),
     "driven_steady_state-omega": (
         "omega", ">= 0", lambda v: driven_steady_state(RATES, v, 0.0)),
     "spectral_density-omega": (
@@ -78,20 +85,37 @@ ARRAY_CHECKS = {
 }
 CHECKS = SCALAR_CHECKS | ARRAY_CHECKS
 
-_RELATIONS = {">=": operator.ge, ">": operator.gt}
+_RELATIONS = {">=": operator.ge, ">": operator.gt, "<": operator.lt}
 
 
-def _meets(rule, value):
-    relation, bound = rule.split()
-    return _RELATIONS[relation](value, float(bound))
+def _failed_clause(rule, values):
+    """The first clause of ``rule`` that one of ``values`` fails, and the
+    first value failing it; None if every value meets every clause."""
+    for clause in rule.split(" and "):
+        relation, bound = clause.split()
+        failing = [v for v in values
+                   if not _RELATIONS[relation](v, float(bound))]
+        if failing:
+            return clause, failing[0]
+    return None
 
 
-def _edge(rule):
-    """The first value inside ``rule`` and the last one outside it."""
-    relation, bound = rule.split()
-    inside = float(bound) if relation == ">=" else math.nextafter(
-        float(bound), math.inf)
-    return inside, math.nextafter(inside, -math.inf)
+def _edges(rule):
+    """Each clause of ``rule`` with the value inside it nearest its bound
+    and the value one ulp past that, outside it."""
+    for clause in rule.split(" and "):
+        relation, bound = clause.split()
+        inside = float(bound) if relation == ">=" else math.nextafter(
+            float(bound), -math.inf if relation == "<" else math.inf)
+        yield clause, inside, math.nextafter(
+            inside, math.inf if relation == "<" else -math.inf)
+
+
+def _expected(name, rule, values):
+    """The error a call with ``values`` (its array, or its one value) must
+    raise, or None."""
+    failed = _failed_clause(rule, values)
+    return failed and f"{name} must be {failed[0]}, got {failed[1]}"
 
 
 def _range_error(name, call, value):
@@ -111,12 +135,15 @@ def _range_error(name, call, value):
 @pytest.mark.parametrize("check", CHECKS.values(), ids=CHECKS.keys())
 def test_bound_passes_one_ulp_outside_and_nan_fail(check):
     name, rule, call = check
-    inside, outside = _edge(rule)
-    for good in (inside, sys.float_info.max):
-        assert _range_error(name, call, good) is None
-    for bad in (outside, math.nan):
-        assert _range_error(name, call, bad) == \
-            f"{name} must be {rule}, got {bad}"
+    for clause, inside, outside in _edges(rule):
+        assert _range_error(name, call, inside) is None
+        assert _range_error(name, call, outside) == \
+            f"{name} must be {clause}, got {outside}"
+    first = rule.split(" and ")[0]
+    assert _range_error(name, call, math.nan) == \
+        f"{name} must be {first}, got nan"
+    if _failed_clause(rule, [sys.float_info.max]) is None:
+        assert _range_error(name, call, sys.float_info.max) is None
 
 
 @pytest.mark.parametrize("check", CHECKS.values(), ids=CHECKS.keys())
@@ -124,9 +151,7 @@ def test_bound_passes_one_ulp_outside_and_nan_fail(check):
 @settings(max_examples=40, deadline=None)
 def test_fails_exactly_outside_the_rule(check, value):
     name, rule, call = check
-    expected = None if _meets(rule, value) else \
-        f"{name} must be {rule}, got {value}"
-    assert _range_error(name, call, value) == expected
+    assert _range_error(name, call, value) == _expected(name, rule, [value])
 
 
 @pytest.mark.parametrize("check", ARRAY_CHECKS.values(),
@@ -135,6 +160,5 @@ def test_fails_exactly_outside_the_rule(check, value):
 @settings(max_examples=40, deadline=None)
 def test_array_names_its_first_failing_element(check, values):
     name, rule, call = check
-    failing = [v for v in values if not _meets(rule, v)]
-    expected = f"{name} must be {rule}, got {failing[0]}" if failing else None
-    assert _range_error(name, call, np.array(values)) == expected
+    assert _range_error(name, call, np.array(values)) == \
+        _expected(name, rule, values)

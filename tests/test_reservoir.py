@@ -78,11 +78,11 @@ class TestReservoirRates:
             with pytest.raises(ValueError, match="gamma2 must be >= 0, got -1.0"):
                 reservoir_rates(1.0, -1.0, 0.5)
             # A triple whose products would overflow names its first
-            # failing element (inf), not a later one (inf*0 = nan).
+            # failing element (2e153), not a later one (inf*0 = nan).
             with pytest.raises(ValueError, match=r"^gamma_s must be < "
-                               r"1\.3407807929942596e\+154, got inf$"):
+                               r"8\.379879956214122e\+152, got 2e\+153$"):
                 reservoir_rates(np.array([1.0, 1.0, math.inf]), 1.0,
-                                np.array([0.5, 1e308, 0.0]))
+                                np.array([0.5, 1e153, 0.0]))
             # nbar*(nbar+1) overflows under rates too small to lift the triple.
             with pytest.raises(ValueError, match=r"^nbar must be < "
                                r"6\.703903964971298e\+153, got 1e\+200$"):
@@ -304,10 +304,12 @@ class TestNearPerfectBand:
 
     @pytest.mark.filterwarnings("error")
     def test_huge_nbar_matches_decimal_reference(self):
-        # nbar*u passes ~6.7e153 up to ratio ~1.16 (u = sqrt(ratio)/(ratio
+        # nbar*u passes ~6.7e153 up to ratio ~1.01 (u = sqrt(ratio)/(ratio
         # - 1)), where the root's square overflows; past it, it does not.
-        nbar = 1e153
-        ratios = np.append(1.0 + 2**-52, np.linspace(1.0, 10.0, 202)[1:])
+        # At ratio 10 this nbar keeps gamma_s = 11*nbar + 10 below its bound.
+        nbar = 7e151
+        ratios = np.concatenate([1.0 + np.geomspace(2**-52, 0.1, 12),
+                                 np.linspace(1.0, 10.0, 202)[1:]])
         got = (figure3_dataset([nbar], ratios)[:, 2],
                figure4_dataset([nbar], ratios)[:, 2],
                map_to_squeezing(reservoir_rates(1.0, ratios, nbar)).n_background)
