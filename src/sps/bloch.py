@@ -151,9 +151,13 @@ def damping_triple(rates, phi_choice):
     regime the closed forms were derived in).  The sign assignment is fixed
     by the perfect-regime limits: phi = 0 gives gamma_y = 0 and phi = pi/2
     gives gamma_x = 0 when gamma_1 = gamma_2.  Array-valued rates or
-    phi_choice give array fields.
+    phi_choice give array fields; a phi_choice other than the phase of
+    ``rates`` (elementwise) raises ValueError.
     """
     phi = _check_phi_choice(phi_choice)
+    if np.any(phi != _check_phi_choice(rates.phi)):
+        raise ValueError(f"phi_choice {phi_choice} contradicts the reservoir's "
+                         f"phase phi = {rates.phi}")
     reduced, enhanced, gamma_z = _decay_rates(rates)
     # gamma_y at phi = 0 is not floored: the drive couples s_y to <Sz>.
     coupled = _decay_rates(rates, floor=0.0)[0]

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import ast
-import contextlib
 import functools
 import gc
 import math
@@ -76,6 +75,8 @@ _SWEEP_QUANTITIES = ("steady", "squeezing")
 
 #: A [run] key, declared on its RunConfig field (see reservoir._declare).
 _key = functools.partial(_declare, section="run")
+#: A component of the initial Bloch vector; BlochVector checks |s|^2 <= 1/4.
+_COMPONENT_RULE = ">= -0.5 and <= 0.5"
 
 
 @dataclass(kw_only=True)
@@ -93,17 +94,17 @@ class RunConfig:
     include_b: bool = _declare(False, name="include_B", section="drive")
     # The direct-rate mode's rates; the physical mode computes its own,
     # and its phi is the drive's.
-    gamma1: float | None = _declare(rule=">= 0", section="rates")
-    gamma2: float | None = _declare(rule=">= 0", section="rates")
+    gamma1: float | None = _declare(rule=_BOUNDED, section="rates")
+    gamma2: float | None = _declare(rule=_BOUNDED, section="rates")
     nbar: float = _declare(0.0, _NBAR_RULE, section="rates")
     phi: float = _declare(0.0, section="rates")
     engine: str = _key("analytic", ENGINES)
     out: str = _key(".")
     gamma_rad: float = _key(0.0, _BOUNDED, name="Gamma")
     laser_omega: float = _key(0.0, _BOUNDED, name="Omega")
-    sx0: float = _key(0.0)
-    sy0: float = _key(0.0)
-    sz0: float = _key(0.0)
+    sx0: float = _key(0.0, _COMPONENT_RULE)
+    sy0: float = _key(0.0, _COMPONENT_RULE)
+    sz0: float = _key(0.0, _COMPONENT_RULE)
     t_max: float = _key(0.0, _BOUNDED)         # 0 -> auto
     t_points: int = _key(201, ">= 1")
     omega_span: float = _key(0.0, _BOUNDED)    # 0 -> auto (2*Omega)
@@ -320,6 +321,13 @@ def format_value(value):
     return conversion % (array.tolist(),)
 
 
+def _open_output(path):
+    """``path`` opened for writing text with LF line endings, after making
+    its directory: a run's output directory is made by its first file."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    return open(path, "w", encoding="utf-8", newline="")
+
+
 def write_csv(path, header, columns):
     """Write equal-length ``columns`` (arrays or lists) as CSV under ``header``.
 
@@ -340,7 +348,7 @@ def write_csv(path, header, columns):
     n_rows = columns[0][1].size if columns else 0
     width = len(columns)
     row = ",".join(conversion for conversion, _ in columns) + "\n"
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with _open_output(path) as handle:
         handle.write(",".join(header) + "\n")
         for start in range(0, n_rows, CSV_CHUNK_ROWS):
             chunk = min(CSV_CHUNK_ROWS, n_rows - start)
@@ -363,7 +371,7 @@ def _write_csv(path, header, columns):
 
 
 def write_meta(path, entries):
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with _open_output(path) as handle:
         for key, value in entries.items():
             handle.write(f"{key}={format_value(value)}\n")
 
@@ -598,28 +606,11 @@ SUBCOMMANDS = tuple(_COMMANDS)
 
 
 def run_subcommand(name, cfg, fig=None):
-    """Execute one subcommand; returns the process exit status.
-
-    The output directories it creates are removed again if an error
-    escapes, as long as they are empty, so that a run that fails before
-    writing leaves nothing behind.
-    """
+    """Execute one subcommand; returns the process exit status.  A run that
+    fails before its first write into ``cfg.out`` leaves no directory."""
     if name not in _COMMANDS:
         raise ConfigError(f"unknown subcommand {name!r}")
-    created = []
-    head = os.path.abspath(cfg.out)
-    while not os.path.exists(head):
-        created.append(head)
-        head = os.path.dirname(head)
-    os.makedirs(cfg.out, exist_ok=True)
-    try:
-        return _COMMANDS[name](cfg, cfg.out,
-                               *([fig] if name == "figure" else []))
-    except BaseException:
-        for path in created:  # innermost first; os.rmdir keeps a non-empty one
-            with contextlib.suppress(OSError):
-                os.rmdir(path)
-        raise
+    return _COMMANDS[name](cfg, cfg.out, *([fig] if name == "figure" else []))
 
 
 def _build_parser():

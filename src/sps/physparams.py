@@ -42,9 +42,10 @@ THERMAL_CUTOFF = 60.0
 #: orders whose difference is the error estimate (the higher one is returned).
 QUAD_PANELS = 8
 QUAD_ORDERS = (16, 24)
-#: J(omega) takes omega_c to the third power, 1.84*omega_c**3 at its peak
-#: omega_c*sqrt(3/2): omega_c stays below half the largest float's cube root.
-_OMEGA_C_RULE = f"> 0 and < {sys.float_info.max ** (1.0 / 3.0) / 2.0!r}"
+#: spectral_density's alpha*omega**3 is taken at the detuning and at J's peak
+#: omega_c*sqrt(3/2): with both below half the largest float's cube root,
+#: omega**3 < 0.23*max there, and alpha < 4 keeps the product finite.
+_CUBED_RULE = f"> 0 and < {sys.float_info.max ** (1.0 / 3.0) / 2.0!r}"
 
 
 class QuadratureError(RuntimeError):
@@ -70,8 +71,8 @@ class PhononBathSpec:
     Each field declares its range and its ``[bath]`` config key.
     """
 
-    alpha: float = _declare(rule=">= 0", section="bath")
-    omega_c: float = _declare(rule=_OMEGA_C_RULE, section="bath")
+    alpha: float = _declare(rule=">= 0 and < 4", section="bath")
+    omega_c: float = _declare(rule=_CUBED_RULE, section="bath")
     temperature: float | None = _declare(None, ">= 0", section="bath")
     nbar_override: float | None = _declare(None, _NBAR_RULE, name="nbar",
                                            section="bath")
@@ -104,7 +105,7 @@ class DriveConfig:
                                   section="drive")
     phi1: float = _declare(0.0, section="drive")
     phi2: float = _declare(0.0, section="drive")
-    detuning: float = _declare(rule="> 0", section="drive")
+    detuning: float = _declare(rule=_CUBED_RULE, section="drive")
 
     def __post_init__(self):
         _check_fields(self)

@@ -34,7 +34,8 @@ _NBAR_RULE = f">= 0 and < {math.sqrt(sys.float_info.max) / 2.0!r}"
 _BOUNDED = f">= 0 and {_TRIPLE_RULE}"  # a rate, frequency or time given
 
 #: The relations a declared range may use.
-_RELATIONS = {">=": operator.ge, ">": operator.gt, "<": operator.lt}
+_RELATIONS = {">=": operator.ge, ">": operator.gt, "<": operator.lt,
+              "<=": operator.le}
 
 
 def _scalar(value):
@@ -97,8 +98,8 @@ class ReservoirRates:
     declared ranges.
     """
 
-    gamma1: float = _declare(rule=">= 0")
-    gamma2: float = _declare(rule=">= 0")
+    gamma1: float = _declare(rule=_BOUNDED)
+    gamma2: float = _declare(rule=_BOUNDED)
     nbar: float = _declare(rule=_NBAR_RULE)
     gamma_rad: float = _declare(rule=_BOUNDED)
     phi: float = _declare(rule=">= 0")

@@ -126,7 +126,7 @@ class TestDampingTriple:
 
     def test_perfect_phi_half_pi_limits(self):
         gamma0, nbar = 1.2, 0.7
-        rates = reservoir_rates(gamma0, gamma0, nbar)
+        rates = reservoir_rates(gamma0, gamma0, nbar, HALF_PI, HALF_PI)
         triple = damping_triple(rates, HALF_PI)
         expected = 4.0 * (2.0 * nbar + 1.0) * gamma0
         assert triple.gamma_x == 0.0
@@ -136,9 +136,8 @@ class TestDampingTriple:
     @given(pair=unequal_pairs, nbar=nbars)
     @settings(max_examples=200, deadline=None)
     def test_unequal_rates_both_positive(self, pair, nbar):
-        rates = reservoir_rates(*pair, nbar)
         for phi in (0.0, HALF_PI):
-            triple = damping_triple(rates, phi)
+            triple = damping_triple(reservoir_rates(*pair, nbar, phi, phi), phi)
             assert triple.gamma_x > 0.0 and triple.gamma_y > 0.0
 
     @given(pair=gamma_pairs, nbar=nbars)
@@ -152,6 +151,16 @@ class TestDampingTriple:
         rates = reservoir_rates(1.0, 2.0, 0.0)
         with pytest.raises(ValueError, match="phi"):
             damping_triple(rates, 0.3)
+        # Nor the phase the reservoir does not have: the phi = 0
+        # reservoir's answer is not the pi/2 closed form's.
+        with pytest.raises(ValueError, match=r"phi_choice 1\.5707963267948966 "
+                           r"contradicts the reservoir's phase phi = 0\.0"):
+            driven_steady_state(reservoir_rates(1, 2, 0.5), 5, HALF_PI, sx0=0.3)
+        rates = reservoir_rates(1.0, 2.0, 0.5, [0.0, HALF_PI], [0.0, HALF_PI])
+        with pytest.raises(ValueError, match="contradicts"):
+            damping_triple(rates, 0.0)
+        assert damping_triple(rates, [0.0, HALF_PI]).phi_choice.tolist() == [
+            0.0, HALF_PI]
 
 
 class TestDrivenSteadyState:
@@ -195,7 +204,7 @@ class TestDrivenSteadyState:
     @settings(max_examples=200, deadline=None)
     def test_fixed_point_of_equations_of_motion(self, pair, nbar, omega):
         for phi in (0.0, HALF_PI):
-            rates = reservoir_rates(*pair, nbar)
+            rates = reservoir_rates(*pair, nbar, phi, phi)
             triple = damping_triple(rates, phi)
             s = driven_steady_state(rates, omega, phi, sx0=0.2)
             rhs = np.array([
@@ -402,8 +411,8 @@ class TestDrivenEvolution:
            t=st.floats(0.0, 50.0))
     @settings(max_examples=300, deadline=None)
     def test_bloch_sphere_containment(self, state, pair, nbar, omega, t):
-        rates = reservoir_rates(*pair, nbar)
         for phi in (0.0, HALF_PI):
+            rates = reservoir_rates(*pair, nbar, phi, phi)
             out = driven_evolution(state, rates, omega, phi, t)
             norm2 = out.sx**2 + out.sy**2 + out.sz**2
             assert norm2 <= 0.25 + 1e-12

@@ -682,6 +682,33 @@ CONFIG_ERRORS = [
                  ["decay", "--engine", "numeric"], 10,
                  "t_max must be < 8.379879956214122e+152, got '1.7e308'",
                  id="huge-t_max"),
+    pytest.param(MINIMAL_DIRECT.replace("gamma1 = 1", "gamma1 = 1e155"),
+                 ["rates"], 3,
+                 "gamma1 must be < 8.379879956214122e+152, got '1e155'",
+                 id="huge-gamma1"),
+    pytest.param(MINIMAL_DIRECT.replace("gamma2 = 1", "gamma2 = 1e155"),
+                 ["steady"], 4,
+                 "gamma2 must be < 8.379879956214122e+152, got '1e155'",
+                 id="huge-gamma2"),
+    # J(omega) = alpha*omega**3*exp(-(omega/omega_c)**2) at the detuning
+    # and at its peak stays finite.
+    pytest.param(PHYSICAL.replace("alpha = 2.535e-7", "alpha = 1e308"),
+                 ["rates"], 7, "alpha must be < 4, got '1e308'",
+                 id="huge-alpha"),
+    pytest.param(PHYSICAL.replace("detuning = 490", "detuning = 1e103"),
+                 ["rates"], 14,
+                 "detuning must be < 2.821901547061144e+102, got '1e103'",
+                 id="huge-detuning"),
+    pytest.param(PHYSICAL.replace("detuning = 490", "detuning = 1e308"),
+                 ["steady"], 14,
+                 "detuning must be < 2.821901547061144e+102, got '1e308'",
+                 id="largest-detuning"),
+    # Each component of the initial Bloch vector lies in [-1/2, 1/2].
+    pytest.param(MINIMAL_DIRECT + "sx0 = 0.6\n", ["decay"], 10,
+                 "sx0 must be <= 0.5, got '0.6'", id="sx0-off-sphere"),
+    pytest.param(MINIMAL_DIRECT + "sweep_param = sx0\nsweep_stop = 0.6\n"
+                 "sweep_points = 3\n", ["sweep"], None,
+                 "sx0 must be <= 0.5, got 0.6", id="sweep-sx0-off-sphere"),
     # Every grid is a linspace of finite values inside these bounds, so no
     # axis can hold NaN.
     pytest.param(MINIMAL_DIRECT + "omega_span = 1.7e308\n", ["figure", "fig5"],
@@ -1134,17 +1161,18 @@ class TestSubcommands:
     def test_no_float_value_raises_out_of_main(self, tmp_path, base, key):
         # What escapes main() is a traceback of the sps process; a value past
         # a key's bound is one config error, and one past a product's bound
-        # is one error line (with numpy warnings before it for alpha and
-        # detuning).
+        # is one error line, with no numpy warning before it.
         text, count = re.subn(rf"^{key} = .*$", f"{key} = 1e308", base,
                               flags=re.M)
         (tmp_path / "cfg").write_text(text if count else
                                       f"{base}{key} = 1e308\n")
         for command in _EVERY_RUN:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
                 assert run_cli([*command, "--config", tmp_path / "cfg",
                                 "--out", tmp_path / "out"]) in (0, 1, 2)
+            assert not [w for w in caught
+                        if issubclass(w.category, RuntimeWarning)], command
 
     def test_config_error_keeps_an_existing_directory(self, tmp_path):
         (tmp_path / "cfg").write_text("[rates]\ngamma1 = 1\ngamma2 = 2\n")

@@ -2,6 +2,7 @@
 forms, propagation, stationary states, the time-domain fluctuation
 correlation, the resolvent spectrum."""
 
+import dataclasses
 import math
 import re
 
@@ -535,8 +536,9 @@ class TestOracleAgainstClosedForms:
 
         state0 = BlochVector(0.8 * sx0, 0.15, -0.2)
         # The undriven quadratures and the inversion decay at the rates of
-        # damping_triple at pi/2, whatever phi is; follow the slowest nonzero one.
-        triple = damping_triple(rates, HALF_PI)
+        # damping_triple at pi/2, whatever the reservoir's phi is; follow the
+        # slowest nonzero one.
+        triple = damping_triple(dataclasses.replace(rates, phi=HALF_PI), HALF_PI)
         slowest = min(r for r in (triple.gamma_x, triple.gamma_y,
                                   triple.gamma_z) if r > 0)
         t_grid = np.linspace(0.0, 5.0 / slowest, 16)

@@ -77,12 +77,17 @@ class TestReservoirRates:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="gamma2 must be >= 0, got -1.0"):
                 reservoir_rates(1.0, -1.0, 0.5)
-            # A triple whose products would overflow names its first
-            # failing element (2e153), not a later one (inf*0 = nan).
-            with pytest.raises(ValueError, match=r"^gamma_s must be < "
-                               r"8\.379879956214122e\+152, got 2e\+153$"):
+            # An infinite rate fails its own bound, before inf*0 = nan
+            # reaches the triple.
+            with pytest.raises(ValueError, match=r"^gamma1 must be < "
+                               r"8\.379879956214122e\+152, got inf$"):
                 reservoir_rates(np.array([1.0, 1.0, math.inf]), 1.0,
                                 np.array([0.5, 1e153, 0.0]))
+            # A triple whose products would overflow names its first
+            # failing element (2e153), not a later one (1.2e154).
+            with pytest.raises(ValueError, match=r"^gamma_s must be < "
+                               r"8\.379879956214122e\+152, got 2e\+153$"):
+                reservoir_rates(1.0, 1.0, np.array([0.5, 1e153, 6e153]))
             # nbar*(nbar+1) overflows under rates too small to lift the triple.
             with pytest.raises(ValueError, match=r"^nbar must be < "
                                r"6\.703903964971298e\+153, got 1e\+200$"):

@@ -124,7 +124,7 @@ class TestExactSpectrum:
     def test_unlocked_regime_has_no_zero_width_part(self):
         from sps.bloch import driven_steady_state
 
-        rates = reservoir_rates(1.0, 3.0, 0.4)
+        rates = reservoir_rates(1.0, 3.0, 0.4, HALF_PI, HALF_PI)
         result = exact_incoherent_spectrum(rates, OMEGA, HALF_PI, sx0=0.4,
                                            omega_grid=GRID)
         assert result.zero_width_weight == 0.0
@@ -142,7 +142,8 @@ class TestExactSpectrum:
     def test_nonnegative_on_default_grid(self):
         for rates, phi in ((LOCKED, HALF_PI),
                            (reservoir_rates(1.0, 3.0, 0.4), 0.0),
-                           (reservoir_rates(2.0, 0.7, 0.2), HALF_PI)):
+                           (reservoir_rates(2.0, 0.7, 0.2, HALF_PI, HALF_PI),
+                            HALF_PI)):
             result = exact_incoherent_spectrum(rates, OMEGA, phi, sx0=0.2,
                                                omega_grid=GRID)
             assert result.incoherent.min() >= -1e-10
