@@ -335,12 +335,18 @@ def write_csv(path, header, columns):
     the rule of its dtype (see :func:`format_value`); rows are formatted
     ``CSV_CHUNK_ROWS`` at a time by one ``%``.  A column of texts is
     written as it is, so a caller whose column repeats a few values can
-    format each once and pass the texts.
+    format each once and pass the texts.  A float column holding NaN is a
+    ValueError naming the file and the first such column, raised before
+    anything is written; inf, the perfect regime's sentinel, is written.
     """
     columns = [_column(values) for values in columns]
     if len(columns) != len(header):
         raise ValueError(f"{len(header)} CSV header names for "
                          f"{len(columns)} columns")
+    for name, (_, array) in zip(header, columns):
+        if array.dtype.kind == "f" and np.isnan(array).any():
+            raise ValueError(f"{os.path.basename(path)}: column {name!r} "
+                             f"holds NaN")
     shapes = [array.shape for _, array in columns]
     if any(len(shape) != 1 for shape in shapes) or len(set(shapes)) > 1:
         raise ValueError(f"CSV columns need one axis and equal length, got "
@@ -356,18 +362,6 @@ def write_csv(path, header, columns):
             for j, (_, array) in enumerate(columns):
                 cells[j::width] = array[start:start + chunk].tolist()
             handle.write(row * chunk % tuple(cells))
-
-
-def _write_csv(path, header, columns):
-    """:func:`write_csv`, unless a float column holds NaN: then a ValueError
-    naming the file and the first such column (inf, the perfect regime's
-    sentinel, is written)."""
-    for name, values in zip(header, columns):
-        array = np.asarray(values)
-        if array.dtype.kind == "f" and np.isnan(array).any():
-            raise ValueError(f"{os.path.basename(path)}: column {name!r} "
-                             f"holds NaN")
-    write_csv(path, header, columns)
 
 
 def write_meta(path, entries):
@@ -386,8 +380,9 @@ def _time_grid(cfg, rates):
     if cfg.t_max > 0:
         t_max = cfg.t_max
     else:
-        nonzero = [r for r in _decay_rates(rates) if r > 0]
+        nonzero = [float(r) for r in _decay_rates(rates) if r > 0]
         t_max = 10.0 / min(nonzero) if nonzero else 1.0
+        _config_error(_check_rule, "automatic t_max", _BOUNDED, t_max)
     return np.linspace(0.0, t_max, cfg.t_points)
 
 
@@ -409,11 +404,11 @@ def _spectrum_drive(cfg, rr, command):
 
 def _cmd_rates(cfg, out_dir):
     rr = cfg.resolved_rates()
-    _write_csv(os.path.join(out_dir, "rates.csv"),
-               ["gamma1", "gamma2", "nbar", "gamma_s", "gamma_n", "gamma_m",
-                "phi", "Gamma"],
-               [[rr.gamma1], [rr.gamma2], [rr.nbar], [rr.gamma_s],
-                [rr.gamma_n], [rr.gamma_m], [rr.phi], [rr.gamma_rad]])
+    write_csv(os.path.join(out_dir, "rates.csv"),
+              ["gamma1", "gamma2", "nbar", "gamma_s", "gamma_n", "gamma_m",
+               "phi", "Gamma"],
+              [[rr.gamma1], [rr.gamma2], [rr.nbar], [rr.gamma_s],
+               [rr.gamma_n], [rr.gamma_m], [rr.phi], [rr.gamma_rad]])
     meta = {"mode": cfg.mode, "engine": cfg.engine}
     if cfg.mode == "physical":
         meta["displacement_factor"] = displacement_factor(cfg.bath)
@@ -426,12 +421,12 @@ def _cmd_rates(cfg, out_dir):
 def _cmd_squeezing(cfg, out_dir):
     rr = cfg.resolved_rates()
     desc = map_to_squeezing(rr)
-    _write_csv(os.path.join(out_dir, "squeezing.csv"),
-               ["regime", "gamma_eff", "N", "M_abs", "Ns", "Nb", "quantum",
-                "nbar_threshold"],
-               [[desc.regime], [desc.gamma_eff], [desc.n_photons],
-                [desc.m_abs], [desc.n_squeezed], [desc.n_background],
-                [desc.quantum], [quantum_threshold(rr.gamma1, rr.gamma2)]])
+    write_csv(os.path.join(out_dir, "squeezing.csv"),
+              ["regime", "gamma_eff", "N", "M_abs", "Ns", "Nb", "quantum",
+               "nbar_threshold"],
+              [[desc.regime], [desc.gamma_eff], [desc.n_photons],
+               [desc.m_abs], [desc.n_squeezed], [desc.n_background],
+               [desc.quantum], [quantum_threshold(rr.gamma1, rr.gamma2)]])
     return 0
 
 
@@ -477,8 +472,8 @@ def _cmd_decay(cfg, out_dir):
             oracle.bloch_to_rho(state0), oracle.build_liouvillian(rr), t_grid))
 
     def write(stem, state):
-        _write_csv(stem + ".csv", ["t", "sx", "sy", "sz"],
-                   [t_grid, state.sx, state.sy, state.sz])
+        write_csv(stem + ".csv", ["t", "sx", "sy", "sz"],
+                  [t_grid, state.sx, state.sy, state.sz])
 
     return _run_engines(cfg, out_dir, "decay", analytic, numeric, write,
                         _bloch_deviation, DECAY_TOL)
@@ -498,16 +493,16 @@ def _cmd_steady(cfg, out_dir):
 
     def write(stem, state):
         plus, minus = dressed_populations(state)
-        _write_csv(stem + ".csv", ["sx", "sy", "sz", "rho_plus", "rho_minus"],
-                   [[state.sx], [state.sy], [state.sz], [plus], [minus]])
+        write_csv(stem + ".csv", ["sx", "sy", "sz", "rho_plus", "rho_minus"],
+                  [[state.sx], [state.sy], [state.sz], [plus], [minus]])
 
     return _run_engines(cfg, out_dir, "steady", analytic, numeric, write,
                         _bloch_deviation, STEADY_TOL)
 
 
 def _write_spectrum(stem, result):
-    _write_csv(stem + ".csv", ["delta_omega", "S_in"],
-               [result.omega_grid, result.incoherent])
+    write_csv(stem + ".csv", ["delta_omega", "S_in"],
+              [result.omega_grid, result.incoherent])
     write_meta(stem + ".meta",
                {"engine": result.engine,
                 "coherent_weight": result.coherent_weight,
@@ -561,9 +556,9 @@ def _cmd_sweep(cfg, out_dir):
         columns = [desc.regime, desc.gamma_eff, desc.n_photons, desc.m_abs,
                    desc.n_squeezed, desc.n_background, desc.quantum]
     # A column the swept parameter does not reach is one repeated value.
-    _write_csv(os.path.join(out_dir, "sweep.csv"), header,
-               [np.arange(values.size), values,
-                *(np.broadcast_to(c, values.shape) for c in columns)])
+    write_csv(os.path.join(out_dir, "sweep.csv"), header,
+              [np.arange(values.size), values,
+               *(np.broadcast_to(c, values.shape) for c in columns)])
     return 0
 
 
@@ -593,8 +588,8 @@ def _cmd_figure(cfg, out_dir, fig):
     outer_texts, inner_texts = (
         np.array(list(map(format_value, axis.tolist())), dtype=object)
         for axis in (outer, inner))
-    _write_csv(path, header, [np.repeat(outer_texts, inner.size),
-                              np.tile(inner_texts, outer.size), dataset[:, 2]])
+    write_csv(path, header, [np.repeat(outer_texts, inner.size),
+                             np.tile(inner_texts, outer.size), dataset[:, 2]])
     return 0
 
 

@@ -2,15 +2,16 @@
 
 Builds the full 4x4 Liouvillian superoperator L and answers every question
 with exact linear algebra on it.  Propagation applies exp(L (t_k - t_0))
-at every sample (Pade-13 scaling and squaring, Higham 2005).  The
-t -> infinity state is P vec(rho_0) of a required, checked rho_0 (it keeps
-part of rho_0 wherever the dot locks), with P the spectral projector onto
-ker L built from SVD null vectors (not from an eigendecomposition: L is
-defective at a critically damped sideband pair), whose modes are those of
-rate at most the closed forms' RATE_FLOOR*gamma_z.  The regression-theorem
-spectrum is the resolvent -(L - P + i delta)^-1 (1 - P) X_0, one batched
-solve over the frequency grid; the never-decaying kernel part P X_0 is
-the zero-width weight.  Nothing here reuses the closed forms of
+at every sample as P + exp((L - P)(t_k - t_0)) (1 - P), the decaying part
+by Pade-13 scaling and squaring (Higham 2005).  The t -> infinity state is
+P vec(rho_0) of a required, checked rho_0 (it keeps part of rho_0 wherever
+the dot locks), with P the spectral projector onto ker L built from SVD
+null vectors (not from an eigendecomposition: L is defective at a
+critically damped sideband pair), whose modes are those of rate at most
+the closed forms' RATE_FLOOR*gamma_z.  The regression-theorem spectrum is
+the resolvent -(L - P + i delta)^-1 (1 - P) X_0, one batched solve over
+the frequency grid; the never-decaying kernel part P X_0 is the
+zero-width weight.  Nothing here reuses the closed forms of
 :mod:`sps.bloch` or :mod:`sps.spectrum`: this module is the independent
 check they are tested against.
 
@@ -211,7 +212,6 @@ def _expm(stack):
     v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
          + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
     result = np.linalg.solve(v - u, v + u)
-    result[norm == 0.0] = ident  # exactly, so t = t_0 returns rho_0 unchanged
     for k in range(int(squarings.max(initial=0.0))):
         more = squarings > k
         result[more] = result[more] @ result[more]
@@ -225,26 +225,30 @@ def _propagate_vec(y0, liouvillian, t_grid):
         raise ValueError(f"t_grid needs shape (n,), n >= 1, got {t_grid.shape}")
     _check_rule("t_grid step", ">= 0", np.diff(t_grid, prepend=t_grid[:1]))
     lv = np.asarray(liouvillian, dtype=complex)
+    proj = kernel_projector(lv)[0]
+    fixed = proj @ y0
     out = np.empty((len(t_grid), 4), dtype=complex)
     for start in range(0, len(t_grid), _CHUNK):
         elapsed = t_grid[start:start + _CHUNK] - t_grid[0]
-        out[start:start + _CHUNK] = _expm(lv * elapsed[:, None, None]) @ y0
+        out[start:start + _CHUNK] = fixed + _expm(
+            (lv - proj) * elapsed[:, None, None]) @ (y0 - fixed)
+    out[t_grid == t_grid[0]] = y0  # exactly, where no time has elapsed
     return out
 
 
 def propagate(rho0, liouvillian, t_grid):
     """Propagate a density matrix along ``t_grid``; returns (len(t), 2, 2).
 
-    Each sample is exp(L (t_k - t_0)) applied to rho0, so no error
-    accumulates along the grid; trace and Hermiticity are checked to
-    _STATE_TOL (1e-10) at every sample.
+    Each sample is (P + exp((L - P)(t_k - t_0)) (1 - P)) rho0, so no error
+    accumulates along the grid and the kernel part is exact at any t; trace
+    and Hermiticity are checked to _STATE_TOL (1e-10) at every sample.
     """
     assert_density_matrix(rho0)
     traj = _propagate_vec(vectorize(rho0), liouvillian, t_grid)
     rhos = traj.reshape(-1, 2, 2)
     traces = np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0)
     herm = np.abs(rhos - np.conj(np.swapaxes(rhos, 1, 2))).max()
-    if traces.max() > _STATE_TOL or herm > _STATE_TOL:
+    if not (traces.max() <= _STATE_TOL and herm <= _STATE_TOL):
         raise PropagationError(
             f"propagation broke invariants: max trace error {float(traces.max())!r}, "
             f"max Hermiticity error {float(herm)!r}")

@@ -508,6 +508,21 @@ def _headed(columns):
     return [f"c{j}" for j in range(len(columns))], columns
 
 
+def _first_nan(columns):
+    """The header name of the first column holding a NaN cell, or None."""
+    header, _ = _headed(columns)
+    return next((name for name, column in zip(header, columns)
+                 if any(cell != cell for cell in column)), None)
+
+
+def _nan_as_inf(column):
+    """``column`` in its own form, with each NaN cell made inf of its type."""
+    if isinstance(column, np.ndarray):
+        return np.where(np.isnan(column), np.inf, column) \
+            if column.dtype.kind == "f" else column
+    return [type(cell)(math.inf) if cell != cell else cell for cell in column]
+
+
 def _per_row_reference(columns):
     """What :func:`write_csv` writes, built one cell at a time."""
     header, _ = _headed(columns)
@@ -522,11 +537,20 @@ class TestWriteCsv:
     @given(columns=_table())
     def test_bytes_equal_per_row_reference(self, tmp_path_factory, columns):
         path = tmp_path_factory.mktemp("csv") / "t.csv"
-        write_csv(path, *_headed(columns))
-        assert path.read_bytes() == _per_row_reference(columns)
         for column in columns:
             for cell in list(column[:3]) + list(column[-3:]):
                 assert format_value(cell) == _cell_text(cell)
+        nan = _first_nan(columns)
+        if nan is not None:
+            # A table holding NaN is refused whole; the same table with
+            # inf in those cells is written.
+            with pytest.raises(ValueError, match=f"^t\\.csv: column '{nan}' "
+                                                 f"holds NaN$"):
+                write_csv(path, *_headed(columns))
+            assert not path.exists()
+            columns = [_nan_as_inf(column) for column in columns]
+        write_csv(path, *_headed(columns))
+        assert path.read_bytes() == _per_row_reference(columns)
 
     @pytest.mark.parametrize("shape", ["distinct", "fig3", "fig5", "turns",
                                        "longest period"])
@@ -567,6 +591,19 @@ class TestWriteCsv:
         with pytest.raises(ValueError, match="non-str"):
             write_csv(path, ["c"], [column])
         assert not path.exists()
+
+    def test_nan_column_refused(self, tmp_path):
+        # For every caller, before the shape check; text "nan" and inf pass.
+        path = tmp_path / "t.csv"
+        for nan in (math.nan, np.float32("nan"), _SPECIAL_POOL[3]):
+            for columns in ([["nan"], [math.inf], [1.0, nan]],
+                            [["nan"], np.array([-math.inf]), np.array([nan])]):
+                with pytest.raises(ValueError,
+                                   match=r"^t\.csv: column 'c2' holds NaN$"):
+                    write_csv(path, *_headed(columns))
+                assert not path.exists()
+        write_csv(path, ["a", "b"], [["nan"], [math.inf]])
+        assert path.read_bytes() == b"a,b\nnan,inf\n"
 
     def test_unequal_lengths_rejected(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -703,6 +740,12 @@ CONFIG_ERRORS = [
                  ["steady"], 14,
                  "detuning must be < 2.821901547061144e+102, got '1e308'",
                  id="largest-detuning"),
+    # The automatic decay horizon 10/(slowest rate) obeys t_max's rule: a
+    # subnormal coupling makes it inf.
+    pytest.param(PHYSICAL.replace("alpha = 2.535e-7", "alpha = 5e-324")
+                 + "Omega = 20\n", ["decay"], None,
+                 "automatic t_max must be < 8.379879956214122e+152, got inf",
+                 id="subnormal-alpha-decay"),
     # Each component of the initial Bloch vector lies in [-1/2, 1/2].
     pytest.param(MINIMAL_DIRECT + "sx0 = 0.6\n", ["decay"], 10,
                  "sx0 must be <= 0.5, got '0.6'", id="sx0-off-sphere"),
@@ -789,6 +832,28 @@ class TestSubcommands:
         table = np.genfromtxt(tmp_path / "decay_analytic.csv", delimiter=",",
                               names=True)
         assert table["sx"][0] == 0.4
+
+    @pytest.mark.parametrize("gamma2,t_max,status", [
+        *((gamma2, t_max, "pass") for gamma2 in ("1", "2")
+          for t_max in ("1e5", "1e8", "1e100", "8e152")),
+        ("1.0002", "0", "pass"), ("1.001", "0", "pass"),
+        ("1.01", "0", "pass"),
+        # A known defect: at the automatic horizon the slow quadrature's own
+        # squaring error (4e-8) exceeds DECAY_TOL.  Exponentiating that mode
+        # as one scalar would mend it and turn this case to "pass".
+        ("1.0001", "0", "fail")])
+    def test_decay_both_engines_at_long_horizons(self, tmp_path, gamma2, t_max,
+                                                 status):
+        # The kernel part is applied exactly up to t_max's bound, and near
+        # the perfect regime at the automatic horizon 10/gamma_x.
+        (tmp_path / "cfg").write_text(
+            MINIMAL_DIRECT.replace("gamma2 = 1", f"gamma2 = {gamma2}")
+            + f"sx0 = 0.3\nengine = both\nt_max = {t_max}\nt_points = 50\n")
+        assert run_cli(["decay", "--config", tmp_path / "cfg", "--out",
+                        tmp_path / "out"]) == (0 if status == "pass" else 1)
+        meta = dict(line.split("=", 1) for line in (
+            tmp_path / "out" / "decay_compare.meta").read_text().splitlines())
+        assert meta["status"] == status
 
     def test_decay_bytes_equal_scalar_reference(self, tmp_path):
         # One array call writes what a scalar call per row would.
