@@ -8,8 +8,9 @@ Exactly one of two input modes must be used: the physical mode ([bath] +
 or the direct-rate mode ([rates] with gamma1/gamma2/nbar given verbatim).
 
 Outputs are deterministic CSV files (17-significant-digit floats, LF line
-endings, fixed column order) plus flat ``key=value`` metadata sidecars, so
-repeated runs of the same config are byte-identical.
+endings, fixed column order) plus flat ``key=value`` metadata sidecars,
+written by :mod:`sps.output`, so repeated runs of the same config are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -30,11 +31,12 @@ import numpy as np
 from . import oracle
 from .bloch import BlochVector, _check_phi_choice, _decay_rates, \
     dressed_populations, driven_steady_state, free_evolution
+from .output import _axis_texts, write_csv, write_meta
 from .physparams import DriveConfig, PhononBathSpec, displacement_factor, \
     phonon_rates
-from .reservoir import _BOUNDED, _NBAR_RULE, _check_rule, _declare, \
-    figure3_dataset, figure4_dataset, map_to_squeezing, quantum_threshold, \
-    reservoir_rates
+from .reservoir import GRID_BLOCK_POINTS, _BOUNDED, _NBAR_RULE, \
+    _check_rule, _declare, figure3_dataset, figure4_dataset, \
+    map_to_squeezing, quantum_threshold, reservoir_rates
 from .spectrum import DEFAULT_OMEGA_POINTS, default_omega_grid, \
     exact_incoherent_spectrum, figure5_dataset, sum_rule
 
@@ -267,7 +269,9 @@ def _build_config(sections):
         _config_error(_check_rule, cfg.sweep_param,
                       _swept_field(cfg).metadata["rule"], swept)
         if cfg.sweep_param == "phi" and cfg.sweep_quantity == "steady":
-            _phi_choice(_config_error(replace(cfg, phi=swept).resolved_rates))
+            for rows in _blocks(swept.size):
+                _phi_choice(_config_error(
+                    replace(cfg, phi=swept[rows]).resolved_rates))
     return cfg
 
 
@@ -279,95 +283,6 @@ def _swept_field(cfg):
 def parse_config_file(path):
     with open(path, "r", encoding="utf-8") as handle:
         return parse_config(handle.read())
-
-
-# ----------------------------------------------------------------------
-# Deterministic output helpers
-# ----------------------------------------------------------------------
-
-#: Rows that :func:`write_csv` formats with one ``%`` operation: enough to
-#: spread the per-operation cost, which is flat per cell from 256 rows up,
-#: few enough that a chunk's cells and text stay near a megabyte or below.
-CSV_CHUNK_ROWS = 1024
-
-
-def _column(values):
-    """``(conversion, array)`` for a CSV column: the ``%`` rule of its dtype.
-
-    Floats are written at full round-trip precision (``%.17g``), integers
-    with ``%d``, bools as ``true``/``false`` and anything else with ``%s``.
-    Strings not already in an array stay Python objects, since a numpy
-    string drops trailing NULs; a list that numpy would turn into strings
-    must hold only ``str``, or it is a ValueError.
-    """
-    array = np.asarray(values)
-    kind = array.dtype.kind
-    if kind in "SU" and not isinstance(values, np.ndarray):
-        array = np.asarray(values, dtype=object)
-        if not all(isinstance(item, str) for item in array.flat):
-            raise ValueError(f"a text column holds non-str values: {values!r:.80}")
-    if kind == "b":
-        return "%s", np.where(array, "true", "false")
-    if kind == "f":
-        return "%.17g", array
-    if kind in "iu":
-        return "%d", array
-    return "%s", array
-
-
-def format_value(value):
-    """Serialize one value by the rule :func:`write_csv` applies to its column."""
-    conversion, array = _column(value)
-    return conversion % (array.tolist(),)
-
-
-def _open_output(path):
-    """``path`` opened for writing text with LF line endings, after making
-    its directory: a run's output directory is made by its first file."""
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    return open(path, "w", encoding="utf-8", newline="")
-
-
-def write_csv(path, header, columns):
-    """Write equal-length ``columns`` (arrays or lists) as CSV under ``header``.
-
-    A column holds one kind of value and every cell of it is formatted by
-    the rule of its dtype (see :func:`format_value`); rows are formatted
-    ``CSV_CHUNK_ROWS`` at a time by one ``%``.  A column of texts is
-    written as it is, so a caller whose column repeats a few values can
-    format each once and pass the texts.  A float column holding NaN is a
-    ValueError naming the file and the first such column, raised before
-    anything is written; inf, the perfect regime's sentinel, is written.
-    """
-    columns = [_column(values) for values in columns]
-    if len(columns) != len(header):
-        raise ValueError(f"{len(header)} CSV header names for "
-                         f"{len(columns)} columns")
-    for name, (_, array) in zip(header, columns):
-        if array.dtype.kind == "f" and np.isnan(array).any():
-            raise ValueError(f"{os.path.basename(path)}: column {name!r} "
-                             f"holds NaN")
-    shapes = [array.shape for _, array in columns]
-    if any(len(shape) != 1 for shape in shapes) or len(set(shapes)) > 1:
-        raise ValueError(f"CSV columns need one axis and equal length, got "
-                         f"shapes {shapes}")
-    n_rows = columns[0][1].size if columns else 0
-    width = len(columns)
-    row = ",".join(conversion for conversion, _ in columns) + "\n"
-    with _open_output(path) as handle:
-        handle.write(",".join(header) + "\n")
-        for start in range(0, n_rows, CSV_CHUNK_ROWS):
-            chunk = min(CSV_CHUNK_ROWS, n_rows - start)
-            cells = [None] * (chunk * width)
-            for j, (_, array) in enumerate(columns):
-                cells[j::width] = array[start:start + chunk].tolist()
-            handle.write(row * chunk % tuple(cells))
-
-
-def write_meta(path, entries):
-    with _open_output(path) as handle:
-        for key, value in entries.items():
-            handle.write(f"{key}={format_value(value)}\n")
 
 
 def _phi_choice(rr):
@@ -407,8 +322,8 @@ def _cmd_rates(cfg, out_dir):
     write_csv(os.path.join(out_dir, "rates.csv"),
               ["gamma1", "gamma2", "nbar", "gamma_s", "gamma_n", "gamma_m",
                "phi", "Gamma"],
-              [[rr.gamma1], [rr.gamma2], [rr.nbar], [rr.gamma_s],
-               [rr.gamma_n], [rr.gamma_m], [rr.phi], [rr.gamma_rad]])
+              [[[rr.gamma1], [rr.gamma2], [rr.nbar], [rr.gamma_s],
+                [rr.gamma_n], [rr.gamma_m], [rr.phi], [rr.gamma_rad]]])
     meta = {"mode": cfg.mode, "engine": cfg.engine}
     if cfg.mode == "physical":
         meta["displacement_factor"] = displacement_factor(cfg.bath)
@@ -424,9 +339,9 @@ def _cmd_squeezing(cfg, out_dir):
     write_csv(os.path.join(out_dir, "squeezing.csv"),
               ["regime", "gamma_eff", "N", "M_abs", "Ns", "Nb", "quantum",
                "nbar_threshold"],
-              [[desc.regime], [desc.gamma_eff], [desc.n_photons],
-               [desc.m_abs], [desc.n_squeezed], [desc.n_background],
-               [desc.quantum], [quantum_threshold(rr.gamma1, rr.gamma2)]])
+              [[[desc.regime], [desc.gamma_eff], [desc.n_photons],
+                [desc.m_abs], [desc.n_squeezed], [desc.n_background],
+                [desc.quantum], [quantum_threshold(rr.gamma1, rr.gamma2)]]])
     return 0
 
 
@@ -473,7 +388,7 @@ def _cmd_decay(cfg, out_dir):
 
     def write(stem, state):
         write_csv(stem + ".csv", ["t", "sx", "sy", "sz"],
-                  [t_grid, state.sx, state.sy, state.sz])
+                  [[t_grid, state.sx, state.sy, state.sz]])
 
     return _run_engines(cfg, out_dir, "decay", analytic, numeric, write,
                         _bloch_deviation, DECAY_TOL)
@@ -494,7 +409,7 @@ def _cmd_steady(cfg, out_dir):
     def write(stem, state):
         plus, minus = dressed_populations(state)
         write_csv(stem + ".csv", ["sx", "sy", "sz", "rho_plus", "rho_minus"],
-                  [[state.sx], [state.sy], [state.sz], [plus], [minus]])
+                  [[[state.sx], [state.sy], [state.sz], [plus], [minus]]])
 
     return _run_engines(cfg, out_dir, "steady", analytic, numeric, write,
                         _bloch_deviation, STEADY_TOL)
@@ -502,7 +417,7 @@ def _cmd_steady(cfg, out_dir):
 
 def _write_spectrum(stem, result):
     write_csv(stem + ".csv", ["delta_omega", "S_in"],
-              [result.omega_grid, result.incoherent])
+              [[result.omega_grid, result.incoherent]])
     write_meta(stem + ".meta",
                {"engine": result.engine,
                 "coherent_weight": result.coherent_weight,
@@ -536,29 +451,42 @@ def _cmd_spectrum(cfg, out_dir):
                         _write_spectrum, _spectrum_deviation, SPECTRUM_TOL)
 
 
+def _blocks(size, step=GRID_BLOCK_POINTS):
+    """The slices of ``range(size)`` taken ``step`` items at a time."""
+    return (slice(start, start + step) for start in range(0, size, step))
+
+
 def _cmd_sweep(cfg, out_dir):
     if cfg.mode != "direct":
         raise ConfigError("sweep supports the direct-rate mode only")
     if not (cfg.sweep_param and cfg.sweep_points):
         raise ConfigError("sweep needs sweep_param/sweep_start/sweep_stop/sweep_points")
     values = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_points)
-    swept = replace(cfg, **{_swept_field(cfg).name: values})
-    rr = swept.resolved_rates()
-    if cfg.sweep_quantity == "steady":
-        state = driven_steady_state(rr, swept.laser_omega, _phi_choice(rr),
-                                    sx0=swept.sx0)
-        header = ["index", cfg.sweep_param, "sx", "sy", "sz"]
-        columns = [state.sx, state.sy, state.sz]
-    else:
-        desc = map_to_squeezing(rr)
-        header = ["index", cfg.sweep_param, "regime", "gamma_eff", "N",
-                  "M_abs", "Ns", "Nb", "quantum"]
-        columns = [desc.regime, desc.gamma_eff, desc.n_photons, desc.m_abs,
-                   desc.n_squeezed, desc.n_background, desc.quantum]
-    # A column the swept parameter does not reach is one repeated value.
-    write_csv(os.path.join(out_dir, "sweep.csv"), header,
-              [np.arange(values.size), values,
-               *(np.broadcast_to(c, values.shape) for c in columns)])
+    steady = cfg.sweep_quantity == "steady"
+    header = ["index", cfg.sweep_param, *(
+        ["sx", "sy", "sz"] if steady else
+        ["regime", "gamma_eff", "N", "M_abs", "Ns", "Nb", "quantum"])]
+    name = _swept_field(cfg).name
+
+    def blocks():
+        for rows in _blocks(values.size):
+            block = values[rows]
+            swept = replace(cfg, **{name: block})
+            rr = swept.resolved_rates()
+            if steady:
+                state = driven_steady_state(rr, swept.laser_omega,
+                                            _phi_choice(rr), sx0=swept.sx0)
+                columns = [state.sx, state.sy, state.sz]
+            else:
+                desc = map_to_squeezing(rr)
+                columns = [desc.regime, desc.gamma_eff, desc.n_photons,
+                           desc.m_abs, desc.n_squeezed, desc.n_background,
+                           desc.quantum]
+            # A column the swept parameter does not reach is one value.
+            yield [np.arange(rows.start, rows.start + block.size), block,
+                   *(np.broadcast_to(c, block.shape) for c in columns)]
+
+    write_csv(os.path.join(out_dir, "sweep.csv"), header, blocks())
     return 0
 
 
@@ -567,8 +495,10 @@ def _cmd_figure(cfg, out_dir, fig):
         header = ["nbar", "ratio", "value"]
         outer = np.linspace(0.0, cfg.nbar_max, cfg.nbar_points)
         inner = np.linspace(1.0, cfg.ratio_max, cfg.ratio_points + 1)[1:]
-        dataset = (figure3_dataset if fig == "fig3" else figure4_dataset)(
-            outer, inner)
+        dataset = figure3_dataset if fig == "fig3" else figure4_dataset
+
+        def table(rows):
+            return dataset(rows, inner)
     elif fig == "fig5":
         rr = cfg.resolved_rates()
         if not rr.is_perfect:
@@ -576,20 +506,24 @@ def _cmd_figure(cfg, out_dir, fig):
         header = ["sx0", "delta_omega", "S_in"]
         phi_choice, inner = _spectrum_drive(cfg, rr, "fig5")
         outer = np.linspace(-0.5, 0.5, cfg.sx0_points)
-        dataset = figure5_dataset(
-            rr, cfg.laser_omega, phi_choice, outer, omega_grid=inner,
+        table = functools.partial(
+            figure5_dataset, rr, cfg.laser_omega, phi_choice, omega_grid=inner,
             render_width=(cfg.render_width or rr.gamma1 or None)
             if cfg.render_delta else None)
     else:
         raise ConfigError(f"unknown figure {fig!r} (expected one of {FIGURES})")
-    path = os.path.join(out_dir, fig + ".csv")
     # The table is outer-major over the grid: each axis value is formatted
     # once, and its text repeated.
-    outer_texts, inner_texts = (
-        np.array(list(map(format_value, axis.tolist())), dtype=object)
-        for axis in (outer, inner))
-    write_csv(path, header, [np.repeat(outer_texts, inner.size),
-                             np.tile(inner_texts, outer.size), dataset[:, 2]])
+    outer_texts, inner_texts = _axis_texts(outer), _axis_texts(inner)
+
+    def blocks():
+        step = max(1, GRID_BLOCK_POINTS // inner.size)  # whole outer rows
+        for rows in _blocks(outer.size, step):
+            texts = outer_texts[rows]
+            yield [np.repeat(texts, inner.size),
+                   np.tile(inner_texts, texts.size), table(outer[rows])[:, 2]]
+
+    write_csv(os.path.join(out_dir, fig + ".csv"), header, blocks())
     return 0
 
 
@@ -612,28 +546,30 @@ def _build_parser():
     parser = argparse.ArgumentParser(
         prog="sps",
         description="Squeezed-phonon-reservoir simulator for a driven quantum dot")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMANDS:
-        p = sub.add_parser(name)
-        if name == "figure":
-            p.add_argument("figure", choices=FIGURES)
-        p.add_argument("--config", required=True, help="configuration file")
-        p.add_argument("--engine", choices=ENGINES,
-                       help="override the engine from the config")
-        p.add_argument("--out", help="override the output directory")
+    parser.add_argument("subcommand", choices=SUBCOMMANDS)
+    parser.add_argument("figure", nargs="?", choices=FIGURES,
+                        help="the figure table to write (figure only)")
+    parser.add_argument("--config", required=True, help="configuration file")
+    parser.add_argument("--engine", choices=ENGINES,
+                        help="override the engine from the config")
+    parser.add_argument("--out", help="override the output directory")
     return parser
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_intermixed_args(argv)
+    if args.subcommand == "figure" and args.figure is None:
+        parser.error("the following arguments are required: figure")
+    if args.subcommand != "figure" and args.figure is not None:
+        parser.error(f"unrecognized arguments: {args.figure}")
     try:
         cfg = parse_config_file(args.config)
         if args.engine:
             cfg.engine = args.engine
         if args.out:
             cfg.out = args.out
-        status = run_subcommand(args.subcommand, cfg,
-                                fig=getattr(args, "figure", None))
+        status = run_subcommand(args.subcommand, cfg, fig=args.figure)
     except ConfigError as exc:
         print(f"sps: config error: {exc}", file=sys.stderr)
         return 2

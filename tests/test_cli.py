@@ -22,16 +22,10 @@ from hypothesis import strategies as st
 import sps
 from sps import cli
 from sps.bloch import BlochVector, free_evolution
-from sps.cli import (
-    CSV_CHUNK_ROWS,
-    ConfigError,
-    format_value,
-    main,
-    parse_config,
-    run_subcommand,
-    write_csv,
-)
+from sps.cli import ConfigError, main, parse_config, run_subcommand
+from sps.output import CSV_CHUNK_ROWS, format_value, write_csv
 from sps.reservoir import reservoir_rates
+from sps.spectrum import default_omega_grid
 
 ROOT = Path(__file__).resolve().parent.parent
 PRESETS = ROOT / "presets"
@@ -504,8 +498,9 @@ def _table(draw):
 
 
 def _headed(columns):
-    """``(header, columns)`` for :func:`write_csv`, naming the columns c0, c1..."""
-    return [f"c{j}" for j in range(len(columns))], columns
+    """``(header, blocks)`` for :func:`write_csv`: ``columns`` as one block,
+    named c0, c1..."""
+    return [f"c{j}" for j in range(len(columns))], [columns]
 
 
 def _first_nan(columns):
@@ -552,6 +547,49 @@ class TestWriteCsv:
         write_csv(path, *_headed(columns))
         assert path.read_bytes() == _per_row_reference(columns)
 
+    @settings(max_examples=30, deadline=None)
+    @given(columns=_table(), data=st.data())
+    def test_blocks_are_written_as_one_table(self, tmp_path_factory, columns,
+                                             data):
+        # Split anywhere, empty blocks included, the blocks write the bytes
+        # of the table they make up.
+        columns = [_nan_as_inf(column) for column in columns]
+        n_rows = len(columns[0])
+        cuts = sorted(data.draw(st.lists(st.integers(0, n_rows), max_size=4)))
+        edges = [0, *cuts, n_rows]
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        header, _ = _headed(columns)
+        write_csv(path, header, ([column[a:b] for column in columns]
+                                 for a, b in zip(edges, edges[1:])))
+        assert path.read_bytes() == _per_row_reference(columns)
+
+    def test_no_blocks_is_the_header(self, tmp_path):
+        write_csv(tmp_path / "t.csv", ["a", "b"], [])
+        assert (tmp_path / "t.csv").read_bytes() == b"a,b\n"
+
+    @pytest.mark.parametrize("failure", ["nan", "lengths", "raised"])
+    def test_failing_block_leaves_no_file(self, tmp_path, failure):
+        # A failure in the first block leaves neither the file nor its
+        # directory; one in a later block removes the file it began.
+        bad = {"nan": [[math.nan], [1.0]], "lengths": [[0.0], []],
+               "raised": None}[failure]
+        message = {"nan": "column 'a' holds NaN", "lengths": "equal length",
+                   "raised": "block failed"}[failure]
+
+        def blocks(good):
+            yield from good
+            if bad is None:
+                raise ValueError("block failed")
+            yield bad
+
+        path = tmp_path / "out" / "t.csv"
+        with pytest.raises(ValueError, match=message):
+            write_csv(path, ["a", "b"], blocks([]))
+        assert os.listdir(tmp_path) == []
+        with pytest.raises(ValueError, match=message):
+            write_csv(path, ["a", "b"], blocks([[[0.5], [1]], [[2.0], [3]]]))
+        assert os.listdir(tmp_path / "out") == []
+
     @pytest.mark.parametrize("shape", ["distinct", "fig3", "fig5", "turns",
                                        "longest period"])
     def test_traced_peak_is_under_a_megabyte(self, tmp_path, shape):
@@ -580,7 +618,7 @@ class TestWriteCsv:
     def test_text_keeps_trailing_nul(self, tmp_path):
         assert format_value("a\x00") == "a\x00"
         path = tmp_path / "t.csv"
-        write_csv(path, ["name", "x"], [["a\x00", "b"], [1, 2]])
+        write_csv(path, ["name", "x"], [[["a\x00", "b"], [1, 2]]])
         assert path.read_bytes() == b"name,x\na\x00,1\nb,2\n"
 
     @pytest.mark.parametrize("column", [
@@ -589,7 +627,7 @@ class TestWriteCsv:
         # numpy would make these strings, e.g. 0.1 as "0.1", not %.17g.
         path = tmp_path / "t.csv"
         with pytest.raises(ValueError, match="non-str"):
-            write_csv(path, ["c"], [column])
+            write_csv(path, ["c"], [[column]])
         assert not path.exists()
 
     def test_nan_column_refused(self, tmp_path):
@@ -602,16 +640,16 @@ class TestWriteCsv:
                                    match=r"^t\.csv: column 'c2' holds NaN$"):
                     write_csv(path, *_headed(columns))
                 assert not path.exists()
-        write_csv(path, ["a", "b"], [["nan"], [math.inf]])
+        write_csv(path, ["a", "b"], [[["nan"], [math.inf]]])
         assert path.read_bytes() == b"a,b\nnan,inf\n"
 
     def test_unequal_lengths_rejected(self, tmp_path):
         path = tmp_path / "t.csv"
         with pytest.raises(ValueError, match="equal length"):
             write_csv(path, ["delta_omega", "S_in"],
-                      [np.linspace(-1.0, 1.0, 5), np.zeros(4)])
+                      [[np.linspace(-1.0, 1.0, 5), np.zeros(4)]])
         with pytest.raises(ValueError, match="2 CSV header names for 3"):
-            write_csv(path, ["delta_omega", "S_in"], [[0.0], [1.0], [2.0]])
+            write_csv(path, ["delta_omega", "S_in"], [[[0.0], [1.0], [2.0]]])
         assert not path.exists()
 
 
@@ -951,6 +989,50 @@ class TestSubcommands:
                                            omega, 0.0)
             assert (sy, sz) == pytest.approx((expected.sy, expected.sz))
 
+    @pytest.mark.parametrize("param,start,stop", [("Omega", "0.1", "40"),
+                                                  ("nbar", "0", "3")])
+    def test_sweep_in_blocks_is_the_whole_array_closed_form(
+            self, tmp_path, param, start, stop):
+        # 5000 points: two blocks of GRID_BLOCK_POINTS, written as one table.
+        points = 5000
+        (tmp_path / "cfg").write_text(
+            "[rates]\ngamma1 = 1\ngamma2 = 4\nnbar = 0.5\nphi = 0\n"
+            f"[run]\nOmega = 3\nGamma = 0.3\nsweep_param = {param}\n"
+            f"sweep_start = {start}\nsweep_stop = {stop}\n"
+            f"sweep_points = {points}\nsweep_quantity = steady\n")
+        assert run_cli(["sweep", "--config", tmp_path / "cfg",
+                        "--out", tmp_path / "out"]) == 0
+        from sps.bloch import driven_steady_state
+        values = np.linspace(float(start), float(stop), points)
+        inputs = {"nbar": 0.5, "Omega": 3.0, param: values}
+        state = driven_steady_state(
+            reservoir_rates(1.0, 4.0, inputs["nbar"], gamma_rad=0.3),
+            inputs["Omega"], 0.0)
+        write_csv(tmp_path / "reference.csv",
+                  ["index", param, "sx", "sy", "sz"],
+                  [[np.arange(points), values,
+                    *(np.broadcast_to(c, values.shape)
+                      for c in (state.sx, state.sy, state.sz))]])
+        assert (tmp_path / "out" / "sweep.csv").read_bytes() == \
+            (tmp_path / "reference.csv").read_bytes()
+
+    def test_invalid_point_past_the_first_block_leaves_no_sweep_csv(
+            self, tmp_path, capsys):
+        # Omega = 0 at a perfect reservoir with phi = 0 has no steady state:
+        # the last of 5000 points, in the second block.  The rows already
+        # written are removed with their file.
+        (tmp_path / "cfg").write_text(
+            "[rates]\ngamma1 = 1\ngamma2 = 1\nnbar = 0.5\nphi = 0\n"
+            "[run]\nsweep_param = Omega\nsweep_start = 2\nsweep_stop = 0\n"
+            "sweep_points = 5000\nsweep_quantity = steady\n")
+        out = tmp_path / "out"
+        assert run_cli(["sweep", "--config", tmp_path / "cfg",
+                        "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("sps: error: steady state undefined")
+        assert err.count("\n") == 1
+        assert os.listdir(out) == []
+
     def test_undamped_omega_sweep_writes_nothing(self, tmp_path, capsys):
         # Perfect regime at phi = 0 without Gamma has gamma_y = 0, so the
         # Omega = 0 point has no steady state: the whole sweep fails.
@@ -1078,22 +1160,38 @@ class TestSubcommands:
                                           ("fig5", "figure5_dataset")])
     def test_figure_csv_is_its_dataset_written(self, tmp_path, monkeypatch,
                                                fig, name):
-        # The axis texts, formatted once per grid value, are the bytes of
-        # the dataset written cell by cell.
-        made = []
+        # The dataset is computed over blocks of whole outer rows, at most
+        # GRID_BLOCK_POINTS rows or one outer row each, and their axis
+        # texts are formatted once per grid value: the blocks written one
+        # after another are the bytes of the whole-grid dataset written as
+        # one table.  The second grid takes three blocks.
         dataset = getattr(cli, name)
-        monkeypatch.setattr(cli, name, lambda *args, **kwargs: made.append(
-            dataset(*args, **kwargs)) or made[-1])
-        (tmp_path / "cfg").write_text(
-            MINIMAL_DIRECT + "nbar_max = 1\nnbar_points = 4\nratio_max = 2\n"
-            "ratio_points = 3\nsx0_points = 3\nomega_points = 7\n")
-        assert run_cli(["figure", fig, "--config", tmp_path / "cfg",
-                        "--out", tmp_path / "out"]) == 0
-        written = (tmp_path / "out" / f"{fig}.csv").read_bytes()
-        header = written.decode().splitlines()[0].split(",")
-        write_csv(tmp_path / "reference.csv", header, made[0].T)
-        assert len(made) == 1 and len(made[0]) == (21 if fig == "fig5" else 12)
-        assert written == (tmp_path / "reference.csv").read_bytes()
+        for (nbar, ratio, sx0, omega), calls in (((4, 3, 3, 7), 1),
+                                                 ((101, 100, 3, 5001), 3)):
+            made = []
+            monkeypatch.setattr(cli, name, lambda *args, **kwargs: made.append(
+                dataset(*args, **kwargs)) or made[-1])
+            text = (MINIMAL_DIRECT + f"nbar_max = 1\nnbar_points = {nbar}\n"
+                    f"ratio_max = 2\nratio_points = {ratio}\n"
+                    f"sx0_points = {sx0}\nomega_points = {omega}\n")
+            (tmp_path / "cfg").write_text(text)
+            assert run_cli(["figure", fig, "--config", tmp_path / "cfg",
+                            "--out", tmp_path / "out"]) == 0
+            written = (tmp_path / "out" / f"{fig}.csv").read_bytes()
+            header = written.decode().splitlines()[0].split(",")
+            if fig == "fig5":
+                rr = parse_config(text).resolved_rates()
+                whole = dataset(rr, 20.0, math.pi / 2,
+                                np.linspace(-0.5, 0.5, sx0),
+                                omega_grid=default_omega_grid(20.0, omega))
+            else:
+                whole = dataset(np.linspace(0.0, 1.0, nbar),
+                                np.linspace(1.0, 2.0, ratio + 1)[1:])
+            write_csv(tmp_path / "reference.csv", header, [whole.T])
+            assert len(made) == calls
+            assert len(whole) == (sx0 * omega if fig == "fig5"
+                                  else nbar * ratio)
+            assert written == (tmp_path / "reference.csv").read_bytes()
 
     def test_both_modes_accept_phi_pi(self, tmp_path):
         # The reservoir sees 2*phi: phi = pi runs as phi = 0 in either mode.
@@ -1262,6 +1360,22 @@ class TestSubcommands:
         assert err.startswith("sps: error: ") and err.count("\n") == 1, err
         assert os.listdir(tmp_path) == ["cfg"]
 
+    @pytest.mark.parametrize("argv,message", [
+        (["figure"], "the following arguments are required: figure"),
+        (["rates", "fig3"], "unrecognized arguments: fig3")])
+    def test_figure_name_goes_with_figure_only(self, tmp_path, capsys, argv,
+                                               message):
+        (tmp_path / "cfg").write_text(MINIMAL_DIRECT)
+        with pytest.raises(SystemExit) as stop:
+            run_cli([*argv, "--config", tmp_path / "cfg", "--out", tmp_path])
+        assert stop.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: sps ") and f"error: {message}\n" in err
+        assert os.listdir(tmp_path) == ["cfg"]
+        # The figure name may follow the options.
+        assert run_cli(["figure", "--config", tmp_path / "cfg", "--out",
+                        tmp_path / "out", "fig3"]) == 0
+
     def test_unknown_figure_rejected(self, tmp_path):
         code = run_cli(["figure", "fig3", "--config", PRESETS / "fig5.cfg",
                         "--out", tmp_path])
@@ -1403,6 +1517,46 @@ class TestFigureDeterminism:
         lines = (tmp_path / "fig3.csv").read_text().splitlines()
         assert lines[0] == "nbar,ratio,value"
         assert len(lines) == 1 + 201 * 201
+
+
+#: Traced bytes a table command's peak may grow by beyond 8 bytes per
+#: point (a sweep's axis of swept values) when its grid grows 16k -> 64k
+#: points.  Holding the whole table grows it by about 1.6-2.1 MiB.
+TABLE_PEAK_SLACK = 2**18
+
+#: (command, config, points per value of the grown key) of each table
+#: command the memory test runs.
+TABLE_RUNS = {
+    "fig3": (["figure", "fig3"],
+             "[rates]\ngamma1 = 1\ngamma2 = 4\n[run]\nratio_points = 100\n"
+             "nbar_points = {}\n", 100),
+    "fig5": (["figure", "fig5"],
+             MINIMAL_DIRECT + "omega_points = 2000\nsx0_points = {}\n", 2000),
+    "sweep": (["sweep"],
+              "[rates]\ngamma1 = 1\ngamma2 = 4\nnbar = 0.5\nphi = 0\n"
+              "[run]\nOmega = 20\nsweep_param = Omega\nsweep_start = 0.1\n"
+              "sweep_stop = 40\nsweep_points = {}\n", 1),
+}
+
+
+class TestTableMemory:
+    @pytest.mark.parametrize("command,text,inner", TABLE_RUNS.values(),
+                             ids=TABLE_RUNS)
+    def test_traced_peak_is_flat_in_the_grid(self, tmp_path, command, text,
+                                             inner):
+        # The figures and the sweep are computed and written one block at
+        # a time: only the axes grow with the grid.
+        peaks = []
+        for points in (4096, 16000, 64000):  # a warm-up run, then two
+            (tmp_path / "cfg").write_text(text.format(points // inner))
+            tracemalloc.start()
+            try:
+                assert run_cli([*command, "--config", tmp_path / "cfg",
+                                "--out", tmp_path]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[2] - peaks[1] < 8 * (64000 - 16000) + TABLE_PEAK_SLACK
 
 
 def run_python(source, *args):
