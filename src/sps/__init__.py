@@ -13,7 +13,6 @@ from .physparams import (
     HBAR_OVER_KB,
     DriveConfig,
     PhononBathSpec,
-    QuadratureError,
     displacement_factor,
     phonon_rates,
     spectral_density,
@@ -60,7 +59,6 @@ __all__ = [
     "HBAR_OVER_KB",
     "DriveConfig",
     "PhononBathSpec",
-    "QuadratureError",
     "displacement_factor",
     "phonon_rates",
     "spectral_density",

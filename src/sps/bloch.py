@@ -212,11 +212,12 @@ def _expm2(a11, a12, a21, a22, t):
     """Closed-form exp(A t) for a real, stable 2x2 matrix A, elementwise in ``t``.
 
     Written through the eigen-exponentials exp((mu +- q) t) so that nothing
-    overflows for strongly damped blocks at long times.  Where |q t| < 1e-3
-    the near-defective case uses the series of sinh(q t)/(q t) instead, whose
-    first omitted term (q t)^6/5040 is below 2e-22 (Moler & Van Loan 2003).
-    Each branch is evaluated on its own elements only, so neither overflows
-    nor divides by q = 0.
+    overflows for strongly damped blocks at long times; their half
+    difference is -exp((mu + q) t)*expm1(-2 q t)/2, which does not cancel.
+    Where |q t| < 1e-3 the near-defective case uses the series of
+    sinh(q t)/(q t) instead, whose first omitted term (q t)^6/5040 is below
+    2e-22 (Moler & Van Loan 2003).  Each branch is evaluated on its own
+    elements only, so neither overflows nor divides by q = 0.
     """
     mu = 0.5 * (a11 + a22)
     b11, b22 = a11 - mu, a22 - mu  # traceless part; B^2 = q^2 * I
@@ -231,7 +232,7 @@ def _expm2(a11, a12, a21, a22, t):
     sh_over_q[near] = e * tn * (1.0 + x2 / 6.0 + x2 * x2 / 120.0)
     ep, em = np.exp((mu + q) * tf), np.exp((mu - q) * tf)
     ch[~near] = 0.5 * (ep + em)
-    sh_over_q[~near] = 0.5 * (ep - em) / q
+    sh_over_q[~near] = -0.5 * ep * np.expm1(-2.0 * q * tf) / q
     return (
         (ch + sh_over_q * b11).real, (sh_over_q * a12).real,
         (sh_over_q * a21).real, (ch + sh_over_q * b22).real,

@@ -34,11 +34,11 @@ from .bloch import BlochVector, _check_phi_choice, _decay_rates, \
 from .output import _axis_texts, write_csv, write_meta
 from .physparams import DriveConfig, PhononBathSpec, displacement_factor, \
     phonon_rates
-from .reservoir import GRID_BLOCK_POINTS, _BOUNDED, _NBAR_RULE, \
-    _check_rule, _declare, figure3_dataset, figure4_dataset, \
-    map_to_squeezing, quantum_threshold, reservoir_rates
-from .spectrum import DEFAULT_OMEGA_POINTS, default_omega_grid, \
-    exact_incoherent_spectrum, figure5_dataset, sum_rule
+from .reservoir import _BOUNDED, _NBAR_RULE, _background_ratio, \
+    _check_rule, _declare, _quantum_ratio, _ratio_value, map_to_squeezing, \
+    mesh_blocks, quantum_threshold, reservoir_rates
+from .spectrum import DEFAULT_OMEGA_POINTS, _figure5_value, \
+    default_omega_grid, exact_incoherent_spectrum, sum_rule
 
 #: Analytic-vs-numeric comparison tolerances for --engine both.
 DECAY_TOL = 1e-8
@@ -269,9 +269,9 @@ def _build_config(sections):
         _config_error(_check_rule, cfg.sweep_param,
                       _swept_field(cfg).metadata["rule"], swept)
         if cfg.sweep_param == "phi" and cfg.sweep_quantity == "steady":
-            for rows in _blocks(swept.size):
+            for (i,) in mesh_blocks(swept.size):
                 _phi_choice(_config_error(
-                    replace(cfg, phi=swept[rows]).resolved_rates))
+                    replace(cfg, phi=swept[i]).resolved_rates))
     return cfg
 
 
@@ -451,11 +451,6 @@ def _cmd_spectrum(cfg, out_dir):
                         _write_spectrum, _spectrum_deviation, SPECTRUM_TOL)
 
 
-def _blocks(size, step=GRID_BLOCK_POINTS):
-    """The slices of ``range(size)`` taken ``step`` items at a time."""
-    return (slice(start, start + step) for start in range(0, size, step))
-
-
 def _cmd_sweep(cfg, out_dir):
     if cfg.mode != "direct":
         raise ConfigError("sweep supports the direct-rate mode only")
@@ -469,8 +464,8 @@ def _cmd_sweep(cfg, out_dir):
     name = _swept_field(cfg).name
 
     def blocks():
-        for rows in _blocks(values.size):
-            block = values[rows]
+        for (i,) in mesh_blocks(values.size):
+            block = values[i]
             swept = replace(cfg, **{name: block})
             rr = swept.resolved_rates()
             if steady:
@@ -483,7 +478,7 @@ def _cmd_sweep(cfg, out_dir):
                            desc.m_abs, desc.n_squeezed, desc.n_background,
                            desc.quantum]
             # A column the swept parameter does not reach is one value.
-            yield [np.arange(rows.start, rows.start + block.size), block,
+            yield [i, block,
                    *(np.broadcast_to(c, block.shape) for c in columns)]
 
     write_csv(os.path.join(out_dir, "sweep.csv"), header, blocks())
@@ -495,10 +490,8 @@ def _cmd_figure(cfg, out_dir, fig):
         header = ["nbar", "ratio", "value"]
         outer = np.linspace(0.0, cfg.nbar_max, cfg.nbar_points)
         inner = np.linspace(1.0, cfg.ratio_max, cfg.ratio_points + 1)[1:]
-        dataset = figure3_dataset if fig == "fig3" else figure4_dataset
-
-        def table(rows):
-            return dataset(rows, inner)
+        value = functools.partial(
+            _ratio_value, _quantum_ratio if fig == "fig3" else _background_ratio)
     elif fig == "fig5":
         rr = cfg.resolved_rates()
         if not rr.is_perfect:
@@ -506,22 +499,18 @@ def _cmd_figure(cfg, out_dir, fig):
         header = ["sx0", "delta_omega", "S_in"]
         phi_choice, inner = _spectrum_drive(cfg, rr, "fig5")
         outer = np.linspace(-0.5, 0.5, cfg.sx0_points)
-        table = functools.partial(
-            figure5_dataset, rr, cfg.laser_omega, phi_choice, omega_grid=inner,
-            render_width=(cfg.render_width or rr.gamma1 or None)
-            if cfg.render_delta else None)
+        value = functools.partial(
+            _figure5_value, rr, cfg.laser_omega, phi_choice,
+            (cfg.render_width or rr.gamma1 or None) if cfg.render_delta
+            else None)
     else:
         raise ConfigError(f"unknown figure {fig!r} (expected one of {FIGURES})")
-    # The table is outer-major over the grid: each axis value is formatted
-    # once, and its text repeated.
+    # Each axis value is formatted once, and its text taken by index.
     outer_texts, inner_texts = _axis_texts(outer), _axis_texts(inner)
 
     def blocks():
-        step = max(1, GRID_BLOCK_POINTS // inner.size)  # whole outer rows
-        for rows in _blocks(outer.size, step):
-            texts = outer_texts[rows]
-            yield [np.repeat(texts, inner.size),
-                   np.tile(inner_texts, texts.size), table(outer[rows])[:, 2]]
+        for i, j in mesh_blocks(outer.size, inner.size):
+            yield [outer_texts[i], inner_texts[j], value(outer[i], inner[j])]
 
     write_csv(os.path.join(out_dir, fig + ".csv"), header, blocks())
     return 0

@@ -11,6 +11,7 @@ maximally squeezed (Ns) and thermal background (Nb) phonons.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import sys
@@ -29,7 +30,8 @@ RATE_FLOOR = 1e-10
 #: Rates, frequencies and times stay below B = sqrt(largest float)/16: the
 #: largest product, 4*(gamma_y*gamma_z + Omega**2) ~ 94*B**2 in spectrum's
 #: pole_decomposition, stays finite; nbar's bound does so for 4*nbar*(nbar+1).
-_TRIPLE_RULE = f"< {math.sqrt(sys.float_info.max) / 16.0!r}"
+_BOUND = math.sqrt(sys.float_info.max) / 16.0
+_TRIPLE_RULE = f"< {_BOUND!r}"
 _NBAR_RULE = f">= 0 and < {math.sqrt(sys.float_info.max) / 2.0!r}"
 _BOUNDED = f">= 0 and {_TRIPLE_RULE}"  # a rate, frequency or time given
 
@@ -226,33 +228,41 @@ def quantum_threshold(gamma1, gamma2):
     return r2 / (r1 - r2)
 
 
-#: Mesh points evaluated per block by the figure datasets: the temporaries
-#: of one block stay below a megabyte however many points the grid has,
-#: and the table is the only allocation that grows.
+#: Mesh points evaluated per block by every table (the figure datasets,
+#: ``sps figure`` and ``sps sweep``): the temporaries of one block stay below
+#: a megabyte however many points the mesh has.
 GRID_BLOCK_POINTS = 4096
 
 
-def _grid_table(value, outer, inner):
-    """Rows (outer, inner, value(rows)), outer-major.  The table is allocated
-    once and its value column filled ``GRID_BLOCK_POINTS`` rows at a time, so
-    for an elementwise ``value`` each cell equals that of a whole-mesh call."""
+def mesh_blocks(*shape):
+    """The flat points of the mesh of ``shape`` (first axis outermost),
+    ``GRID_BLOCK_POINTS`` at a time: for each block, the index arrays of its
+    points along each axis.  Flat point k lies at
+    ``np.unravel_index(k, shape)``, so a block may cut a row."""
+    size = math.prod(shape)
+    for start in range(0, size, GRID_BLOCK_POINTS):
+        yield np.unravel_index(
+            np.arange(start, min(start + GRID_BLOCK_POINTS, size)), shape)
+
+
+def _mesh_table(value, outer, inner):
+    """Rows (outer, inner, value(outer, inner)), outer-major, filled from the
+    blocks of :func:`mesh_blocks` into one table: for an elementwise
+    ``value`` each cell equals that of a whole-mesh call."""
     outer = np.asarray(outer, float).ravel()
     inner = np.asarray(inner, float).ravel()
-    table = np.empty((outer.size * inner.size, 3))
-    mesh = table.reshape(outer.size, inner.size, 3)
-    mesh[:, :, 0] = outer[:, None]
-    mesh[:, :, 1] = inner
-    for start in range(0, len(table), GRID_BLOCK_POINTS):
-        rows = table[start:start + GRID_BLOCK_POINTS]
-        rows[:, 2] = value(rows)
-    return table
+    table = np.empty((outer.size, inner.size, 3))
+    for i, j in mesh_blocks(outer.size, inner.size):
+        x, y = outer[i], inner[j]
+        table[i, j] = np.column_stack((x, y, value(x, y)))
+    return table.reshape(-1, 3)
 
 
-def _ratio_grid_table(value, nbar_grid, ratio_grid):
-    """Rows (nbar, ratio, value(descriptor at gamma1 = 1)), nbar-major."""
-    _check_rule("ratio", "> 1", np.asarray(ratio_grid, float))
-    return _grid_table(lambda rows: value(map_to_squeezing(
-        reservoir_rates(1.0, rows[:, 1], rows[:, 0]))), nbar_grid, ratio_grid)
+def _ratio_value(value, nbar, ratio):
+    """``value`` of the descriptor at gamma1 = 1 and gamma2 = ratio > 1,
+    elementwise in (nbar, ratio)."""
+    _check_rule("ratio", "> 1", ratio)
+    return value(map_to_squeezing(reservoir_rates(1.0, ratio, nbar)))
 
 
 def _quantum_ratio(desc):
@@ -271,7 +281,8 @@ def figure3_dataset(nbar_grid, ratio_grid):
     Returns an array of rows (nbar, ratio, |M|/N) with nbar as the outer
     loop.  The |M|/N = 1 contour coincides with ``quantum_threshold``.
     """
-    return _ratio_grid_table(_quantum_ratio, nbar_grid, ratio_grid)
+    return _mesh_table(functools.partial(_ratio_value, _quantum_ratio),
+                       nbar_grid, ratio_grid)
 
 
 def figure4_dataset(nbar_grid, ratio_grid):
@@ -280,4 +291,5 @@ def figure4_dataset(nbar_grid, ratio_grid):
     The ratio exceeds 1 exactly where the background overwhelms the quantum
     correlations, i.e. for nbar > 1/(sqrt(gamma2/gamma1) - 1).
     """
-    return _ratio_grid_table(_background_ratio, nbar_grid, ratio_grid)
+    return _mesh_table(functools.partial(_ratio_value, _background_ratio),
+                       nbar_grid, ratio_grid)

@@ -14,6 +14,7 @@ coherence-locked regime in ``zero_width_weight`` (both are coefficients of
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import damping_triple, driven_steady_state
-from .reservoir import _check_rule, _grid_table
+from .reservoir import _check_rule, _mesh_table
 
 DEFAULT_OMEGA_POINTS = 2001
 
@@ -212,6 +213,15 @@ def pole_decomposition(rates, omega, phi_choice, sx0=0.0):
     }
 
 
+def _figure5_value(rates, omega, phi_choice, render_width, sx0, delta):
+    """S_in at (sx0, delta), elementwise; given a ``render_width``, the
+    zero-width central feature drawn as in :func:`rendered_incoherent`."""
+    result = exact_incoherent_spectrum(rates, omega, phi_choice, sx0=sx0,
+                                       omega_grid=delta)
+    return (result.incoherent if render_width is None
+            else rendered_incoherent(result, render_width))
+
+
 def figure5_dataset(rates, omega, phi_choice, sx0_grid, *, omega_grid,
                     render_width=None):
     """Incoherent-spectrum surface over the initial coherence sx0.
@@ -222,9 +232,6 @@ def figure5_dataset(rates, omega, phi_choice, sx0_grid, *, omega_grid,
     central feature is drawn as a Lorentzian of that width, which keeps its
     integrated power.  The table is filled block by block, as fig3/fig4's.
     """
-    def value(rows):
-        result = exact_incoherent_spectrum(rates, omega, phi_choice,
-                                           sx0=rows[:, 0], omega_grid=rows[:, 1])
-        return (result.incoherent if render_width is None
-                else rendered_incoherent(result, render_width))
-    return _grid_table(value, sx0_grid, omega_grid)
+    return _mesh_table(functools.partial(_figure5_value, rates, omega,
+                                         phi_choice, render_width),
+                       sx0_grid, omega_grid)

@@ -1,6 +1,7 @@
 """Closed-form Bloch dynamics: quadratures, free decay, driven steady
 states, coherence locking, dressed populations, external squeezed vacuum."""
 
+import decimal
 import math
 import warnings
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from sps import oracle
 from sps.bloch import (
     BlochVector,
+    _expm2,
     damping_triple,
     dressed_populations,
     driven_evolution,
@@ -416,6 +418,50 @@ class TestDrivenEvolution:
             out = driven_evolution(state, rates, omega, phi, t)
             norm2 = out.sx**2 + out.sy**2 + out.sz**2
             assert norm2 <= 0.25 + 1e-12
+
+
+def _decimal_expm2(a, t):
+    """exp(A t) of the row-major 2x2 float matrix ``a`` in 80-digit decimal
+    arithmetic: the Taylor series of A t halved until its entries are below
+    1e-3, squared back."""
+    def product(p, r):
+        return [p[0] * r[0] + p[1] * r[2], p[0] * r[1] + p[1] * r[3],
+                p[2] * r[0] + p[3] * r[2], p[2] * r[1] + p[3] * r[3]]
+
+    with decimal.localcontext(decimal.Context(prec=80)):
+        m = [decimal.Decimal(x) * decimal.Decimal(t) for x in a]
+        halvings = 0
+        while max(map(abs, m)) > decimal.Decimal("1e-3"):
+            m, halvings = [x / 2 for x in m], halvings + 1
+        term = total = [1, 0, 0, 1]
+        for k in range(1, 30):  # the omitted terms are below 1e-90
+            term = [x / k for x in product(term, m)]
+            total = [x + y for x, y in zip(total, term)]
+        for _ in range(halvings):
+            total = product(total, total)
+        return [float(x) for x in total]
+
+
+class TestExpm2:
+    @given(t=st.floats(0.5, 2.0), gy_t=st.floats(0.0, 1.0),
+           half_split_t=st.floats(0.0, 1.0),
+           qt=st.floats(-4.0, -1.0).map(lambda e: 10.0**e),
+           overdamped=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_near_the_critical_drive_within_four_ulps(
+            self, t, gy_t, half_split_t, qt, overdamped):
+        # The (Sy, Sz) block at a drive Omega near (gamma_z - gamma_y)/2,
+        # where |q t| = qt straddles the series switch at 1e-3, on either
+        # side of the critical drive: q is real below it, imaginary above.
+        # Moved to 1e-1, the series misses (q t)^6/5040, up to 2e-10.
+        assume(not overdamped or half_split_t >= qt)
+        gy, gz = gy_t / t, (gy_t + 2.0 * half_split_t) / t
+        omega = math.sqrt(half_split_t**2 + (-qt if overdamped else qt)
+                          * qt) / t
+        a = (-gy, -omega, omega, -gz)
+        got = [float(e[0]) for e in _expm2(*a, np.array([t]))]
+        for value, exact in zip(got, _decimal_expm2(a, t)):
+            assert abs(value - exact) <= 4 * 2.0**-52 * max(1.0, abs(exact))
 
 
 class TestDressedPopulations:

@@ -20,11 +20,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sps
-from sps import cli
+from sps import cli, reservoir
 from sps.bloch import BlochVector, free_evolution
 from sps.cli import ConfigError, main, parse_config, run_subcommand
 from sps.output import CSV_CHUNK_ROWS, format_value, write_csv
-from sps.reservoir import reservoir_rates
+from sps.reservoir import GRID_BLOCK_POINTS, reservoir_rates
 from sps.spectrum import default_omega_grid
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -237,7 +237,8 @@ class TestParseConfig:
         out = tmp_path / "out"
         assert run_cli([*command, "--config", tmp_path / "cfg",
                         "--out", out]) == 2
-        rule = "> 0" if key in ("omega_c", "detuning") else ">= 0"
+        rule = {"omega_c": "> 1.1933345169920333e-153",
+                "detuning": "> 0"}.get(key, ">= 0")
         assert capsys.readouterr().err == (
             f"sps: config error: line {line}: {key} must be {rule}, "
             f"got '{value}'\n")
@@ -738,7 +739,7 @@ CONFIG_ERRORS = [
                  id="huge-omega2"),
     pytest.param(PHYSICAL.replace("omega_c = 1500", "omega_c = 1e308"),
                  ["rates"], 8,
-                 "omega_c must be < 2.821901547061144e+102, got '1e308'",
+                 "omega_c must be < 2.8948022309329046e+76, got '1e308'",
                  id="huge-omega_c"),
     pytest.param(PHYSICAL.replace("nbar = 0.5", "nbar = 1e200"), ["rates"], 9,
                  "nbar must be < 6.703903964971298e+153, got '1e200'",
@@ -992,16 +993,15 @@ class TestSubcommands:
     @pytest.mark.parametrize("param,start,stop", [("Omega", "0.1", "40"),
                                                   ("nbar", "0", "3")])
     def test_sweep_in_blocks_is_the_whole_array_closed_form(
-            self, tmp_path, param, start, stop):
-        # 5000 points: two blocks of GRID_BLOCK_POINTS, written as one table.
+            self, tmp_path, monkeypatch, param, start, stop):
+        # 5000 points: two blocks of GRID_BLOCK_POINTS, or 82 of a prime
+        # count, written as one table.
         points = 5000
         (tmp_path / "cfg").write_text(
             "[rates]\ngamma1 = 1\ngamma2 = 4\nnbar = 0.5\nphi = 0\n"
             f"[run]\nOmega = 3\nGamma = 0.3\nsweep_param = {param}\n"
             f"sweep_start = {start}\nsweep_stop = {stop}\n"
             f"sweep_points = {points}\nsweep_quantity = steady\n")
-        assert run_cli(["sweep", "--config", tmp_path / "cfg",
-                        "--out", tmp_path / "out"]) == 0
         from sps.bloch import driven_steady_state
         values = np.linspace(float(start), float(stop), points)
         inputs = {"nbar": 0.5, "Omega": 3.0, param: values}
@@ -1013,8 +1013,12 @@ class TestSubcommands:
                   [[np.arange(points), values,
                     *(np.broadcast_to(c, values.shape)
                       for c in (state.sx, state.sy, state.sz))]])
-        assert (tmp_path / "out" / "sweep.csv").read_bytes() == \
-            (tmp_path / "reference.csv").read_bytes()
+        for block in (61, GRID_BLOCK_POINTS):
+            monkeypatch.setattr(reservoir, "GRID_BLOCK_POINTS", block)
+            assert run_cli(["sweep", "--config", tmp_path / "cfg",
+                            "--out", tmp_path / "out"]) == 0
+            assert (tmp_path / "out" / "sweep.csv").read_bytes() == \
+                (tmp_path / "reference.csv").read_bytes()
 
     def test_invalid_point_past_the_first_block_leaves_no_sweep_csv(
             self, tmp_path, capsys):
@@ -1160,25 +1164,25 @@ class TestSubcommands:
                                           ("fig5", "figure5_dataset")])
     def test_figure_csv_is_its_dataset_written(self, tmp_path, monkeypatch,
                                                fig, name):
-        # The dataset is computed over blocks of whole outer rows, at most
-        # GRID_BLOCK_POINTS rows or one outer row each, and their axis
-        # texts are formatted once per grid value: the blocks written one
-        # after another are the bytes of the whole-grid dataset written as
-        # one table.  The second grid takes three blocks.
-        dataset = getattr(cli, name)
-        for (nbar, ratio, sx0, omega), calls in (((4, 3, 3, 7), 1),
-                                                 ((101, 100, 3, 5001), 3)):
-            made = []
-            monkeypatch.setattr(cli, name, lambda *args, **kwargs: made.append(
-                dataset(*args, **kwargs)) or made[-1])
+        # The figure is computed over blocks of GRID_BLOCK_POINTS mesh points,
+        # which a prime count makes cut rows, and its axis texts are
+        # formatted once per grid value: the blocks written one after another
+        # are the bytes of the dataset of the whole mesh, taken as one block,
+        # written as one table.  The second grid takes several blocks.
+        dataset = getattr(sps, name)
+        for nbar, ratio, sx0, omega in ((4, 3, 3, 7), (101, 100, 3, 5001)):
             text = (MINIMAL_DIRECT + f"nbar_max = 1\nnbar_points = {nbar}\n"
                     f"ratio_max = 2\nratio_points = {ratio}\n"
                     f"sx0_points = {sx0}\nomega_points = {omega}\n")
             (tmp_path / "cfg").write_text(text)
-            assert run_cli(["figure", fig, "--config", tmp_path / "cfg",
-                            "--out", tmp_path / "out"]) == 0
-            written = (tmp_path / "out" / f"{fig}.csv").read_bytes()
-            header = written.decode().splitlines()[0].split(",")
+            written = []
+            for block in (61, GRID_BLOCK_POINTS):
+                monkeypatch.setattr(reservoir, "GRID_BLOCK_POINTS", block)
+                assert run_cli(["figure", fig, "--config", tmp_path / "cfg",
+                                "--out", tmp_path / "out"]) == 0
+                written.append((tmp_path / "out" / f"{fig}.csv").read_bytes())
+            monkeypatch.setattr(reservoir, "GRID_BLOCK_POINTS",
+                                max(nbar * ratio, sx0 * omega))
             if fig == "fig5":
                 rr = parse_config(text).resolved_rates()
                 whole = dataset(rr, 20.0, math.pi / 2,
@@ -1187,11 +1191,12 @@ class TestSubcommands:
             else:
                 whole = dataset(np.linspace(0.0, 1.0, nbar),
                                 np.linspace(1.0, 2.0, ratio + 1)[1:])
+            header = written[0].decode().splitlines()[0].split(",")
             write_csv(tmp_path / "reference.csv", header, [whole.T])
-            assert len(made) == calls
             assert len(whole) == (sx0 * omega if fig == "fig5"
                                   else nbar * ratio)
-            assert written == (tmp_path / "reference.csv").read_bytes()
+            reference = (tmp_path / "reference.csv").read_bytes()
+            assert written == [reference, reference]
 
     def test_both_modes_accept_phi_pi(self, tmp_path):
         # The reservoir sees 2*phi: phi = pi runs as phi = 0 in either mode.
@@ -1223,10 +1228,10 @@ class TestSubcommands:
         assert cells["nbar_threshold"] == "0" and cells["quantum"] == "false"
 
     def test_nan_output_fails_the_run(self, tmp_path, capsys, monkeypatch):
-        # No known input makes a dataset hold NaN, so a stand-in does: the
+        # No known input makes a figure value NaN, so a stand-in does: the
         # run fails before fig3.csv is written.
-        monkeypatch.setattr(cli, "figure3_dataset",
-                            lambda *grids: np.array([[0.0, 2.0, np.nan]]))
+        monkeypatch.setattr(cli, "_quantum_ratio",
+                            lambda desc: np.full(np.shape(desc.m_abs), np.nan))
         (tmp_path / "cfg").write_text(MINIMAL_DIRECT)
         out = tmp_path / "out"
         assert run_cli(["figure", "fig3", "--config", tmp_path / "cfg",
@@ -1519,6 +1524,49 @@ class TestFigureDeterminism:
         assert len(lines) == 1 + 201 * 201
 
 
+#: The tolerance of each --engine both gate, as promised: a looser or a
+#: tighter one fails the gate tests.
+ENGINE_TOLERANCES = {"decay": 1e-8, "steady": 1e-8, "spectrum": 1e-8}
+
+
+def _offset(result, deviation):
+    """``result`` moved by ``deviation`` in the measure its gate compares:
+    the sup norm of a Bloch state, or of a spectrum relative to its peak."""
+    if isinstance(result, BlochVector):
+        return dataclasses.replace(result, sx=result.sx + deviation)
+    peak = np.abs(result.incoherent).max()
+    return dataclasses.replace(result,
+                               incoherent=result.incoherent + deviation * peak)
+
+
+class TestEngineGates:
+    @pytest.mark.parametrize("factor,code,status", [(0.5, 0, "pass"),
+                                                    (2.0, 1, "fail")])
+    @pytest.mark.parametrize("command", ENGINE_TOLERANCES)
+    def test_gate_passes_half_its_tolerance_and_fails_twice_it(
+            self, tmp_path, monkeypatch, command, factor, code, status):
+        # The numeric engine stands in as the analytic result offset by
+        # factor times the tolerance, so the gate alone decides.
+        tol = ENGINE_TOLERANCES[command]
+        run_engines = cli._run_engines
+
+        def offset_engines(cfg, out_dir, stem, analytic, numeric, *rest):
+            return run_engines(cfg, out_dir, stem, analytic,
+                               lambda: _offset(analytic(), factor * tol),
+                               *rest)
+
+        monkeypatch.setattr(cli, "_run_engines", offset_engines)
+        (tmp_path / "cfg").write_text(
+            "[rates]\ngamma1 = 1\ngamma2 = 2\nnbar = 0.5\nphi = pi/2\n"
+            "[run]\nOmega = 20\nsx0 = 0.3\nt_points = 21\nomega_points = 201\n")
+        assert run_cli([command, "--config", tmp_path / "cfg", "--engine",
+                        "both", "--out", tmp_path]) == code
+        meta = dict(line.split("=", 1) for line in (
+            tmp_path / f"{command}_compare.meta").read_text().splitlines())
+        assert float(meta["tolerance"]) == tol
+        assert meta["status"] == status
+
+
 #: Traced bytes a table command's peak may grow by beyond 8 bytes per
 #: point (a sweep's axis of swept values) when its grid grows 16k -> 64k
 #: points.  Holding the whole table grows it by about 1.6-2.1 MiB.
@@ -1557,6 +1605,24 @@ class TestTableMemory:
             finally:
                 tracemalloc.stop()
         assert peaks[2] - peaks[1] < 8 * (64000 - 16000) + TABLE_PEAK_SLACK
+
+    def test_fig5_peak_grows_by_its_frequency_axis_alone(self, tmp_path):
+        # A block may cut a row, so a spectrum longer than a block is computed
+        # a block at a time too.  The peak grows by the frequency axis, its
+        # float and its text (about 85 bytes a value), and not by the
+        # temporaries of a whole row (about 200 bytes more a value).
+        peaks = []
+        for points in (1000, 4000, 16000):  # a warm-up run, then two
+            (tmp_path / "cfg").write_text(
+                MINIMAL_DIRECT + f"sx0_points = 4\nomega_points = {points}\n")
+            tracemalloc.start()
+            try:
+                assert run_cli(["figure", "fig5", "--config", tmp_path / "cfg",
+                                "--out", tmp_path]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[2] - peaks[1] < 100 * (16000 - 4000) + TABLE_PEAK_SLACK
 
 
 def run_python(source, *args):

@@ -3,18 +3,18 @@ drive-induced rates."""
 
 import math
 import warnings
+from dataclasses import fields
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sps import physparams
 from sps.physparams import (
     HBAR_OVER_KB,
     DriveConfig,
     PhononBathSpec,
-    QuadratureError,
     _displacement_exponent,
     displacement_factor,
     phonon_rates,
@@ -147,27 +147,49 @@ class TestDisplacementFactor:
 
 
 def _reference_exponent(bath):
-    """The displacement exponent by scipy's adaptive quad, split at
-    kB*T/hbar * {1, 10, 100} so that no thermal feature hides between its
-    first samples; independent of the closed form and of Gauss-Legendre."""
+    """The displacement exponent by scipy's adaptive quad in u =
+    omega/omega_c, split at kB*T/hbar * {1, 10, 100} so that no thermal
+    feature hides between its first samples; independent of the closed form
+    and of Gauss-Legendre.  The prefactor alpha*omega_c**2 is applied
+    exactly, so it rounds once."""
     from scipy.integrate import quad
 
-    alpha, wc, upper = bath.alpha, bath.omega_c, 8.0 * bath.omega_c
     pinned = 2.0 * (bath.nbar_override or 0.0) + 1.0
-    scale = (bath.temperature or 0.0) / HBAR_OVER_KB  # 0 when pinned or T = 0
-    points = [p * scale for p in (1.0, 10.0, 100.0) if 0.0 < p * scale < upper]
+    # omega_c over kB*T/hbar; inf when pinned or at T = 0
+    ratio = (HBAR_OVER_KB * bath.omega_c / bath.temperature
+             if bath.temperature else math.inf)
+    points = [p / ratio for p in (1.0, 10.0, 100.0) if 0.0 < p / ratio < 8.0]
 
-    def integrand(w):  # quad samples only interior points, never w = 0
-        x = w / scale if scale else math.inf
+    def integrand(u):  # quad samples only interior points, never u = 0
+        x = u * ratio
         occupation = 0.0 if x > 700.0 else 1.0 / math.expm1(x)
-        return alpha * w * math.exp(-((w / wc) ** 2)) * (2.0 * occupation + pinned)
+        return u * math.exp(-u * u) * (2.0 * occupation + pinned)
 
-    integral, _ = quad(integrand, 0.0, upper, points=points or None,
+    integral, _ = quad(integrand, 0.0, 8.0, points=points or None,
                        epsabs=0.0, epsrel=1e-13, limit=400)
-    return integral
+    return float(Fraction(bath.alpha) * Fraction(bath.omega_c) ** 2
+                 * Fraction(integral))
 
 
-LOG_TEMPERATURE = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
+def log_uniform(low, high):
+    """Floats 10**e for e uniform in [low, high]."""
+    return st.floats(low, high).map(lambda e: 10.0**e)
+
+
+def declared(name):
+    """Floats inside the rule PhononBathSpec declares for field ``name``: its
+    edges (the values nearest each bound), 0 where it is allowed, and
+    log-uniform draws in between."""
+    rule = {f.name: f.metadata["rule"] for f in fields(PhononBathSpec)}[name]
+    (low_op, low), (_, high) = (
+        (op, float(bound)) for op, bound in map(str.split, rule.split(" and ")))
+    low_edge = low if low_op == ">=" else math.nextafter(low, math.inf)
+    high_edge = math.nextafter(high, -math.inf)
+    return st.one_of(
+        st.sampled_from([low_edge, math.nextafter(low_edge, math.inf),
+                         high_edge]),
+        log_uniform(math.log10(max(low_edge, 5e-324)),
+                    math.log10(high_edge)).filter(lambda v: low < v < high))
 
 
 class TestDisplacementExponent:
@@ -182,29 +204,57 @@ class TestDisplacementExponent:
         assert -2.0 * math.log(displacement_factor(bath)) == pytest.approx(
             expected, rel=1e-12, abs=0.0)
 
-    @given(alpha=st.one_of(st.just(0.0), st.floats(1e-9, 1e-3)),
-           omega_c=st.floats(1.0, 4.0).map(lambda e: 10.0**e),
+    @given(alpha=st.one_of(st.just(0.0), log_uniform(-100.0, 0.6)),
+           omega_c=log_uniform(-50.0, 50.0),
            occupation=st.one_of(
                st.builds(lambda t: {"temperature": t},
-                         st.one_of(st.just(0.0), LOG_TEMPERATURE)),
-               st.builds(lambda n: {"nbar_override": n}, st.floats(0.0, 10.0))))
+                         st.one_of(st.just(0.0), log_uniform(-50.0, 50.0))),
+               st.builds(lambda n: {"nbar_override": n},
+                         st.one_of(st.just(0.0), log_uniform(-50.0, 50.0)))))
     @settings(max_examples=150, deadline=None)
     def test_matches_split_adaptive_quad(self, alpha, omega_c, occupation):
+        # The one Gauss-Legendre rule gives the exponent to 1e-13 relative
+        # (5e-16 at worst over 3000 draws) over the declared bath short of
+        # the ends of the float range, where its products would round as
+        # subnormals: omega_c, T and nbar within 1e+-50, alpha from 1e-100.
+        # omega_c over kB*T/hbar spans 1e-102 to 1e98 there, which takes in
+        # the hot, the cold and the crossover regimes.
         bath = PhononBathSpec(alpha=alpha, omega_c=omega_c, **occupation)
         reference = _reference_exponent(bath)
         assert _displacement_exponent(bath) == pytest.approx(
-            reference, rel=1e-12, abs=0.0)
+            reference, rel=1e-13, abs=0.0)
 
-    def test_disagreeing_orders_raise(self, monkeypatch):
-        # One 2- and one 3-node panel cannot resolve the Bose factor.
-        monkeypatch.setattr(physparams, "QUAD_PANELS", 1)
-        monkeypatch.setattr(physparams, "QUAD_ORDERS", (2, 3))
-        bath = PhononBathSpec(**BATH_REF, temperature=300.0)
-        with pytest.raises(QuadratureError, match="did not converge"):
-            displacement_factor(bath)
-        # The same rule passes a loose enough tolerance, read at call time.
-        monkeypatch.setattr(physparams, "QUAD_RTOL", 1.0)
-        assert 0.0 < displacement_factor(bath) < 1.0
+    @given(alpha=declared("alpha"), omega_c=declared("omega_c"),
+           occupation=st.one_of(
+               st.builds(lambda t: {"temperature": t}, declared("temperature")),
+               st.builds(lambda n: {"nbar_override": n},
+                         declared("nbar_override"))))
+    @settings(max_examples=300, deadline=None)
+    def test_exponent_is_finite_over_the_declared_bath(self, alpha, omega_c,
+                                                       occupation):
+        # Up to the edges of every declared range, the exponent is finite
+        # and no numpy warning is raised: omega_c's range and T < B keep the
+        # pinned product, the rule's nodes over kB*T/hbar and its sum finite.
+        bath = PhononBathSpec(alpha=alpha, omega_c=omega_c, **occupation)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            exponent = _displacement_exponent(bath)
+        assert math.isfinite(exponent) and exponent >= 0.0
+        assert 0.0 <= displacement_factor(bath) <= 1.0
+
+    @pytest.mark.parametrize("bath,key", [
+        ({"omega_c": 1.0, "temperature": 1e307}, "temperature"),
+        ({"omega_c": 5e-324, "temperature": 1.0}, "omega_c"),
+        ({"omega_c": 1e-300, "temperature": 1e30}, "omega_c"),
+        ({"omega_c": 2.8e102, "nbar_override": 6.7e153}, "omega_c"),
+    ], ids=["hot", "nodes-round-to-0", "hot-over-narrow", "pinned-overflow"])
+    def test_non_finite_exponents_are_out_of_the_declared_bath(self, bath, key):
+        # Each bath made the exponent non-finite before omega_c and T
+        # declared their bounds: kB*T/hbar overflows; the rule's nodes round
+        # to 0; omega over kB*T/hbar rounds to 0; the pinned product
+        # overflows.
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            PhononBathSpec(alpha=3.9, **bath)
 
 
 class TestBathSpecValidation:
