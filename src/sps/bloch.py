@@ -35,7 +35,8 @@ class BlochVector:
 
     def __post_init__(self):
         norm2 = self.sx * self.sx + self.sy * self.sy + self.sz * self.sz
-        if not np.all(norm2 <= 0.25 + SPHERE_TOL):
+        inside = norm2 <= 0.25 + SPHERE_TOL
+        if inside is not True and not np.all(inside):
             raise ValueError(
                 f"unphysical Bloch vector: |s|^2 = {_scalar(np.max(norm2))!r} > 1/4")
 
@@ -57,17 +58,13 @@ def _times(t):
 
 @dataclass(frozen=True)
 class DampingTriple:
-    """Damping rates (gamma_x, gamma_y, gamma_z) of the driven Bloch system.
-
-    ``phi_choice`` records which squeezing phase (0 or pi/2) fixed the sign
-    of the +-2*gamma_m terms; gamma_z = gamma_x + gamma_y always holds.
-    The constructor checks each rate against its declared range.
-    """
+    """Damping rates (gamma_x, gamma_y, gamma_z) of the driven Bloch system;
+    gamma_z = gamma_x + gamma_y always holds.  The constructor checks each
+    rate against its declared range."""
 
     gamma_x: float = _declare(rule=">= 0")
     gamma_y: float = _declare(rule=">= 0")
     gamma_z: float = _declare(rule=">= 0")
-    phi_choice: float
 
     def __post_init__(self):
         _check_fields(self)
@@ -164,7 +161,7 @@ def damping_triple(rates, phi_choice):
     phi_is_zero = phi == 0.0
     fields = np.broadcast_arrays(np.where(phi_is_zero, enhanced, reduced),
                                  np.where(phi_is_zero, coupled, enhanced),
-                                 gamma_z, phi)
+                                 gamma_z)
     return DampingTriple(*map(_scalar, fields))
 
 

@@ -28,8 +28,8 @@ RATE_FLOOR = 1e-10
 
 
 #: Rates, frequencies and times stay below B = sqrt(largest float)/16: the
-#: largest product, 4*(gamma_y*gamma_z + Omega**2) ~ 94*B**2 in spectrum's
-#: pole_decomposition, stays finite; nbar's bound does so for 4*nbar*(nbar+1).
+#: largest product, gamma_y*gamma_z + Omega**2 ~ 23.5*B**2 in the driven
+#: steady state, stays finite; nbar's bound does so for 4*nbar*(nbar+1).
 _BOUND = math.sqrt(sys.float_info.max) / 16.0
 _TRIPLE_RULE = f"< {_BOUND!r}"
 _NBAR_RULE = f">= 0 and < {math.sqrt(sys.float_info.max) / 2.0!r}"
@@ -68,7 +68,7 @@ def _check_rule(name, rule, value, got=None):
         else:
             relation, bound = clause.split()
             ok = _RELATIONS[relation](value, float(bound))
-        if not np.all(ok):
+        if ok is not True and not np.all(ok):  # a Python True skips numpy
             if got is None:
                 got = _scalar(value[~ok].flat[0] if np.ndim(value) else value)
             raise ValueError(f"{name} must be {clause}, got {got}")

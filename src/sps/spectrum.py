@@ -188,11 +188,12 @@ def pole_decomposition(rates, omega, phi_choice, sx0=0.0):
     denominator; "upper"/"lower" labels refer to the sideband at
     delta = +Omega / -Omega) and the central term (pole at -gamma_x with
     weight <dS+ dSx>_s).  The residues quantify each spectral component's
-    weight; an extinguished sideband has residue exactly 0.
+    weight; an extinguished sideband's is below eps*(gamma_y + gamma_z)/Omega
+    of the other.  A critical drive raises: the discriminant does not cancel.
     """
     triple, _, cx0, cy0, cz0 = _fluctuation_moments(rates, omega, phi_choice, sx0)
     gy, gz = triple.gamma_y, triple.gamma_z
-    disc = complex((gy + gz) ** 2 - 4.0 * (gy * gz + omega**2))
+    disc = complex((gy - gz) * (gy - gz) - 4.0 * (omega * omega))
     root = np.sqrt(disc)
     if abs(root) < 1e-12 * max(gy + gz, 1.0):
         raise ValueError("critically damped sideband pair: poles coincide")

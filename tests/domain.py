@@ -14,6 +14,9 @@ that draws its parameter:
   (``points``);
 - the locked coherence at its bounds, sx0 = +-1/2 (``sx0s``).
 
+Last, ``scaled`` and ``scale_exponents`` restate a point in other units,
+for the scale-covariance properties.
+
 Where a property needs a narrower draw, a named sub-strategy at the end of
 this module offers it, with its reason.  The constants the test modules
 share live here too.
@@ -25,7 +28,7 @@ from typing import NamedTuple
 from hypothesis import strategies as st
 
 from sps.bloch import BlochVector, damping_triple
-from sps.reservoir import reservoir_rates
+from sps.reservoir import _BOUND, reservoir_rates
 
 HALF_PI = math.pi / 2.0
 
@@ -170,3 +173,36 @@ floor_band_pairs = st.tuples(
 #: gamma2/gamma1 in (1, 1 + 1e-3], the ordinary side of the perfect regime,
 #: where N and |M| grow like 1/(gamma2/gamma1 - 1).
 near_perfect_ratios = st.floats(1.0, 1.001, exclude_min=True)
+
+
+def scaled(point, k):
+    """The point in units of 2^-k: its rates, Gamma and Omega times 2^k."""
+    factor = 2.0 ** k
+    return point._replace(gamma1=point.gamma1 * factor,
+                          gamma2=point.gamma2 * factor,
+                          gamma_rad=point.gamma_rad * factor,
+                          omega=point.omega * factor)
+
+
+def scale_exponents(point):
+    """Each k at which ``scaled(point, k)`` keeps its triple, Gamma and
+    Omega below the bound B of the declared ranges, and every product of
+    two of its nonzero rates normal, as at k = 0: 0 alone where such a
+    product is subnormal already (a Gamma of 1e-189 GHz).  The rates are
+    gamma1, gamma2, Gamma, Omega, the damping triple's gamma_x and gamma_y
+    and the drive's inhomogeneity gamma_s - gamma_n + Gamma/2; with
+    gamma1 = GAMMA_MIN, k >= -501 at best."""
+    rates = point.rates()
+    largest = max(rates.gamma_s, rates.gamma_n, rates.gamma_m,
+                  point.gamma_rad, point.omega)
+    top = math.frexp(_BOUND / largest)[1]
+    while largest * 2.0 ** top >= _BOUND:
+        top -= 1
+    triple = damping_triple(rates, point.phi)
+    smallest = min(x for x in (
+        point.gamma1, point.gamma2, point.gamma_rad, point.omega,
+        triple.gamma_x, triple.gamma_y,
+        abs(rates.gamma_s - rates.gamma_n + 0.5 * point.gamma_rad)) if x > 0.0)
+    # smallest*2^k >= 2^-511, the square root of the least normal float.
+    bottom = -510 - math.frexp(smallest)[1]
+    return st.just(0) if bottom > 0 else st.integers(bottom, top)

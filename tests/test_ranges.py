@@ -66,11 +66,11 @@ SCALAR_CHECKS = {
 ARRAY_CHECKS = {
     "bloch._times-t": ("t", ">= 0", lambda v: free_evolution(STATE, RATES, v)),
     "DampingTriple-gamma_x": (
-        "gamma_x", ">= 0", lambda v: DampingTriple(v, 1.0, 1.0, 0.0)),
+        "gamma_x", ">= 0", lambda v: DampingTriple(v, 1.0, 1.0)),
     "DampingTriple-gamma_y": (
-        "gamma_y", ">= 0", lambda v: DampingTriple(1.0, v, 1.0, 0.0)),
+        "gamma_y", ">= 0", lambda v: DampingTriple(1.0, v, 1.0)),
     "DampingTriple-gamma_z": (
-        "gamma_z", ">= 0", lambda v: DampingTriple(1.0, 1.0, v, 0.0)),
+        "gamma_z", ">= 0", lambda v: DampingTriple(1.0, 1.0, v)),
     "reservoir_rates-nbar": (
         "nbar", _NBAR_RULE, lambda v: reservoir_rates(0.0, 0.0, v)),
     "reservoir_rates-gamma_rad": (

@@ -4,12 +4,14 @@ import dataclasses
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sps.bloch import BlochVector
 from sps.reservoir import (
     GRID_BLOCK_POINTS,
     REGIME_INVERTED,
@@ -17,6 +19,7 @@ from sps.reservoir import (
     REGIME_PERFECT,
     ReservoirRates,
     _background_ratio,
+    _check_rule,
     _quantum_ratio,
     figure3_dataset,
     figure4_dataset,
@@ -105,6 +108,17 @@ class TestReservoirRates:
         assert r.is_perfect.tolist() == [False, False]
         s = reservoir_rates(1.0, 4.0, 0.0)
         assert type(s.gamma_s) is float and type(s.is_perfect) is bool
+
+    def test_scalar_checks_skip_numpy(self):
+        # A comparison of Python scalars is a Python bool: passing, it needs
+        # no np.all; an array still goes through it, clause by clause.
+        with mock.patch.object(np, "all", wraps=np.all) as np_all:
+            ReservoirRates(1.0, 2.0, 0.5, 0.1, 0.3)
+            BlochVector(0.1, 0.2, -0.3)
+            _check_rule("x", ">= 0 and < 1", 0.5)
+            assert np_all.call_count == 0
+            _check_rule("x", ">= 0 and < 1", np.array([0.5]))
+            assert np_all.call_count == 2
 
     def test_triple_cannot_be_passed_in(self):
         with pytest.raises(ValueError, match="gamma_m is declared with init=False"):
